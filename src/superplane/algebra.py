@@ -362,11 +362,6 @@ class Presentation:
     def rule_for(self, word) -> RewriteRule | None:
         return self._idx.get(tuple(word))
 
-    def multiply(self, a: Expression, b: Expression) -> Expression:
-        self._validate_expr(a)
-        self._validate_expr(b)
-        return a * b
-
     def _find_redex(self, w: Word):
         idx = self._idx
         n = len(w)
@@ -440,12 +435,6 @@ class Presentation:
                 pc, _ = parent[1][parent[2]]
                 parent[3] = parent[3] + fr[3].scale(pc)
                 parent[2] += 1
-
-
-def check_relation(pres: Presentation, lhs: Expression, rhs: Expression, fuel: int = DEFAULT_FUEL):
-    """Reduce lhs - rhs; returns (holds, reduced difference)."""
-    diff = pres.normal_form(lhs - rhs, fuel)
-    return diff.is_zero(), diff
 
 
 @dataclass(frozen=True)
@@ -637,10 +626,6 @@ class Involution:
                 prod = prod * img
             total = total + prod.scale(c.conj(self.swap_pq))
         return self.presentation.normal_form(total, fuel) if normalize else total
-
-
-def dagger(inv: Involution, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
-    return inv.apply(expr, fuel=fuel)
 
 
 def adjoin_inverse(

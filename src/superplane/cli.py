@@ -15,12 +15,11 @@ import argparse
 import sys
 
 from . import verify
-from .algebra import (AlgebraError, DEFAULT_FUEL, FuelExhausted,
-                      check_local_confluence)
+from .algebra import AlgebraError, DEFAULT_FUEL, check_local_confluence
 from .parsing import (ExprSyntaxError, UnknownGenerator, parse_expression,
                       render_expression, render_presentation)
-from .presentations import (ConstructionFailure, build_catalog,
-                            catalog_presentations)
+from .presentations import build_catalog, catalog_presentations
+from .scalars import DivisionByZero
 
 OK, FAILED, USAGE = 0, 1, 2
 
@@ -72,12 +71,13 @@ def _named_presentation(name: str):
 
 def _cmd_reduce(ns) -> int:
     pres = _named_presentation(ns.presentation)
-    expr = parse_expression(ns.expression, pres)
     try:
-        print(render_expression(pres.normal_form(expr, ns.fuel)))
-    except FuelExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILED
+        expr = parse_expression(ns.expression, pres)
+    except DivisionByZero as exc:
+        raise UsageError(str(exc)) from exc
+    except RecursionError:
+        raise UsageError("expression is nested too deeply") from None
+    print(render_expression(pres.normal_form(expr, ns.fuel)))
     return OK
 
 
@@ -141,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ExprSyntaxError, UnknownGenerator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (AlgebraError, ConstructionFailure) as exc:
+    except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILED
 

@@ -7,6 +7,12 @@ dx/dth (differentials), px/pth (derivatives), h1/h2 (odd nilpotent
 parameters), a/be/ga/d (supergroup entries), Ap/A/Bp/B (oscillators);
 inverses append "inv".
 
+The contraction is the one place that states the frame-change
+coefficients.  The ladder dictionary is its forward map with the plane
+letters renamed (LADDER), and the right-acting comparison maps of the
+appendix suite are single-term sign flips of its forward and backward
+images, so neither restates a coefficient.
+
 Two sort-key conventions matter everywhere:
 
 * parameters sit at the bottom of the generator order, so every normal
@@ -87,13 +93,6 @@ SUPERGROUP_DECLS = _PARAMS + (
     GeneratorDecl("a", 0, GenClass.STANDARD, 14),
 )
 
-FORMS_DECLS = _PARAMS + (
-    GeneratorDecl("dth", 0, GenClass.STANDARD, 10),
-    GeneratorDecl("dx", 1, GenClass.STANDARD, 11),
-    GeneratorDecl("th", 1, GenClass.STANDARD, 20),
-    GeneratorDecl("x", 0, GenClass.STANDARD, 21),
-)
-
 OSCILLATOR_DECLS = _PARAMS + (
     GeneratorDecl("Bp", 1, GenClass.STANDARD, 10),
     GeneratorDecl("B", 1, GenClass.STANDARD, 11),
@@ -101,14 +100,12 @@ OSCILLATOR_DECLS = _PARAMS + (
     GeneratorDecl("A", 0, GenClass.STANDARD, 13),
 )
 
+# coordinate-differential sector of the h frame, for the one-forms
+FORMS_DECLS = tuple(d for d in H_DECLS if d.id not in ("px", "pth"))
+
 # non-differential sector of the h frame, for maps whose targets have no
 # differentials (oscillator dictionary, phase-space scaffolding)
-PLANE_DECLS = _PARAMS + (
-    GeneratorDecl("th", 1, GenClass.STANDARD, 20),
-    GeneratorDecl("x", 0, GenClass.STANDARD, 21),
-    GeneratorDecl("pth", 1, GenClass.STANDARD, 30),
-    GeneratorDecl("px", 0, GenClass.STANDARD, 31),
-)
+PLANE_DECLS = tuple(d for d in H_DECLS if d.id not in ("dx", "dth"))
 
 
 def param_swap_rules(decls) -> list[RewriteRule]:
@@ -131,6 +128,16 @@ def param_swap_rules(decls) -> list[RewriteRule]:
         if hi.parity:
             out.append(RewriteRule((hi.id, hi.id), Expression.zero()))
     return out
+
+
+def has_param(pres: Presentation, word: Word) -> bool:
+    """Whether word mentions a deformation parameter of pres."""
+    return any(pres.gens[l].klass is GenClass.PARAMETER for l in word)
+
+
+def non_param_rules(pres: Presentation) -> list[RewriteRule]:
+    """The rules of pres other than the parameter bookkeeping swaps."""
+    return [r for r in pres.rules if not has_param(pres, r.lhs)]
 
 
 def scaffold(name: str, decls) -> Presentation:
@@ -442,17 +449,18 @@ COORD_DIFF_PAIRS = tuple(COORD_DIFF_TARGETS)
 def choose_variant(fuel: int = DEFAULT_FUEL):
     """Pick the coordinate-differential reading that hits the h-limit block.
 
-    Returns (variant_name, matches) where matches maps each variant to a
-    per-pair boolean dict.  Exactly one variant must match on all four
-    pairs; anything else is a construction failure.
+    Returns (variant_name, matches, contraction) where matches maps each
+    variant to a per-pair boolean dict and contraction is the winner's
+    frame change, built on its primed calculus.  Exactly one variant must
+    match on all four pairs; anything else is a construction failure.
     """
 
     ctx = scaffold("targets", H_DECLS)
     targets = {w: parse_expression(t, ctx) for w, t in COORD_DIFF_TARGETS.items()}
     matches = {}
+    contractions = {}
     for variant in COORD_DIFF_VARIANTS:
-        pq = build_primed_calculus(variant)
-        cmap = build_contraction(pq)
+        cmap = contractions[variant] = build_contraction(build_primed_calculus(variant))
         derived = derive_h_relations(cmap, pairs=COORD_DIFF_PAIRS, fuel=fuel)
         matches[variant] = {
             w: derived[w].specialized == targets[w] for w in COORD_DIFF_PAIRS
@@ -462,7 +470,7 @@ def choose_variant(fuel: int = DEFAULT_FUEL):
         raise ConstructionFailure(
             f"coordinate-differential selection is not decisive: {matches}"
         )
-    return winners[0], matches
+    return winners[0], matches, contractions[winners[0]]
 
 
 # --------------------------------------------------------- supergroup
@@ -612,12 +620,6 @@ _GROUP_IDS = ("ga", "be", "d", "dinv", "a", "ainv")
 _PLANE_IDS = ("dth", "dx", "th", "x", "pth", "px")
 
 
-def _non_param_rules(pres: Presentation) -> list[RewriteRule]:
-    return [
-        r for r in pres.rules if not any(l in ("h1", "h2") for l in r.lhs)
-    ]
-
-
 def build_covariance_tensor(
     localized_supergroup: Presentation, h_calculus: Presentation
 ) -> Presentation:
@@ -628,8 +630,8 @@ def build_covariance_tensor(
             sign = -1 if (gens[v].parity and gens[u].parity) else 1
             cross.append(RewriteRule((v, u), Expression({(u, v): sign})))
     rules = (
-        _non_param_rules(localized_supergroup)
-        + _non_param_rules(h_calculus)
+        non_param_rules(localized_supergroup)
+        + non_param_rules(h_calculus)
         + cross
         + param_swap_rules(COVARIANCE_DECLS)
     )
@@ -660,12 +662,8 @@ def build_coaction(h_calculus: Presentation, covariance: Presentation) -> Morphi
 # ---------------------------------------------------------- one-forms
 
 def build_one_forms(h_calculus: Presentation) -> Presentation:
-    keep = {"dth", "dx", "th", "x"}
-    rules = [
-        r
-        for r in _non_param_rules(h_calculus)
-        if set(r.lhs) <= keep
-    ]
+    keep = {d.id for d in FORMS_DECLS}
+    rules = [r for r in non_param_rules(h_calculus) if set(r.lhs) <= keep]
     base = _build(
         "one-forms-base", FORMS_DECLS, rules + param_swap_rules(FORMS_DECLS)
     )
@@ -688,6 +686,10 @@ OSCILLATOR_TABLE = [
 ]
 
 
+# ladder operator standing for each non-differential h-frame generator
+LADDER = {"x": "Ap", "th": "Bp", "px": "A", "pth": "B"}
+
+
 def build_oscillator() -> Presentation:
     return _build(
         "oscillator",
@@ -697,20 +699,20 @@ def build_oscillator() -> Presentation:
     )
 
 
-def build_oscillator_dictionary(oscillator: Presentation) -> Morphism:
-    """Non-differential h-frame generators as oscillator composites."""
-    E = Expression
+def build_oscillator_dictionary(oscillator: Presentation,
+                                contraction: ContractionMap) -> Morphism:
+    """Non-differential h-frame generators as oscillator composites: the
+    forward contraction images with the plane letters renamed by LADDER."""
+    rename = dict(LADDER, h1="h1", h2="h2")
+    images = {
+        gid: Expression(
+            {tuple(rename[l] for l in w): c for w, c in img.terms()}
+        )
+        for gid, img in contraction.forward.images.items()
+        if gid in rename
+    }
     return Morphism(
-        scaffold("plane", PLANE_DECLS),
-        oscillator,
-        {
-            "x": E({("Ap",): 1, ("h1", "Bp"): -_C1}),
-            "th": E({("h2", "Ap"): -_C2, ("Bp",): 1, ("h1", "h2", "Bp"): -_CH}),
-            "px": E({("A",): 1, ("h1", "h2", "A"): _CH, ("h2", "B"): _C2}),
-            "pth": E({("h1", "A"): -_C1, ("B",): 1}),
-            "h1": E.from_gen("h1"),
-            "h2": E.from_gen("h2"),
-        },
+        scaffold("plane", PLANE_DECLS), oscillator, images,
         name="oscillator-dictionary",
     )
 
@@ -830,9 +832,8 @@ class AlgebraCatalog:
 
 @lru_cache(maxsize=None)
 def build_catalog() -> AlgebraCatalog:
-    variant, matches = choose_variant()
-    pq = build_primed_calculus(variant)
-    contraction = build_contraction(pq)
+    variant, matches, contraction = choose_variant()
+    pq = contraction.forward.target
     derived = derive_h_relations(contraction)
     h_calc = build_h_calculus(derived)
     supergroup = build_supergroup()
@@ -853,7 +854,7 @@ def build_catalog() -> AlgebraCatalog:
         coaction=build_coaction(h_calc, covariance),
         plane_dagger=build_plane_dagger(h_calc),
         oscillator_star=build_oscillator_star(oscillator),
-        oscillator_dictionary=build_oscillator_dictionary(oscillator),
+        oscillator_dictionary=build_oscillator_dictionary(oscillator, contraction),
         composites=build_composites(h_calc, one_forms),
         coord_diff_variant=variant,
         variant_matches=matches,

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 from .algebra import DEFAULT_FUEL, Expression, Morphism, Presentation
 from .parsing import fingerprint, parse_expression, render_expression
-from .presentations import AlgebraCatalog, build_catalog
+from .presentations import (COORD_DIFF_TARGETS, H_REDUCIBLE_PAIRS, LADDER,
+                            PLANE_DECLS, AlgebraCatalog, build_catalog,
+                            has_param, non_param_rules)
 from .scalars import (GaussianRational, PoleAtPoint, IndeterminateAtPoint,
                       Scalar)
 
@@ -28,10 +30,6 @@ COACTION_FUEL = 1_000_000
 PASS = "Pass"
 FAIL = "Fail"
 DISCREPANCY = "Discrepancy"
-
-_C1 = Scalar.one() / (Scalar.p() - Scalar.one())
-_C2 = Scalar.one() / (Scalar.q() - Scalar.one())
-_CH = _C1 * _C2
 
 
 @dataclass(frozen=True)
@@ -142,13 +140,12 @@ PRINTED_LIMIT = [
      "1 - th*pth - h1*th*px + h2*x*pth + h1*h2*(x*px + th*pth)"),
     ("h-deriv-deriv-mixed", "px*pth", "pth*px - h1*px^2"),
     ("h-deriv-deriv-odd-sq", "pth*pth", "h1*pth*px"),
-    ("h-coord-diff-xx", "x*dx", "dx*x + h1*(dx*th - dth*x) + h1*h2*dx*x"),
-    ("h-coord-diff-xth", "x*dth",
-     "dth*x - h1*dth*th - h2*dx*x + h1*h2*dx*th"),
-    ("h-coord-diff-thx", "th*dx",
-     "-dx*th + h1*dth*th - h2*dx*x - h1*h2*dth*x"),
-    ("h-coord-diff-thth", "th*dth",
-     "dth*th - h2*(dx*th + dth*x) - h1*h2*dth*th"),
+] + [
+    # the printed coordinate-differential block is the selection target
+    ("h-coord-diff-" + "".join(l.removeprefix("d") for l in w), "*".join(w),
+     rhs)
+    for w, rhs in COORD_DIFF_TARGETS.items()
+] + [
     ("h-deriv-diff-xx", "px*dx",
      "dx*px + h1*dth*px - h2*dx*pth + h1*h2*(dx*px + dth*pth)"),
     ("h-deriv-diff-xth", "px*dth", "dth*px + h2*(dx*px + dth*pth)"),
@@ -259,10 +256,8 @@ def run_covariance_suite(cat: AlgebraCatalog | None = None,
     cov = cat.covariance_tensor
     delta = cat.coaction
     rows = []
-    for rule in cat.h_calculus.rules:
-        # parameter bookkeeping rules are shared plumbing, not claims
-        if set(rule.lhs) & {"h1", "h2"}:
-            continue
+    # parameter bookkeeping rules are shared plumbing, not claims
+    for rule in non_param_rules(cat.h_calculus):
         expr = Expression.from_word(rule.lhs) - rule.rhs
         rows.append(_check("coact-" + "-".join(rule.lhs), cov,
                            delta.apply(expr, fuel, normalize=False), fuel))
@@ -376,11 +371,8 @@ def _phase_rows(cat: AlgebraCatalog) -> list[tuple[str, Expression]]:
     ]
 
 
-_PLANE_PAIRS = (
-    ("x", "th"), ("th", "th"),
-    ("px", "x"), ("px", "th"), ("pth", "x"), ("pth", "th"),
-    ("px", "pth"), ("pth", "pth"),
-)
+_PLANE_PAIRS = tuple(w for w in H_REDUCIBLE_PAIRS
+                     if set(w) <= {d.id for d in PLANE_DECLS})
 
 
 def run_phase_space_suite(cat: AlgebraCatalog | None = None,
@@ -451,12 +443,10 @@ def run_oscillator_suite(cat: AlgebraCatalog | None = None,
         rows.append(_check("ladder-" + "-".join(word), osc,
                            dic.apply(expr, fuel, normalize=False), fuel))
 
-    bare = {"x": "Ap", "th": "Bp", "px": "A", "pth": "B"}
     stray = []
-    for gid, ladder in sorted(bare.items()):
+    for gid, ladder in sorted(LADDER.items()):
         img = dic.images[gid]
-        kept = [(w, c) for w, c in img.terms()
-                if not set(w) & {"h1", "h2"}]
+        kept = [(w, c) for w, c in img.terms() if not has_param(osc, w)]
         if kept != [((ladder,), Scalar.one())]:
             stray.append(gid)
     rows.append(CheckResult(
@@ -482,9 +472,7 @@ def run_oscillator_suite(cat: AlgebraCatalog | None = None,
 
     star = cat.oscillator_star
     broken = []
-    for rule in osc.rules:
-        if set(rule.lhs) & {"h1", "h2"}:
-            continue
+    for rule in non_param_rules(osc):
         expr = Expression.from_word(rule.lhs) - rule.rhs
         if not star.apply(expr, fuel).is_zero():
             broken.append("*".join(rule.lhs))
@@ -496,26 +484,28 @@ def run_oscillator_suite(cat: AlgebraCatalog | None = None,
     return _report("oscillator", rows, t0, [osc])
 
 
-def _wrong_convention_maps(cat: AlgebraCatalog) -> tuple[Morphism, Morphism]:
-    """Right-acting candidate maps.  These are deliberately not algebra
-    maps; they exist so the suite can measure how far they fail."""
-    E = Expression
-    fwd = cat.contraction.forward
-    to_pq = dict(fwd.images)
-    to_pq["dx"] = E({("dx",): 1, ("h1", "dth"): -_C1})
-    to_pq["dth"] = E({("h2", "dx"): _C2, ("dth",): 1,
-                      ("h1", "h2", "dth"): _CH})
-    to_pq["px"] = E({("px",): 1, ("h1", "h2", "px"): _CH,
-                     ("h2", "pth"): _C2})
-    to_pq["pth"] = E({("h1", "px"): _C1, ("pth",): 1})
-    wrong_fwd = Morphism(fwd.source, fwd.target, to_pq, name="right-to-pq")
+def _flip(img: Expression, word) -> Expression:
+    """img with the sign of its term at word reversed."""
+    return Expression({w: -c if w == word else c for w, c in img.terms()})
 
-    bwd = cat.contraction.backward
-    to_h = dict(bwd.images)
-    to_h["pth"] = E({("h1", "px"): -_C1, ("pth",): 1,
-                     ("h1", "h2", "pth"): -_CH})
-    wrong_bwd = Morphism(bwd.source, bwd.target, to_h, name="right-to-h")
-    return wrong_fwd, wrong_bwd
+
+def _wrong_convention_maps(cat: AlgebraCatalog) -> tuple[Morphism, Morphism]:
+    """Right-acting candidate maps: the contraction with single-term sign
+    flips.  These are deliberately not algebra maps; they exist so the
+    suite can measure how far they fail."""
+    def flipped(m: Morphism, name: str, flips) -> Morphism:
+        images = dict(m.images)
+        for gid, word in flips:
+            images[gid] = _flip(images[gid], word)
+        return Morphism(m.source, m.target, images, name=name)
+
+    cm = cat.contraction
+    return (
+        flipped(cm.forward, "right-to-pq", [("dx", ("h1", "dth")),
+                                            ("dth", ("h1", "h2", "dth")),
+                                            ("pth", ("h1", "px"))]),
+        flipped(cm.backward, "right-to-h", [("pth", ("h1", "px"))]),
+    )
 
 
 def run_appendix_suite(cat: AlgebraCatalog | None = None,
@@ -544,42 +534,33 @@ def run_appendix_suite(cat: AlgebraCatalog | None = None,
                                 None if res.is_zero() else res))
 
     wrong_fwd, wrong_bwd = _wrong_convention_maps(cat)
-    two_h = _CH + _CH
-
-    # inverting the even differential's transformation with right-acting
-    # rules and substituting back leaves twice the cross-parameter term
-    claimed = E({("dx",): 1, ("h1", "h2", "dx"): _CH, ("h1", "dth"): _C1})
-    got = wrong_fwd.apply(claimed, fuel)
-    drift = got - E.from_gen("dx")
-    expected = E({("h1", "h2", "dx"): two_h})
-    if drift.is_zero():
-        rows.append(CheckResult("right-convention-diff", FAIL, got,
-                                "expected a nonzero drift"))
-    else:
-        res = drift - expected
-        rows.append(CheckResult(
-            "right-convention-diff",
-            PASS if res.is_zero() else FAIL,
-            None if res.is_zero() else res,
-            "drift on the even differential is exactly "
-            "2*h1*h2/((p-1)*(q-1)) of itself"))
-
-    # same probe on the odd derivative, entering from the reduced frame
-    claimed = E({("h1", "px"): _C1, ("pth",): 1})
-    got = wrong_bwd.apply(claimed, fuel)
-    drift = got - E.from_gen("pth")
-    expected = E({("h1", "h2", "pth"): Scalar.zero() - two_h})
-    if drift.is_zero():
-        rows.append(CheckResult("right-convention-deriv", FAIL, got,
-                                "expected a nonzero drift"))
-    else:
-        res = drift - expected
-        rows.append(CheckResult(
-            "right-convention-deriv",
-            PASS if res.is_zero() else FAIL,
-            None if res.is_zero() else res,
-            "drift on the odd derivative is exactly "
-            "-2*h1*h2/((p-1)*(q-1)) of itself"))
+    # inverting a transformation with right-acting rules and substituting
+    # back leaves twice the h1*h2 term of the generator's (p,q)-to-h image:
+    # probed on the even differential, and on the odd derivative entering
+    # from the reduced frame
+    probes = (
+        ("right-convention-diff", wrong_fwd,
+         _flip(cm.backward.images["dx"], ("h1", "dth")), "dx",
+         "drift on the even differential is exactly "
+         "2*h1*h2/((p-1)*(q-1)) of itself"),
+        ("right-convention-deriv", wrong_bwd,
+         _flip(cm.forward.images["pth"], ("h1", "px")), "pth",
+         "drift on the odd derivative is exactly "
+         "-2*h1*h2/((p-1)*(q-1)) of itself"),
+    )
+    for cid, wrong, claimed, gid, note in probes:
+        got = wrong.apply(claimed, fuel)
+        drift = got - E.from_gen(gid)
+        cross = ("h1", "h2", gid)
+        expected = E.from_word(
+            cross, cm.backward.images[gid].coefficient(cross)).scale(2)
+        if drift.is_zero():
+            rows.append(CheckResult(cid, FAIL, got,
+                                    "expected a nonzero drift"))
+        else:
+            res = drift - expected
+            rows.append(CheckResult(cid, PASS if res.is_zero() else FAIL,
+                                    None if res.is_zero() else res, note))
     return _report("appendix", rows, t0, [cat.primed_calculus])
 
 

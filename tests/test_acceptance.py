@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from superplane import presentations
 from superplane.algebra import (Expression, Presentation, RewriteRule,
                                 check_local_confluence)
 from superplane.parsing import fingerprint
@@ -223,14 +224,21 @@ def test_criterion_8_properties(catalog, confluence_reports):
           "mutation detected)")
 
 
-def test_criterion_9_determinism(reports, catalog):
+def test_criterion_9_determinism(reports, catalog, monkeypatch):
     """A second full verification pass emits a byte-identical structured
-    report, and an independent rebuild reproduces every presentation."""
+    report, and an independent rebuild reproduces every presentation
+    while building each coordinate-differential reading's contraction
+    once."""
     first = render_structured(reports)
     second = render_structured(run_all(catalog))
     assert first == second
 
+    built = []
+    real = presentations.build_contraction
+    monkeypatch.setattr(presentations, "build_contraction",
+                        lambda pq: built.append(pq) or real(pq))
     fresh = build_catalog.__wrapped__()
+    assert len(built) == 2
     for name, pres in catalog_presentations(catalog).items():
         twin = catalog_presentations(fresh)[name]
         assert fingerprint(twin) == fingerprint(pres), name

@@ -29,9 +29,7 @@ from superplane.algebra import (
     RuleError,
     adjoin_inverse,
     check_local_confluence,
-    check_relation,
     critical_pairs,
-    dagger,
 )
 from superplane.scalars import Scalar
 
@@ -208,9 +206,7 @@ class TestNormalForm:
         g = grassmann()
         assert g.normal_form(E({("e2", "e1"): 1})) == E({("e1", "e2"): -1})
         assert g.normal_form(E({("e2", "e1", "e2"): 1})).is_zero()
-        sq = g.multiply(
-            E({("e1",): 1, ("e2",): 1}), E({("e1",): 1, ("e2",): 1})
-        )
+        sq = E({("e1",): 1, ("e2",): 1}) * E({("e1",): 1, ("e2",): 1})
         assert g.normal_form(sq).is_zero()
 
     def test_qplane_closed_form(self):
@@ -255,8 +251,6 @@ class TestNormalForm:
         pres = qplane()
         with pytest.raises(MixedPresentation):
             pres.normal_form(E({("e1",): 1}))
-        with pytest.raises(MixedPresentation):
-            pres.multiply(E({("x",): 1}), E({("e1",): 1}))
 
     def test_fuel_exhaustion_on_legal_loop(self):
         # descends at equal weighted degree yet grows forever; the fuel is
@@ -300,20 +294,6 @@ def random_reduce(pres, expr, rng, max_steps=4000):
             else:
                 work[nw] = s
     raise AssertionError("random reducer did not terminate")
-
-
-class TestCheckRelation:
-    def test_holds_and_fails(self):
-        pres = qplane()
-        ok, diff = check_relation(
-            pres, E({("y", "x"): 1}), E({("x", "y"): Q})
-        )
-        assert ok and diff.is_zero()
-        ok, diff = check_relation(
-            pres, E({("y", "x"): 1}), E({("x", "y"): Scalar.p()})
-        )
-        assert not ok
-        assert diff == E({("x", "y"): Q - Scalar.p()})
 
 
 class TestCriticalPairs:
@@ -408,7 +388,7 @@ class TestInvolution:
             g, {"e1": E({("e1",): 1}), "e2": E({("e2",): 1})}, name="star"
         )
         assert star.apply(E({("e1", "e2"): 1})) == E({("e1", "e2"): -1})
-        assert dagger(star, E({("e1",): Scalar.i()})) == E({("e1",): -Scalar.i()})
+        assert star.apply(E({("e1",): Scalar.i()})) == E({("e1",): -Scalar.i()})
 
     def test_swap_pq_conjugates_scalars(self):
         pres = qplane()

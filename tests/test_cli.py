@@ -75,10 +75,13 @@ def test_reduce_unknown_generator(capsys):
 
 
 def test_reduce_syntax_error(capsys):
-    code, _, err = run_cli(
-        capsys, "reduce", "x*(th", "--presentation", "h-calculus")
-    assert code == 2
-    assert "error" in err
+    # malformed input, a zero divisor and runaway nesting are all usage
+    # errors, reported on one line without a traceback
+    for text in ("x*(th", "x/0", "(" * 3000 + "x" + ")" * 3000):
+        code, _, err = run_cli(
+            capsys, "reduce", text, "--presentation", "h-calculus")
+        assert code == 2, text[:10]
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_rules_list(capsys):

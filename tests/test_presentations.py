@@ -225,8 +225,15 @@ def test_oscillator_star_swaps_p_and_q(cat):
 
 def test_oscillator_dictionary_images(cat):
     d = cat.oscillator_dictionary
-    img = d.apply(Expression.from_gen("x"), normalize=False)
-    assert set(img.words()) == {("Ap",), ("h1", "Bp")}
+    frozen = {
+        "x": "Ap - 1/(p - 1)*h1*Bp",
+        "th": "Bp - 1/(q - 1)*h2*Ap - 1/((p - 1)*(q - 1))*h1*h2*Bp",
+        "px": "A + 1/(q - 1)*h2*B + 1/((p - 1)*(q - 1))*h1*h2*A",
+        "pth": "B - 1/(p - 1)*h1*A",
+    }
+    for gid, text in frozen.items():
+        img = d.apply(Expression.from_gen(gid), normalize=False)
+        assert img == parse_expression(text, cat.oscillator), gid
 
 
 def test_composites_parities(cat):
