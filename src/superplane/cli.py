@@ -61,6 +61,14 @@ class UsageError(Exception):
     pass
 
 
+def _check_limits(ns) -> None:
+    """Reject limits under which a verb could only do vacuous work."""
+    if getattr(ns, "fuel", None) is not None and ns.fuel < 0:
+        raise UsageError(f"--fuel must not be negative, got {ns.fuel}")
+    if getattr(ns, "max_len", 2) < 2:
+        raise UsageError(f"--max-len must be at least 2, got {ns.max_len}")
+
+
 def _named_presentation(name: str):
     table = catalog_presentations(build_catalog())
     if name not in table:
@@ -137,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
+        _check_limits(ns)
         return _DISPATCH[ns.verb](ns)
     except (UsageError, ExprSyntaxError, UnknownGenerator) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,11 @@ Grammar (whitespace-insensitive):
     power  := atom ("^" integer)?
     atom   := integer | identifier | "(" expr ")" | "inv" "(" identifier ")"
 
-Juxtaposition multiplies.  The identifiers i, p and q are reserved scalar
-atoms; every other identifier must name a generator of the presentation the
-text is parsed against.  Division is only defined by scalar values.
+Juxtaposition multiplies.  An exponent may not exceed MAX_EXPONENT = 1000,
+since x^N builds an N-letter word.  The identifiers i, p and q are reserved
+scalar atoms; every other identifier must name a generator of the
+presentation the text is parsed against.  Division is only defined by scalar
+values.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class UnknownGenerator(ExprSyntaxError):
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+
+MAX_EXPONENT = 1000
 
 _RESERVED = {"i": Scalar.i, "p": Scalar.p, "q": Scalar.q}
 
@@ -143,7 +147,11 @@ class _Parser:
             k2, v2, p2 = self.next()
             if k2 != "num":
                 raise ExprSyntaxError("exponent must be a nonnegative integer", p2)
-            e = e ** int(v2)
+            # compare digit counts first: int() rejects very long digit strings
+            digits = v2.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", p2)
+            e = e ** int(digits)
         return e
 
     def parse_atom(self) -> Expression:

@@ -546,9 +546,7 @@ def derive_localized_rules(
             f"immediately above {gen_id}"
         )
     decls = list(pres.gens.values()) + [inverse_decl]
-    scratch = Presentation(
-        f"{pres.name}-params", decls, param_swap_rules(decls), require_complete=False
-    )
+    scratch = param_scratch(f"{pres.name}-params", decls)
     ginv = inverse_decl.id
     sandwich = Expression.from_gen(ginv)
     rules = []

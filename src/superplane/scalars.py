@@ -3,7 +3,8 @@
 Every coefficient in this package lives in Q(i)(p, q), the field of rational
 functions in two commuting indeterminates over the Gaussian rationals.  All
 arithmetic is exact; the only normalization is gcd reduction to a canonical
-fraction with a monic denominator.
+fraction with a monic denominator.  The gcd reads a Poly in the recursive
+view (Q(i)[q])[p] and runs on Poly's own arithmetic.
 """
 
 from __future__ import annotations
@@ -295,8 +296,12 @@ class Poly:
             n >>= 1
         return out
 
-    def divexact(self, d) -> "Poly":
-        """Exact division; raises ValueError when the quotient is not exact."""
+    def divrem(self, d) -> tuple["Poly", "Poly"]:
+        """Division with remainder under graded-lex order.
+
+        Returns (quot, rem) with self == quot * d + rem, where no term of rem
+        is divisible by the leading monomial of d.
+        """
         d = _as_poly(d)
         if d is None:
             raise TypeError("bad divisor")
@@ -304,12 +309,14 @@ class Poly:
             raise DivisionByZero("polynomial division by zero")
         r = dict(self._c)
         quot: dict[tuple[int, int], GaussianRational] = {}
+        rem: dict[tuple[int, int], GaussianRational] = {}
         dm, dc = d.leading()
         while r:
             m = max(r, key=_grlex_key)
             i, j = m[0] - dm[0], m[1] - dm[1]
             if i < 0 or j < 0:
-                raise ValueError("inexact polynomial division")
+                rem[m] = r.pop(m)
+                continue
             c = r[m] / dc
             quot[(i, j)] = c
             for (di, dj), dv in d._c.items():
@@ -321,7 +328,14 @@ class Poly:
                     r.pop(mm, None)
                 else:
                     r[mm] = s
-        return _poly_raw(quot)
+        return _poly_raw(quot), _poly_raw(rem)
+
+    def divexact(self, d) -> "Poly":
+        """Exact division; raises ValueError when the quotient is not exact."""
+        quot, rem = self.divrem(d)
+        if rem:
+            raise ValueError("inexact polynomial division")
+        return quot
 
     def eval(self, p0, q0) -> GaussianRational:
         p0 = _as_fraction(p0)
@@ -411,165 +425,54 @@ def _term_str(m: tuple[int, int], c: GaussianRational) -> str:
 
 
 # ------------------------------------------------------------------ gcd
-# The gcd runs in the recursive representation (Q(i)[q])[p] with a primitive
-# pseudo-remainder sequence.  Inputs in this package are tiny, so coefficient
-# growth is a non-issue.  Univariate polynomials are coefficient lists with
-# index = exponent and no trailing zeros.
+# The gcd runs in the recursive view (Q(i)[q])[p]: a Poly read as a polynomial
+# in p with q-only Poly coefficients.  A primitive pseudo-remainder sequence
+# (Collins 1967, Brown 1971) runs on Poly arithmetic; inputs in this package
+# are tiny, so coefficient growth is a non-issue.
 
 
-def _u_trim(u: list) -> list:
-    while u and u[-1].is_zero():
-        u.pop()
-    return u
+def _p_coeffs(f: Poly) -> dict[int, Poly]:
+    """Map each power of p in f to its coefficient, a q-only Poly."""
+    rows: dict[int, dict] = {}
+    for (i, j), c in f._c.items():
+        rows.setdefault(i, {})[(0, j)] = c
+    return {i: _poly_raw(row) for i, row in rows.items()}
 
 
-def _u_add(a: list, b: list) -> list:
-    out = []
-    for k in range(max(len(a), len(b))):
-        x = a[k] if k < len(a) else _G0
-        y = b[k] if k < len(b) else _G0
-        out.append(x + y)
-    return _u_trim(out)
-
-
-def _u_scale(a: list, c: GaussianRational) -> list:
-    if c.is_zero():
-        return []
-    return [x * c for x in a]
-
-
-def _u_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [_G0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _u_trim(out)
-
-
-def _u_divmod(a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise DivisionByZero("univariate division by zero")
-    r = _u_trim(list(a))
-    q = [_G0] * max(0, len(r) - len(b) + 1)
-    inv = _G1 / b[-1]
-    while r and len(r) >= len(b):
-        k = len(r) - len(b)
-        c = r[-1] * inv
-        q[k] = q[k] + c
-        for j, y in enumerate(b):
-            r[k + j] = r[k + j] - c * y
-        _u_trim(r)
-    return _u_trim(q), r
-
-
-def _u_divexact(a: list, b: list) -> list:
-    q, r = _u_divmod(a, b)
-    if r:
-        raise ValueError("inexact univariate division")
-    return q
-
-
-def _u_gcd(a: list, b: list) -> list:
-    a = _u_trim(list(a))
-    b = _u_trim(list(b))
+def _q_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of two q-only polynomials by Euclid."""
     # each remainder is made monic; without this the rational coefficients
     # of a Euclidean sequence grow exponentially in digit length
     while b:
-        inv = _G1 / b[-1]
-        b = [x * inv for x in b]
-        _, r = _u_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = _G1 / a[-1]
-        a = [x * inv for x in a]
-    return a
+        b = b.monic()
+        a, b = b, a.divrem(b)[1]
+    return a.monic()
 
 
-def _b_trim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
+def _primitive(f: Poly) -> tuple[Poly, Poly]:
+    """Content of f in Q(i)[q] and its primitive part; zero maps to zero."""
+    c = _POLY_ZERO
+    for u in _p_coeffs(f).values():
+        c = _q_gcd(c, u)
+    if c.is_zero() or c == _POLY_ONE:
+        return c, f
+    return c, f.divexact(c)
+
+
+def _pseudo_rem(f: Poly, g: Poly) -> Poly:
+    """Pseudo-remainder of f by g as polynomials in p."""
+    gc = _p_coeffs(g)
+    dg = max(gc)
+    lg = gc[dg]
+    while f:
+        fc = _p_coeffs(f)
+        df = max(fc)
+        if df < dg:
+            break
+        # lead_p(f) * p^(df - dg) cancels the leading p-term of f * lg
+        shift = {(df - dg, j): c for (_, j), c in fc[df]._c.items()}
+        f = f * lg - g * _poly_raw(shift)
     return f
-
-
-def _b_content(f: list) -> list:
-    c: list = []
-    for u in f:
-        c = _u_gcd(c, u)
-    return c
-
-
-def _b_primitive(f: list) -> list:
-    f = _b_trim([_u_trim(list(u)) for u in f])
-    if not f:
-        return []
-    c = _b_content(f)
-    if c == [_G1]:
-        return f
-    return [_u_divexact(u, c) for u in f]
-
-
-def _b_pseudo_rem(f: list, g: list) -> list:
-    f = [list(u) for u in f]
-    dg = len(g) - 1
-    lg = g[-1]
-    while f and len(f) - 1 >= dg:
-        lf = f[-1]
-        shift = len(f) - 1 - dg
-        f = [_u_mul(u, lg) for u in f]
-        for k, u in enumerate(g):
-            f[shift + k] = _u_add(f[shift + k], _u_scale(_u_mul(u, lf), _GN1))
-        _b_trim(f)
-    return f
-
-
-def _b_gcd_rec(f: list, g: list) -> list:
-    f = _b_trim([_u_trim(list(u)) for u in f])
-    g = _b_trim([_u_trim(list(u)) for u in g])
-    if not f:
-        return g
-    if not g:
-        return f
-    c = _u_gcd(_b_content(f), _b_content(g))
-    F = _b_primitive(f)
-    G = _b_primitive(g)
-    if len(F) < len(G):
-        F, G = G, F
-    while G:
-        R = _b_primitive(_b_pseudo_rem(F, G))
-        F, G = G, R
-    return [_u_mul(u, c) for u in F]
-
-
-def _to_rec(f: Poly) -> list:
-    by_p: dict[int, dict[int, GaussianRational]] = {}
-    top = -1
-    for (i, j), c in f._c.items():
-        by_p.setdefault(i, {})[j] = c
-        top = max(top, i)
-    out = []
-    for i in range(top + 1):
-        row = by_p.get(i)
-        if not row:
-            out.append([])
-            continue
-        u = [_G0] * (max(row) + 1)
-        for j, c in row.items():
-            u[j] = c
-        out.append(u)
-    return out
-
-
-def _from_rec(f: list) -> Poly:
-    d = {}
-    for i, u in enumerate(f):
-        for j, c in enumerate(u):
-            if not c.is_zero():
-                d[(i, j)] = c
-    return _poly_raw(d)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -578,7 +481,13 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    return _from_rec(_b_gcd_rec(_to_rec(f), _to_rec(g))).monic()
+    cf, F = _primitive(f)
+    cg, G = _primitive(g)
+    if max(_p_coeffs(F)) < max(_p_coeffs(G)):
+        F, G = G, F
+    while G:
+        F, G = G, _primitive(_pseudo_rem(F, G))[1]
+    return (F * _q_gcd(cf, cg)).monic()
 
 
 class Scalar:
@@ -613,10 +522,6 @@ class Scalar:
         self.num = n
         self.den = d
         self._hash = None
-
-    @classmethod
-    def make(cls, num, den=1) -> "Scalar":
-        return cls(num, den)
 
     @staticmethod
     def zero() -> "Scalar":
@@ -763,7 +668,6 @@ def _as_scalar(x):
     return None
 
 
-_G0 = GaussianRational(0)
 _G1 = GaussianRational(1)
 _GN1 = GaussianRational(-1)
 _POLY_ZERO = Poly({})

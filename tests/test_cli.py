@@ -75,13 +75,31 @@ def test_reduce_unknown_generator(capsys):
 
 
 def test_reduce_syntax_error(capsys):
-    # malformed input, a zero divisor and runaway nesting are all usage
-    # errors, reported on one line without a traceback
-    for text in ("x*(th", "x/0", "(" * 3000 + "x" + ")" * 3000):
+    # malformed input, a zero divisor, runaway nesting and an exponent too
+    # large to build are all usage errors, reported on one line without a
+    # traceback
+    for text in ("x*(th", "x/0", "(" * 3000 + "x" + ")" * 3000,
+                 "x^99999999999"):
         code, _, err = run_cli(
             capsys, "reduce", text, "--presentation", "h-calculus")
         assert code == 2, text[:10]
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("critical-pairs", "--presentation", "pq-calculus", "--max-len", "1"),
+    ("critical-pairs", "--presentation", "pq-calculus", "--max-len", "-3"),
+    ("critical-pairs", "--presentation", "pq-calculus", "--fuel", "-5"),
+    ("reduce", "x", "--presentation", "h-calculus", "--fuel", "-5"),
+    ("verify", "--suite", "differential", "--fuel", "-1"),
+])
+def test_vacuous_limits_rejected(capsys, argv):
+    # a scan that cannot hold an overlap or a negative fuel budget would
+    # only report vacuous work, so both are usage errors
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_rules_list(capsys):

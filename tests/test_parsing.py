@@ -130,10 +130,10 @@ class TestRender:
         st.dictionaries(
             st.lists(st.sampled_from(["x", "e", "xinv"]), max_size=4).map(tuple),
             st.builds(
-                lambda a, b, num, den: Scalar.make(
+                lambda a, b, num, den: Scalar(
                     Poly({(1, 0): a, (0, 0): b}), Poly({(0, 1): den, (0, 0): 1})
                 )
-                * Scalar.make(num),
+                * Scalar(num),
                 st.integers(-3, 3),
                 st.integers(-3, 3),
                 st.integers(-2, 2),
