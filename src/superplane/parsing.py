@@ -157,7 +157,10 @@ class _Parser:
     def parse_atom(self) -> Expression:
         kind, val, pos = self.next()
         if kind == "num":
-            return Expression({(): int(val)})
+            try:
+                return Expression({(): int(val)})
+            except ValueError:  # longer than int() converts
+                raise ExprSyntaxError("integer literal too long", pos) from None
         if kind == "name":
             maker = _RESERVED.get(val)
             if maker is not None:

@@ -2,14 +2,17 @@
 
 Every coefficient in this package lives in Q(i)(p, q), the field of rational
 functions in two commuting indeterminates over the Gaussian rationals.  All
-arithmetic is exact; the only normalization is gcd reduction to a canonical
-fraction with a monic denominator.  The gcd reads a Poly in the recursive
-view (Q(i)[q])[p] and runs on Poly's own arithmetic.
+arithmetic is exact.  A Gaussian rational is three Python ints (a + b*i)/d
+kept in lowest terms by one integer gcd per operation (Knuth, TAOCP vol. 2,
+4.5.1); a Scalar is a fraction of Polys over them, kept canonical by a
+polynomial gcd and a monic denominator.  The polynomial gcd reads a Poly in
+the recursive view (Q(i)[q])[p] and runs on Poly's own arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -37,36 +40,57 @@ def _as_fraction(x) -> Fraction:
 
 
 class GaussianRational:
-    """Element re + im*i of Q(i) with exact rational parts."""
+    """Element (a + b*i)/d of Q(i), stored as three ints in lowest terms.
 
-    __slots__ = ("re", "im")
+    Invariants: d > 0 and gcd(a, b, d) == 1, so equal values have equal
+    fields and equality and hashing compare fields.  re and im are Fraction
+    views of the two parts; the arithmetic itself never builds a Fraction.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        re, im = _as_fraction(re), _as_fraction(im)
+        # over the lcm of the two denominators no prime divides a, b and d
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gauss_raw(self.a, -self.b, self.d)
 
     def __add__(self, other):
         other = _as_gauss(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        return _gauss(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
+                      d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gauss_raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = _as_gauss(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        return _gauss(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1,
+                      d1 * d2)
 
     def __rsub__(self, other):
         other = _as_gauss(other)
@@ -78,10 +102,8 @@ class GaussianRational:
         other = _as_gauss(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -89,13 +111,14 @@ class GaussianRational:
         other = _as_gauss(other)
         if other is None:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        n = a2 * a2 + b2 * b2
         if not n:
             raise DivisionByZero("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a1 + b1*i)/d1 * d2*(a2 - b2*i)/(a2^2 + b2^2)
+        d2 = other.d
+        return _gauss((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                      self.d * n)
 
     def __rtruediv__(self, other):
         other = _as_gauss(other)
@@ -107,8 +130,8 @@ class GaussianRational:
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        out = GaussianRational(1)
+            return _G1 / self ** (-n)
+        out = _G1
         base = self
         while n:
             if n & 1:
@@ -121,42 +144,58 @@ class GaussianRational:
         other = _as_gauss(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        if self.im == 1:
+            return f"{im}*i"
+        if im == 1:
             tail = "+ i"
-        elif self.im == -1:
+        elif im == -1:
             tail = "- i"
-        elif self.im < 0:
-            tail = f"- {-self.im}*i"
+        elif im < 0:
+            tail = f"- {-im}*i"
         else:
-            tail = f"+ {self.im}*i"
-        return f"{self.re} {tail}"
+            tail = f"+ {im}*i"
+        return f"{re} {tail}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _gauss_raw(a: int, b: int, d: int) -> GaussianRational:
+    x = object.__new__(GaussianRational)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+def _gauss(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d in lowest terms, for ints with d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _gauss_raw(a // g, b // g, d // g)
+    return _gauss_raw(a, b, d)
 
 
 def _as_gauss(x):
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+        return _gauss_raw(x.numerator, 0, x.denominator)
     return None
 
 
@@ -408,7 +447,7 @@ def _mono_str(m: tuple[int, int]) -> str:
 
 def _coeff_str(c: GaussianRational) -> str:
     s = str(c)
-    if c.re and c.im:
+    if c.a and c.b:
         return f"({s})"
     return s
 
@@ -428,7 +467,8 @@ def _term_str(m: tuple[int, int], c: GaussianRational) -> str:
 # The gcd runs in the recursive view (Q(i)[q])[p]: a Poly read as a polynomial
 # in p with q-only Poly coefficients.  A primitive pseudo-remainder sequence
 # (Collins 1967, Brown 1971) runs on Poly arithmetic; inputs in this package
-# are tiny, so coefficient growth is a non-issue.
+# are tiny, so coefficient growth is a non-issue.  A nonzero constant is a
+# unit, so poly_gcd answers 1 for it at once: most Scalar gcds are of these.
 
 
 def _p_coeffs(f: Poly) -> dict[int, Poly]:
@@ -481,6 +521,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return g.monic()
     if g.is_zero():
         return f.monic()
+    if len(f._c) == 1 and (0, 0) in f._c or len(g._c) == 1 and (0, 0) in g._c:
+        return _POLY_ONE
     cf, F = _primitive(f)
     cg, G = _primitive(g)
     if max(_p_coeffs(F)) < max(_p_coeffs(G)):

@@ -75,11 +75,11 @@ def test_reduce_unknown_generator(capsys):
 
 
 def test_reduce_syntax_error(capsys):
-    # malformed input, a zero divisor, runaway nesting and an exponent too
-    # large to build are all usage errors, reported on one line without a
-    # traceback
+    # malformed input, a zero divisor, runaway nesting, an exponent too
+    # large to build and a literal too long for int() are all usage errors,
+    # reported on one line without a traceback
     for text in ("x*(th", "x/0", "(" * 3000 + "x" + ")" * 3000,
-                 "x^99999999999"):
+                 "x^99999999999", "9" * 5000):
         code, _, err = run_cli(
             capsys, "reduce", text, "--presentation", "h-calculus")
         assert code == 2, text[:10]

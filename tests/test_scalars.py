@@ -6,6 +6,7 @@ sampled rational points) before the canonical literals are asserted.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -46,6 +47,17 @@ scalars = st.builds(Scalar, small_polys, small_nonzero)
 rational_points = st.tuples(fractions_, fractions_)
 
 
+def to_sympy(sympy, f):
+    """f as a sympy Poly in p, q over QQ_I."""
+    p, q = sympy.symbols("p q")
+    expr = sum(
+        (sympy.Rational(c.re.numerator, c.re.denominator)
+         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        * p**i * q**j
+        for (i, j), c in f.items())
+    return sympy.Poly(expr, p, q, domain=sympy.QQ_I)
+
+
 class TestGaussianRational:
     def test_basic_arithmetic(self):
         i = G(0, 1)
@@ -67,6 +79,28 @@ class TestGaussianRational:
         assert a + (-a) == G(0)
         if not b.is_zero():
             assert (a / b) * b == a
+
+    @given(*[st.fractions(max_denominator=10**6)] * 4)
+    def test_matches_fraction_formulas(self, r1, i1, r2, i2):
+        # oracle: the (re, im) formulas of Q(i) in plain Fraction arithmetic
+        x, y = GaussianRational(r1, i1), GaussianRational(r2, i2)
+        cases = [
+            (x + y, r1 + r2, i1 + i2),
+            (x - y, r1 - r2, i1 - i2),
+            (x * y, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2),
+            (x.conj(), r1, -i1),
+            ((x + y) - y, r1, i1),
+        ]
+        n = r2 * r2 + i2 * i2
+        if n:
+            cases.append((x / y, (r1 * r2 + i1 * i2) / n, (i1 * r2 - r1 * i2) / n))
+            cases.append(((x * y) / y, r1, i1))
+        for got, re, im in cases:
+            assert (got.re, got.im) == (re, im)
+            # canonical fields: equal values are equal field by field
+            assert got.d > 0 and gcd(got.a, got.b, got.d) == 1
+            # so x reached by another route hashes like x
+            assert got != x or hash(got) == hash(x)
 
     @given(gaussians, gaussians)
     def test_conjugation(self, a, b):
@@ -109,6 +143,16 @@ class TestPoly:
         assert (2 * (P * P - ONE)).divexact(g) == 2 * (P + ONE)
         assert poly_gcd(P - ONE, Q - ONE) == ONE
 
+    def test_gcd_with_a_constant(self):
+        # a nonzero constant is a unit, whatever the other operand
+        f = P * P - Q
+        for c in (3, F(-1, 2), G(0, 2), G(1, -1)):
+            assert poly_gcd(Poly.const(c), f) == Poly.one()
+            assert poly_gcd(f, Poly.const(c)) == Poly.one()
+            assert poly_gcd(Poly.const(c), Poly.const(5)) == Poly.one()
+        assert poly_gcd(Poly.zero(), Poly.const(3)) == Poly.one()
+        assert poly_gcd(Poly.zero(), Poly.zero()) == Poly.zero()
+
     @given(polys, polys, nonzero_polys)
     def test_gcd_divides_and_reduces_to_coprime(self, a, b, m):
         assume(not (a * m).is_zero() or not (b * m).is_zero())
@@ -122,22 +166,13 @@ class TestPoly:
 
     def test_gcd_matches_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
-        p, q = sympy.symbols("p q")
-
-        def to_sympy(f):
-            expr = sum(
-                (sympy.Rational(c.re.numerator, c.re.denominator)
-                 + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
-                * p**i * q**j
-                for (i, j), c in f.items())
-            return sympy.Poly(expr, p, q, domain=sympy.QQ_I)
 
         @given(polys, polys, nonzero_polys)
         def agrees(a, b, m):
             assume(not a.is_zero() or not b.is_zero())
             f, g = a * m, b * m
-            ours = to_sympy(poly_gcd(f, g)).monic()
-            assert ours == to_sympy(f).gcd(to_sympy(g)).monic()
+            ours = to_sympy(sympy, poly_gcd(f, g)).monic()
+            assert ours == to_sympy(sympy, f).gcd(to_sympy(sympy, g)).monic()
 
         agrees()
 
@@ -224,6 +259,21 @@ class TestScalar:
         else:
             assert s.den.leading_coeff() == G(1)
             assert poly_gcd(s.num, s.den) == ONE
+
+    def test_canonical_form_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+
+        @given(polys, nonzero_polys, small_nonzero)
+        def agrees(n, d, m):
+            # a common factor m gives the gcd something to cancel
+            n, d = n * m, d * m
+            s = Scalar(n, d)
+            num, den = to_sympy(sympy, s.num), to_sympy(sympy, s.den)
+            # same element of the fraction field, and in lowest terms
+            assert (num * to_sympy(sympy, d) - to_sympy(sympy, n) * den).is_zero
+            assert num.gcd(den).is_ground
+
+        agrees()
 
     @given(scalars, rational_points)
     def test_eval_matches_fraction_oracle(self, s, pt):
