@@ -5,6 +5,11 @@ generators and length-two rewrite rules.  Rules must strictly descend in a
 word order (weighted degree, then lexicographic on sort keys); negative
 weights for localization inverses make the order non-well-founded, so every
 reduction also carries a fuel bound as the termination backstop.
+
+Deformation parameters that supercommute with every generator, i.e. whose
+rules are exactly param_swap_rules, are not moved one letter at a time:
+reduction sorts them to the front of each word in one pass with the Koszul
+sign.  The swap rules stay in the presentation as declarative data.
 """
 
 from __future__ import annotations
@@ -267,6 +272,32 @@ class RewriteRule:
             object.__setattr__(self, "rhs", Expression(self.rhs))
 
 
+def param_swap_rules(decls) -> list[RewriteRule]:
+    """Rules moving the nilpotent parameters to the front of every word."""
+    decls = list(decls)
+    params = sorted(
+        (d for d in decls if d.klass is GenClass.PARAMETER), key=lambda d: d.sort_key
+    )
+    out = []
+    for h in params:
+        for v in decls:
+            if v.klass is GenClass.PARAMETER:
+                continue
+            sign = -1 if (v.parity and h.parity) else 1
+            out.append(RewriteRule((v.id, h.id), Expression({(h.id, v.id): sign})))
+    for i, hi in enumerate(params):
+        for hj in params[:i]:
+            sign = -1 if (hi.parity and hj.parity) else 1
+            out.append(RewriteRule((hi.id, hj.id), Expression({(hj.id, hi.id): sign})))
+        if hi.parity:
+            out.append(RewriteRule((hi.id, hi.id), Expression.zero()))
+    return out
+
+
+# a FuelExhausted message shows at most this many letters of its word
+_SHOWN_LETTERS = 40
+
+
 class Presentation:
     """Generators plus oriented rules; provides reduction to normal form.
 
@@ -302,6 +333,13 @@ class Presentation:
         if require_complete:
             self._check_complete()
         self._memo: dict[Word, Expression] = {}
+        params = {g.id: (g.sort_key, g.parity) for g in self.gens.values()
+                  if g.klass is GenClass.PARAMETER}
+        own = {r.lhs: r.rhs for r in out if not params.keys().isdisjoint(r.lhs)}
+        koszul = {r.lhs: r.rhs for r in param_swap_rules(self.gens.values())}
+        # parameter letters _word_nf sorts in one pass: all of them when the
+        # rules that mention them are exactly the Koszul swaps, else none
+        self._hoisted = params if own == koszul else {}
 
     # ---------------------------------------------------------- word order
 
@@ -376,21 +414,74 @@ class Presentation:
         return None
 
     def normal_form(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
+        """Reduce expr to normal form within fuel rewrite steps.
+
+        Each rule application costs one unit of fuel.  Sorting the
+        parameters of a word to the front is one bounded pass and costs
+        none; memo hits cost none either.
+        """
         self._validate_expr(expr)
         cell = [fuel]
         out = _E_ZERO
         for word, c in expr.terms():
-            out = out + self._word_nf(word, cell).scale(c)
+            out = out + self._word_nf(word, cell, fuel).scale(c)
         return out
 
-    def _word_nf(self, word: Word, cell: list) -> Expression:
+    def _hoist(self, w: Word):
+        """w with its parameters sorted to the front, as (sign, word).
+
+        The sign is the Koszul sign: -1 for every exchange of two odd
+        letters.  A repeated odd parameter gives sign 0.  Returns None when
+        w already starts with its sorted parameters.
+        """
+        params = self._hoisted
+        if params.keys().isdisjoint(w):
+            return None
+        gens = self.gens
+        front = []  # (sort key, parity, letter) of each parameter met
+        rest = []
+        sign = 1
+        odd_rest = 0  # parity of the other letters met so far
+        for letter in w:
+            kp = params.get(letter)
+            if kp is None:
+                rest.append(letter)
+                odd_rest ^= gens[letter].parity
+                continue
+            key, odd = kp
+            if odd:
+                if odd_rest:
+                    sign = -sign
+                for key2, odd2, _ in front:
+                    if odd2:
+                        if key2 == key:
+                            return 0, w
+                        if key2 > key:
+                            sign = -sign
+            front.append((key, odd, letter))
+        front.sort()
+        out = tuple(letter for _, _, letter in front) + tuple(rest)
+        return None if out == w else (sign, out)
+
+    def _fuel_error(self, word: Word, fuel: int) -> FuelExhausted:
+        shown = "*".join(word[:_SHOWN_LETTERS])
+        if len(word) > _SHOWN_LETTERS:
+            shown += "*..."
+        return FuelExhausted(
+            f"fuel of {fuel} steps exhausted in {self.name} while reducing "
+            f"a word of {len(word)} letters: {shown}"
+        )
+
+    def _word_nf(self, word: Word, cell: list, fuel: int) -> Expression:
         memo = self._memo
         hit = memo.get(word)
         if hit is not None:
             return hit
         one = Scalar.one()
-        # explicit stack; frame = [word, children, next index, accumulator]
-        root = [None, ((one, word),), 0, _E_ZERO]
+        # explicit stack; frame = [word, children, next index, accumulator];
+        # a hoisted child replaces its entry, whose coefficient the child's
+        # frame reads back when it pops
+        root = [None, [(one, word)], 0, _E_ZERO]
         stack = [root]
         while True:
             fr = stack[-1]
@@ -398,24 +489,31 @@ class Presentation:
             kids = fr[1]
             if i < len(kids):
                 c, w = kids[i]
+                moved = self._hoist(w)
+                if moved is not None:
+                    sign, w = moved
+                    if not sign:
+                        fr[2] = i + 1
+                        continue
+                    if sign < 0:
+                        c = -c
+                    kids[i] = (c, w)
                 got = memo.get(w)
                 if got is None:
                     red = self._find_redex(w)
                     if red is not None:
                         if cell[0] <= 0:
-                            raise FuelExhausted(
-                                f"fuel exhausted while reducing {w} in {self.name}"
-                            )
+                            raise self._fuel_error(w, fuel)
                         cell[0] -= 1
                         pos, rule = red
                         tail = pos + len(rule.lhs)
                         stack.append(
                             [
                                 w,
-                                tuple(
+                                [
                                     (cc, w[:pos] + m + w[tail:])
                                     for m, cc in rule.rhs.terms()
-                                ),
+                                ],
                                 0,
                                 _E_ZERO,
                             ]

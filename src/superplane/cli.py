@@ -15,7 +15,8 @@ import argparse
 import sys
 
 from . import verify
-from .algebra import AlgebraError, DEFAULT_FUEL, check_local_confluence
+from .algebra import (AlgebraError, DEFAULT_FUEL, Presentation,
+                      check_local_confluence)
 from .parsing import (ExprSyntaxError, UnknownGenerator, parse_expression,
                       render_expression, render_presentation)
 from .presentations import build_catalog, catalog_presentations
@@ -78,7 +79,11 @@ def _named_presentation(name: str):
 
 
 def _cmd_reduce(ns) -> int:
-    pres = _named_presentation(ns.presentation)
+    # a copy with an empty memo, so the fuel a reduction needs does not
+    # depend on what earlier calls in this process reduced
+    named = _named_presentation(ns.presentation)
+    pres = Presentation(named.name, named.gens.values(), named.rules,
+                        named.require_complete)
     try:
         expr = parse_expression(ns.expression, pres)
     except DivisionByZero as exc:

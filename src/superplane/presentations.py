@@ -16,7 +16,8 @@ images, so neither restates a coefficient.
 Two sort-key conventions matter everywhere:
 
 * parameters sit at the bottom of the generator order, so every normal
-  form has its h-letters pulled to the front;
+  form has its h-letters pulled to the front (by param_swap_rules, which
+  reduction applies as one Koszul-sign pass rather than step by step);
 * an adjoined inverse sits immediately above its base generator.  Anything
   keyed between the two would let sorted words hide unit cancellations
   from adjacent-pair rewriting and break confluence.
@@ -39,6 +40,7 @@ from superplane.algebra import (
     RewriteRule,
     RuleError,
     adjoin_inverse,
+    param_swap_rules,
 )
 from superplane.parsing import parse_expression
 from superplane.scalars import IndeterminateAtPoint, PoleAtPoint, Scalar
@@ -106,28 +108,6 @@ FORMS_DECLS = tuple(d for d in H_DECLS if d.id not in ("px", "pth"))
 # non-differential sector of the h frame, for maps whose targets have no
 # differentials (oscillator dictionary, phase-space scaffolding)
 PLANE_DECLS = tuple(d for d in H_DECLS if d.id not in ("dx", "dth"))
-
-
-def param_swap_rules(decls) -> list[RewriteRule]:
-    """Rules moving the nilpotent parameters to the front of every word."""
-    decls = list(decls)
-    params = sorted(
-        (d for d in decls if d.klass is GenClass.PARAMETER), key=lambda d: d.sort_key
-    )
-    out = []
-    for h in params:
-        for v in decls:
-            if v.klass is GenClass.PARAMETER:
-                continue
-            sign = -1 if (v.parity and h.parity) else 1
-            out.append(RewriteRule((v.id, h.id), Expression({(h.id, v.id): sign})))
-    for i, hi in enumerate(params):
-        for hj in params[:i]:
-            sign = -1 if (hi.parity and hj.parity) else 1
-            out.append(RewriteRule((hi.id, hj.id), Expression({(hj.id, hi.id): sign})))
-        if hi.parity:
-            out.append(RewriteRule((hi.id, hi.id), Expression.zero()))
-    return out
 
 
 def has_param(pres: Presentation, word: Word) -> bool:

@@ -25,8 +25,6 @@ from .presentations import (COORD_DIFF_TARGETS, H_REDUCIBLE_PAIRS, LADDER,
 from .scalars import (GaussianRational, PoleAtPoint, IndeterminateAtPoint,
                       Scalar)
 
-COACTION_FUEL = 1_000_000
-
 PASS = "Pass"
 FAIL = "Fail"
 DISCREPANCY = "Discrepancy"
@@ -252,7 +250,7 @@ def run_covariance_suite(cat: AlgebraCatalog | None = None,
     """Every calculus relation is preserved by the group coaction."""
     t0 = time.perf_counter()
     cat = cat or build_catalog()
-    fuel = COACTION_FUEL if fuel is None else fuel
+    fuel = DEFAULT_FUEL if fuel is None else fuel
     cov = cat.covariance_tensor
     delta = cat.coaction
     rows = []

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from superplane import presentations
 from superplane.algebra import (Expression, Presentation, RewriteRule,
                                 check_local_confluence)
-from superplane.parsing import fingerprint
+from superplane.parsing import fingerprint, parse_expression
 from superplane.presentations import (build_catalog, catalog_presentations,
                                       expression_parity)
 from superplane.scalars import Scalar
@@ -222,6 +222,20 @@ def test_criterion_8_properties(catalog, confluence_reports):
     assert not broken.ok
     print("criterion 8: PASS (laws hold, all systems joinable, "
           "mutation detected)")
+
+
+def test_criterion_8_recorded_associative_triple(catalog):
+    """A triple the associative law once drew: reduced on a cold memo at the
+    default fuel, both bracketings agree."""
+    h = catalog.h_calculus
+    cold = Presentation(h.name, h.gens.values(), h.rules)
+    a, b, c = (parse_expression(t, cold) for t in (
+        "dx*x*h2*x - px*x*h2*pth + p*th*x*dth*px",
+        "i + p*pth*x*dth + x^2*pth",
+        "i*x^2*dth"))
+    left = cold.normal_form(cold.normal_form(a * b) * c)
+    right = cold.normal_form(a * cold.normal_form(b * c))
+    assert left == right
 
 
 def test_criterion_9_determinism(reports, catalog, monkeypatch):

@@ -7,6 +7,7 @@ it.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,9 @@ from superplane.algebra import (
     adjoin_inverse,
     check_local_confluence,
     critical_pairs,
+    param_swap_rules,
 )
+from superplane.presentations import catalog_presentations
 from superplane.scalars import Scalar
 
 E = Expression
@@ -72,6 +75,17 @@ def qmix():
             (("e", "e"), E({})),
         ],
     )
+
+
+def koszul_qmix(flip=False):
+    # qmix with an odd parameter h; flip makes h commute with e instead of
+    # anticommuting, so the parameter rules are no longer the Koszul swaps
+    decls = [gen("h", 1, 0, GenClass.PARAMETER), gen("x", 0, 1), gen("e", 1, 2)]
+    swaps = [
+        RewriteRule(r.lhs, -r.rhs) if flip and r.lhs == ("e", "h") else r
+        for r in param_swap_rules(decls)
+    ]
+    return Presentation("koszul-qmix", decls, swaps + list(qmix().rules))
 
 
 words_xe = st.lists(st.sampled_from(["x", "e"]), max_size=5).map(tuple)
@@ -240,6 +254,41 @@ class TestNormalForm:
             expr = E({word: 1})
             assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
 
+    def test_parameter_sort_costs_no_fuel(self):
+        # h reaches the front with the sign of passing e and without a rule
+        # step; with the sign flipped the swaps are plain rules that need fuel
+        word = E({("x", "e", "h"): 1})
+        assert koszul_qmix().normal_form(word, fuel=0) == E({("h", "x", "e"): -1})
+        with pytest.raises(FuelExhausted):
+            koszul_qmix(flip=True).normal_form(word, fuel=0)
+        assert koszul_qmix(flip=True).normal_form(word) == E({("h", "x", "e"): 1})
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_parameter_rules_match_random_strategy(self, flip):
+        pres = koszul_qmix(flip)
+        rng = random.Random(20261018)
+        for _ in range(60):
+            word = tuple(rng.choice("xeh") for _ in range(rng.randint(0, 7)))
+            expr = E({word: 1})
+            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+
+    @pytest.mark.parametrize(
+        "name", ["pq-calculus", "h-calculus", "one-forms", "oscillator"]
+    )
+    def test_catalog_matches_random_strategy(self, catalog, name):
+        # scattered and repeated parameters, sorted in one pass by the
+        # engine and one declared swap rule at a time by the random reducer
+        p = catalog_presentations(catalog)[name]
+        pres = Presentation(p.name, p.gens.values(), p.rules, p.require_complete)
+        letters = sorted(g.id for g in p.gens.values() if g.klass is GenClass.STANDARD)
+        rng = random.Random(f"params-{name}")
+        for _ in range(30):
+            word = [rng.choice(letters) for _ in range(rng.randint(1, 4))]
+            for h in rng.choices(["h1", "h2"], k=rng.randint(1, 3)):
+                word.insert(rng.randint(0, len(word)), h)
+            expr = E({tuple(word): 1})
+            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+
     def test_memo_reuse_matches_fresh_instance(self):
         p1 = qmix()
         e = E({("e", "x", "e", "x"): 1, ("e", "e", "x"): Q})
@@ -261,8 +310,14 @@ class TestNormalForm:
             [(("m", "n"), E({("n", "m", "m", "n"): 1}))],
             require_complete=False,
         )
-        with pytest.raises(FuelExhausted):
+        with pytest.raises(FuelExhausted) as info:
             pres.normal_form(E({("m", "n"): 1}))
+        # the message names the presentation, the budget and the word's
+        # length, and shows only a prefix of the runaway word
+        msg = str(info.value)
+        assert "loop" in msg and f"fuel of {DEFAULT_FUEL}" in msg
+        assert int(re.search(r"a word of (\d+) letters", msg).group(1)) > DEFAULT_FUEL
+        assert len(msg) < 300
 
     def test_fuel_limit_respected(self):
         pres = qplane()

@@ -59,6 +59,21 @@ def test_reduce_fuel_exhaustion(capsys):
     assert "fuel" in err
 
 
+def test_reduce_fuel_exhaustion_after_warm_catalog(capsys):
+    # the catalog's memo already holds every word this reduction meets;
+    # the verb must still spend its own fuel on them
+    from superplane import build_catalog, parse_expression
+
+    pq = build_catalog().primed_calculus
+    pq.normal_form(parse_expression("px*x*x*x", pq))
+    code, out, err = run_cli(
+        capsys, "reduce", "px*x*x*x", "--presentation", "pq-calculus",
+        "--fuel", "1")
+    assert code == 1
+    assert out == ""
+    assert "fuel" in err
+
+
 def test_reduce_unknown_presentation(capsys):
     code, _, err = run_cli(
         capsys, "reduce", "x", "--presentation", "nope")
