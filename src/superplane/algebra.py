@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from superplane.scalars import GaussianRational, Poly, Scalar
+from superplane.scalars import GaussianRational, Poly, Scalar, power
 
 DEFAULT_FUEL = 10_000
 
@@ -155,9 +155,6 @@ class Expression:
             return _E_ZERO
         return _expr_raw({w: v * s for w, v in self._t.items()})
 
-    def map_scalars(self, fn) -> "Expression":
-        return Expression({w: fn(v) for w, v in self._t.items()})
-
     def __add__(self, other):
         if not isinstance(other, Expression):
             return NotImplemented
@@ -212,14 +209,7 @@ class Expression:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("expression powers must be nonnegative integers")
-        out = _E_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, _E_ONE)
 
     def __eq__(self, other):
         if not isinstance(other, Expression):
@@ -235,14 +225,9 @@ class Expression:
         return bool(self._t)
 
     def __str__(self):
-        try:
-            from superplane.parsing import render_expression
+        from superplane.parsing import render_expression
 
-            return render_expression(self)
-        except ImportError:  # pragma: no cover - only during partial builds
-            return " + ".join(
-                f"({c})*{'*'.join(w) if w else '1'}" for w, c in self.terms()
-            ) or "0"
+        return render_expression(self)
 
     def __repr__(self):
         return f"Expression({str(self)!r})"
@@ -416,16 +401,32 @@ class Presentation:
     def normal_form(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
         """Reduce expr to normal form within fuel rewrite steps.
 
-        Each rule application costs one unit of fuel.  Sorting the
-        parameters of a word to the front is one bounded pass and costs
-        none; memo hits cost none either.
+        Each rule application costs one unit of fuel, and one budget
+        covers the whole call.  Sorting the parameters of a word to the
+        front is one bounded pass and costs none; memo hits cost none
+        either.
         """
         self._validate_expr(expr)
+        return self.multiplier(fuel)(expr)
+
+    def multiplier(self, fuel: int = DEFAULT_FUEL):
+        """The product primitive: mul(a, b) = nf(a*b), and mul(a) = nf(a).
+
+        All calls of one mul draw on one budget of fuel rewrite steps.  For
+        confluent rules the normal form of a product does not depend on when
+        its factors were reduced (Bergman's diamond lemma), so a fold
+        through mul never builds the expansion.  mul does not check that
+        a and b are over this presentation's generators.
+        """
         cell = [fuel]
-        out = _E_ZERO
-        for word, c in expr.terms():
-            out = out + self._word_nf(word, cell, fuel).scale(c)
-        return out
+
+        def mul(a: Expression, b: Expression | None = None) -> Expression:
+            out = _E_ZERO
+            for word, c in (a if b is None else a * b).terms():
+                out = out + self._word_nf(word, cell, fuel).scale(c)
+            return out
+
+        return mul
 
     def _hoist(self, w: Word):
         """w with its parameters sorted to the front, as (sign, word).
@@ -669,15 +670,18 @@ class Morphism:
             imgs[gid] = e
         self.images = imgs
 
-    def apply(self, expr: Expression, fuel: int = DEFAULT_FUEL, normalize: bool = True) -> Expression:
+    def apply(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
+        """The normal form of expr's image.  Each word's letter images are
+        folded through one target multiplier: one fuel budget per call."""
         self.source._validate_expr(expr)
+        mul = self.target.multiplier(fuel)
         total = _E_ZERO
         for word, c in expr.terms():
             prod = _E_ONE
             for gid in word:
-                prod = prod * self.images[gid]
+                prod = mul(prod, self.images[gid])
             total = total + prod.scale(c)
-        return self.target.normal_form(total, fuel) if normalize else total
+        return total
 
 
 class Involution:
@@ -688,7 +692,7 @@ class Involution:
     MissingImage.  Involutivity is checked on the covered generators.
     """
 
-    def __init__(self, presentation: Presentation, images: Mapping[str, Expression], swap_pq: bool = False, name: str = "", check: bool = True, fuel: int = DEFAULT_FUEL):
+    def __init__(self, presentation: Presentation, images: Mapping[str, Expression], swap_pq: bool = False, name: str = ""):
         self.presentation = presentation
         self.swap_pq = swap_pq
         self.name = name
@@ -701,17 +705,18 @@ class Involution:
             presentation._validate_expr(e)
             imgs[gid] = e
         self.images = imgs
-        if check:
-            for gid in imgs:
-                g = Expression.from_gen(gid)
-                back = self.apply(self.apply(g, fuel=fuel), fuel=fuel)
-                if back != presentation.normal_form(g, fuel):
-                    raise NotInvolutive(
-                        f"{name or 'involution'} fails to square to the identity on {gid}"
-                    )
+        for gid in imgs:
+            g = Expression.from_gen(gid)
+            if self.apply(self.apply(g)) != presentation.normal_form(g):
+                raise NotInvolutive(
+                    f"{name or 'involution'} fails to square to the identity on {gid}"
+                )
 
-    def apply(self, expr: Expression, fuel: int = DEFAULT_FUEL, normalize: bool = True) -> Expression:
+    def apply(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
+        """The normal form of expr's image.  Each word's letter images, last
+        first, are folded through one multiplier: one fuel budget per call."""
         self.presentation._validate_expr(expr)
+        mul = self.presentation.multiplier(fuel)
         total = _E_ZERO
         for word, c in expr.terms():
             prod = _E_ONE
@@ -721,9 +726,9 @@ class Involution:
                     raise MissingImage(
                         f"{self.name or 'involution'} has no image for generator {gid}"
                     )
-                prod = prod * img
+                prod = mul(prod, img)
             total = total + prod.scale(c.conj(self.swap_pq))
-        return self.presentation.normal_form(total, fuel) if normalize else total
+        return total
 
 
 def adjoin_inverse(

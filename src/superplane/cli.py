@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="NAME", help="suite name or 'all'")
     ver.add_argument("--format", choices=("text", "structured"),
                      default="text")
-    ver.add_argument("--fuel", type=int, default=None)
+    ver.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
 
     rul = sub.add_parser("rules", help="dump a presentation")
     grp = rul.add_mutually_exclusive_group(required=True)
@@ -64,7 +64,7 @@ class UsageError(Exception):
 
 def _check_limits(ns) -> None:
     """Reject limits under which a verb could only do vacuous work."""
-    if getattr(ns, "fuel", None) is not None and ns.fuel < 0:
+    if getattr(ns, "fuel", 0) < 0:
         raise UsageError(f"--fuel must not be negative, got {ns.fuel}")
     if getattr(ns, "max_len", 2) < 2:
         raise UsageError(f"--max-len must be at least 2, got {ns.max_len}")
@@ -84,13 +84,16 @@ def _cmd_reduce(ns) -> int:
     named = _named_presentation(ns.presentation)
     pres = Presentation(named.name, named.gens.values(), named.rules,
                         named.require_complete)
+    # products are reduced as the parser forms them, on one budget with
+    # the final reduction
+    mul = pres.multiplier(ns.fuel)
     try:
-        expr = parse_expression(ns.expression, pres)
+        expr = parse_expression(ns.expression, pres, mul)
     except DivisionByZero as exc:
         raise UsageError(str(exc)) from exc
     except RecursionError:
         raise UsageError("expression is nested too deeply") from None
-    print(render_expression(pres.normal_form(expr, ns.fuel)))
+    print(render_expression(mul(expr)))
     return OK
 
 

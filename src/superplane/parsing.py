@@ -12,11 +12,17 @@ since x^N builds an N-letter word.  The identifiers i, p and q are reserved
 scalar atoms; every other identifier must name a generator of the
 presentation the text is parsed against.  Division is only defined by scalar
 values.
+
+Every product ("*", juxtaposition, "^") goes through a product hook: by
+default the free product, which keeps the text as written, as rule tables
+need; a presentation's multiplier reduces each product as it is formed,
+all on that multiplier's one fuel budget.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
 
 from superplane.algebra import (
@@ -27,7 +33,7 @@ from superplane.algebra import (
     RewriteRule,
     RuleError,
 )
-from superplane.scalars import DivisionByZero, Scalar
+from superplane.scalars import DivisionByZero, Scalar, power
 
 
 class ExprSyntaxError(ValueError):
@@ -76,10 +82,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, toks, pres: Presentation):
+    def __init__(self, toks, pres: Presentation, product):
         self.toks = toks
         self.i = 0
         self.pres = pres
+        self.product = product
 
     def peek(self):
         return self.toks[self.i]
@@ -120,12 +127,12 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                e = e * self.parse_power()
+                e = self.product(e, self.parse_power())
             elif kind == "op" and val == "/":
                 self.next()
                 e = e.scale(Scalar.one() / self._scalar_value(self.parse_power(), pos))
             elif kind in ("num", "name") or (kind == "op" and val == "("):
-                e = e * self.parse_power()
+                e = self.product(e, self.parse_power())
             else:
                 break
         return e if sign == 1 else -e
@@ -151,7 +158,7 @@ class _Parser:
             digits = v2.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", p2)
-            e = e ** int(digits)
+            e = power(e, int(digits), Expression.one(), self.product)
         return e
 
     def parse_atom(self) -> Expression:
@@ -187,9 +194,11 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 
 
-def parse_expression(text: str, pres: Presentation) -> Expression:
-    """Parse text into an Expression over the presentation's generators."""
-    parser = _Parser(_tokenize(text), pres)
+def parse_expression(text: str, pres: Presentation,
+                     product=operator.mul) -> Expression:
+    """Parse text into an Expression over the presentation's generators,
+    forming every product with product(a, b)."""
+    parser = _Parser(_tokenize(text), pres, product)
     e = parser.parse_expr()
     kind, val, pos = parser.peek()
     if kind != "end":

@@ -262,26 +262,25 @@ def build_contraction(pq: Presentation) -> ContractionMap:
         (E({("h2",): _C2}), E.one()),
     )
     cmap = ContractionMap(forward, backward, g_matrix, h_scratch)
-    _check_round_trips(cmap)
+    for key, res in round_trip_residuals(cmap).items():
+        if not res.is_zero():
+            raise RoundTripFailure(f"round trip {key} leaves {res}")
     return cmap
 
 
-def _check_round_trips(cmap: ContractionMap, fuel: int = DEFAULT_FUEL):
-    for gid in cmap.forward.source.gens:
-        g = Expression.from_gen(gid)
-        back = cmap.backward.apply(cmap.forward.apply(g, fuel), fuel)
-        if back != cmap.h_scratch.normal_form(g, fuel):
-            raise RoundTripFailure(
-                f"backward(forward({gid})) = {back}, expected {gid}"
-            )
-    pq_scratch = cmap.forward.target
-    for gid in pq_scratch.gens:
-        g = Expression.from_gen(gid)
-        fwd = cmap.forward.apply(cmap.backward.apply(g, fuel), fuel)
-        if fwd != pq_scratch.normal_form(g, fuel):
-            raise RoundTripFailure(
-                f"forward(backward({gid})) = {fwd}, expected {gid}"
-            )
+def round_trip_residuals(cmap: ContractionMap,
+                         fuel: int = DEFAULT_FUEL) -> dict[str, Expression]:
+    """backward(forward(g)) - g for each h-frame generator g, keyed h-<g>,
+    and forward(backward(g)) - g for each (p,q)-frame one, keyed pq-<g>;
+    all are zero for an exact frame change."""
+    out = {}
+    for tag, there, back in (("h", cmap.forward, cmap.backward),
+                             ("pq", cmap.backward, cmap.forward)):
+        for gid in there.source.gens:
+            g = Expression.from_gen(gid)
+            out[f"{tag}-{gid}"] = (back.apply(there.apply(g, fuel), fuel)
+                                   - back.target.normal_form(g, fuel))
+    return out
 
 
 # ------------------------------------------- deriving the h-frame rules

@@ -11,6 +11,7 @@ the recursive view (Q(i)[q])[p] and runs on Poly's own arithmetic.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -37,6 +38,22 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def power(base, n: int, one, mul=operator.mul):
+    """base**n for an integer n >= 0 by square-and-multiply under mul.
+
+    A square is formed only while bits of n remain, and the first factor
+    is taken as it is, so base**(2**k) costs k products.
+    """
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return one if out is None else out
 
 
 class GaussianRational:
@@ -131,14 +148,7 @@ class GaussianRational:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return _G1 / self ** (-n)
-        out = _G1
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, _G1)
 
     def __eq__(self, other):
         other = _as_gauss(other)
@@ -326,14 +336,7 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = _POLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, _POLY_ONE)
 
     def divrem(self, d) -> tuple["Poly", "Poly"]:
         """Division with remainder under graded-lex order.
@@ -592,9 +595,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num == _POLY_ONE and self.den == _POLY_ONE
-
     def __add__(self, other):
         other = _as_scalar(other)
         if other is None:
@@ -658,14 +658,7 @@ class Scalar:
             if self.is_zero():
                 raise DivisionByZero("zero scalar has no inverse")
             return self.inv() ** (-n)
-        out = _S_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, _S_ONE)
 
     def __eq__(self, other):
         other = _as_scalar(other)

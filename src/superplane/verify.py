@@ -21,7 +21,7 @@ from .algebra import DEFAULT_FUEL, Expression, Morphism, Presentation
 from .parsing import fingerprint, parse_expression, render_expression
 from .presentations import (COORD_DIFF_TARGETS, H_REDUCIBLE_PAIRS, LADDER,
                             PLANE_DECLS, AlgebraCatalog, build_catalog,
-                            has_param, non_param_rules)
+                            has_param, non_param_rules, round_trip_residuals)
 from .scalars import (GaussianRational, PoleAtPoint, IndeterminateAtPoint,
                       Scalar)
 
@@ -157,20 +157,19 @@ _ORIENTATION_NOTE = ("odd-square rules orient onto the mixed product with "
 
 
 def run_contraction_suite(cat: AlgebraCatalog | None = None,
-                          fuel: int | None = None) -> SuiteReport:
+                          fuel: int = DEFAULT_FUEL) -> SuiteReport:
     """Push each printed general relation through the frame change and
     reduce; then confirm the derived family is regular at p = q = 1 and
     that its specialization matches the printed limit table."""
     t0 = time.perf_counter()
     cat = cat or build_catalog()
-    fuel = DEFAULT_FUEL if fuel is None else fuel
     fwd = cat.contraction.forward
     rows = []
     for cid, lhs, rhs in PRINTED_GENERAL:
         expr = parse_expression(lhs, fwd.source) - parse_expression(rhs, fwd.source)
         note = _ORIENTATION_NOTE if cid == "deriv-deriv-odd-sq" else ""
         rows.append(_check("sigma-" + cid, cat.primed_calculus,
-                           fwd.apply(expr, fuel, normalize=False),
+                           fwd.apply(expr, fuel),
                            fuel, printed=True, notes=note))
 
     poles = []
@@ -202,11 +201,10 @@ def run_contraction_suite(cat: AlgebraCatalog | None = None,
 
 
 def run_differential_structure_suite(cat: AlgebraCatalog | None = None,
-                                     fuel: int | None = None) -> SuiteReport:
+                                     fuel: int = DEFAULT_FUEL) -> SuiteReport:
     """Nilpotency and pass-through behaviour of the exterior composite."""
     t0 = time.perf_counter()
     cat = cat or build_catalog()
-    fuel = DEFAULT_FUEL if fuel is None else fuel
     h = cat.h_calculus
     pq = cat.primed_calculus
     D = cat.composites.exterior
@@ -246,11 +244,10 @@ def _identity_coaction(cat: AlgebraCatalog) -> Morphism:
 
 
 def run_covariance_suite(cat: AlgebraCatalog | None = None,
-                         fuel: int | None = None) -> SuiteReport:
+                         fuel: int = DEFAULT_FUEL) -> SuiteReport:
     """Every calculus relation is preserved by the group coaction."""
     t0 = time.perf_counter()
     cat = cat or build_catalog()
-    fuel = DEFAULT_FUEL if fuel is None else fuel
     cov = cat.covariance_tensor
     delta = cat.coaction
     rows = []
@@ -258,7 +255,7 @@ def run_covariance_suite(cat: AlgebraCatalog | None = None,
     for rule in non_param_rules(cat.h_calculus):
         expr = Expression.from_word(rule.lhs) - rule.rhs
         rows.append(_check("coact-" + "-".join(rule.lhs), cov,
-                           delta.apply(expr, fuel, normalize=False), fuel))
+                           delta.apply(expr, fuel), fuel))
 
     eps = _identity_coaction(cat)
     worst = Expression.zero()
@@ -284,12 +281,11 @@ def run_covariance_suite(cat: AlgebraCatalog | None = None,
 
 
 def run_forms_suite(cat: AlgebraCatalog | None = None,
-                    fuel: int | None = None) -> SuiteReport:
+                    fuel: int = DEFAULT_FUEL) -> SuiteReport:
     """Frame one-forms against coordinates, and the scaling and shift
     operators built from the derivative sector."""
     t0 = time.perf_counter()
     cat = cat or build_catalog()
-    fuel = DEFAULT_FUEL if fuel is None else fuel
     forms = cat.one_forms
     h = cat.h_calculus
     w = cat.composites.frame_form_x
@@ -374,13 +370,12 @@ _PLANE_PAIRS = tuple(w for w in H_REDUCIBLE_PAIRS
 
 
 def run_phase_space_suite(cat: AlgebraCatalog | None = None,
-                          fuel: int | None = None) -> SuiteReport:
+                          fuel: int = DEFAULT_FUEL) -> SuiteReport:
     """Hermitian conjugation fixes the hatted operators, preserves the
     non-differential relations, and the hatted operators close on the two
     printed deformed tables."""
     t0 = time.perf_counter()
     cat = cat or build_catalog()
-    fuel = DEFAULT_FUEL if fuel is None else fuel
     h = cat.h_calculus
     dag = cat.plane_dagger
     c = cat.composites
@@ -394,7 +389,7 @@ def run_phase_space_suite(cat: AlgebraCatalog | None = None,
         rule = next(r for r in h.rules if r.lhs == word)
         expr = Expression.from_word(rule.lhs) - rule.rhs
         rows.append(_check("dagger-" + "-".join(word), h,
-                           dag.apply(expr, fuel, normalize=False), fuel))
+                           dag.apply(expr, fuel), fuel))
     for cid, expr in _phase_rows(cat):
         rows.append(_check(cid, h, expr, fuel, printed=True))
     return _report("phase-space", rows, t0, [h])
@@ -413,12 +408,11 @@ _UNDEFORMED = {
 
 
 def run_oscillator_suite(cat: AlgebraCatalog | None = None,
-                         fuel: int | None = None) -> SuiteReport:
+                         fuel: int = DEFAULT_FUEL) -> SuiteReport:
     """The ladder dictionary carries the plane relations into the deformed
     oscillator algebra with every deformation-parameter term cancelling."""
     t0 = time.perf_counter()
     cat = cat or build_catalog()
-    fuel = DEFAULT_FUEL if fuel is None else fuel
     osc = cat.oscillator
     dic = cat.oscillator_dictionary
     rows = []
@@ -428,7 +422,7 @@ def run_oscillator_suite(cat: AlgebraCatalog | None = None,
         expr = (parse_expression(lhs, dic.source)
                 - parse_expression(rhs, dic.source))
         rows.append(_check("osc-" + cid, osc,
-                           dic.apply(expr, fuel, normalize=False),
+                           dic.apply(expr, fuel),
                            fuel, printed=True))
 
     # the derived plane relations themselves must map to identities of
@@ -439,7 +433,7 @@ def run_oscillator_suite(cat: AlgebraCatalog | None = None,
             continue
         expr = Expression.from_word(word) - rel.general
         rows.append(_check("ladder-" + "-".join(word), osc,
-                           dic.apply(expr, fuel, normalize=False), fuel))
+                           dic.apply(expr, fuel), fuel))
 
     stray = []
     for gid, ladder in sorted(LADDER.items()):
@@ -507,29 +501,16 @@ def _wrong_convention_maps(cat: AlgebraCatalog) -> tuple[Morphism, Morphism]:
 
 
 def run_appendix_suite(cat: AlgebraCatalog | None = None,
-                       fuel: int | None = None) -> SuiteReport:
+                       fuel: int = DEFAULT_FUEL) -> SuiteReport:
     """Left-convention round trips are exact; the right-acting candidates
     miss by the documented cross-parameter multiples, no more, no less."""
     t0 = time.perf_counter()
     cat = cat or build_catalog()
-    fuel = DEFAULT_FUEL if fuel is None else fuel
     cm = cat.contraction
     E = Expression
-    rows = []
-    for gid in cm.forward.source.gens:
-        g = E.from_gen(gid)
-        res = cm.backward.apply(cm.forward.apply(g, fuel), fuel) \
-            - cm.h_scratch.normal_form(g, fuel)
-        rows.append(CheckResult("round-trip-h-" + gid,
-                                PASS if res.is_zero() else FAIL,
-                                None if res.is_zero() else res))
-    for gid in cm.backward.source.gens:
-        g = E.from_gen(gid)
-        res = cm.forward.apply(cm.backward.apply(g, fuel), fuel) \
-            - cm.forward.target.normal_form(g, fuel)
-        rows.append(CheckResult("round-trip-pq-" + gid,
-                                PASS if res.is_zero() else FAIL,
-                                None if res.is_zero() else res))
+    rows = [CheckResult("round-trip-" + key, PASS if res.is_zero() else FAIL,
+                        None if res.is_zero() else res)
+            for key, res in round_trip_residuals(cm, fuel).items()]
 
     wrong_fwd, wrong_bwd = _wrong_convention_maps(cat)
     # inverting a transformation with right-acting rules and substituting
@@ -574,7 +555,7 @@ SUITES = {
 
 
 def run_all(cat: AlgebraCatalog | None = None,
-            fuel: int | None = None) -> list[SuiteReport]:
+            fuel: int = DEFAULT_FUEL) -> list[SuiteReport]:
     cat = cat or build_catalog()
     return [runner(cat, fuel) for runner in SUITES.values()]
 

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from superplane.algebra import (
     DEFAULT_FUEL,
@@ -326,6 +326,32 @@ class TestNormalForm:
         with pytest.raises(FuelExhausted):
             qplane().normal_form(big, fuel=3)
 
+    @pytest.mark.parametrize(
+        "attr", ["primed_calculus", "h_calculus", "oscillator", "supergroup"]
+    )
+    def test_product_path_matches_expansion(self, catalog, attr):
+        # reducing each partial product as it is formed must give the
+        # normal form of the whole free expansion; one cold copy for each
+        # side, so neither reads the other's memo
+        p = getattr(catalog, attr)
+        folded, expanded = (Presentation(p.name, p.gens.values(), p.rules)
+                            for _ in range(2))
+        word = st.lists(st.sampled_from(sorted(p.gens)), max_size=3).map(tuple)
+        factor = st.dictionaries(word, st.integers(-2, 2), min_size=1,
+                                 max_size=3).map(E)
+
+        @settings(max_examples=25)
+        @given(st.lists(factor, min_size=2, max_size=4))
+        def check(factors):
+            mul = folded.multiplier(fuel=10**6)
+            prod = free = E.one()
+            for f in factors:
+                prod = mul(prod, f)
+                free = free * f
+            assert prod == expanded.normal_form(free, fuel=10**6)
+
+        check()
+
 
 def random_reduce(pres, expr, rng, max_steps=4000):
     work = {w: c for w, c in expr.terms()}
@@ -427,6 +453,28 @@ class TestMorphism:
         g, p = grassmann(), qplane()
         with pytest.raises(MixedPresentation):
             Morphism(g, p, {"e1": E({("e1",): 1}), "e2": E({("x",): 1})})
+
+    def test_one_fuel_budget_per_apply(self):
+        # y*x and w*z take one rewrite step each; a fresh target for every
+        # call keeps the memo from paying for either word
+        decls = [gen("x", 0, 1), gen("y", 0, 2), gen("z", 0, 3), gen("w", 0, 4)]
+
+        def apply(expr, fuel):
+            target = Presentation(
+                "two-qplanes", decls,
+                [(("y", "x"), E({("x", "y"): Q})), (("w", "z"), E({("z", "w"): Q}))],
+                require_complete=False,
+            )
+            source = Presentation("free", decls, [], require_complete=False)
+            ids = {d.id: E.from_gen(d.id) for d in decls}
+            return Morphism(source, target, ids).apply(expr, fuel)
+
+        yx, wz = E({("y", "x"): 1}), E({("w", "z"): 1})
+        assert apply(yx, 1) == E({("x", "y"): Q})
+        assert apply(wz, 1) == E({("z", "w"): Q})
+        with pytest.raises(FuelExhausted):
+            apply(yx + wz, 1)
+        assert apply(yx + wz, 2) == E({("x", "y"): Q, ("z", "w"): Q})
 
     @given(st.lists(st.sampled_from(["e1", "e2"]), max_size=4).map(tuple))
     def test_homomorphism_property(self, word):

@@ -74,6 +74,41 @@ def test_reduce_fuel_exhaustion_after_warm_catalog(capsys):
     assert "fuel" in err
 
 
+def test_reduce_forms_reduced_products(capsys):
+    # the free expansion of this power has 4^6 words; the verb reduces
+    # each product as it is formed and must agree with expanding first
+    from superplane import (Presentation, build_catalog, parse_expression,
+                            render_expression)
+
+    text = "(x+th+px+pth)^6"
+    code, out, _ = run_cli(capsys, "reduce", text, "--presentation",
+                           "h-calculus")
+    assert code == 0
+    h = build_catalog().h_calculus
+    cold = Presentation(h.name, h.gens.values(), h.rules)
+    expanded = cold.normal_form(parse_expression(text, cold), fuel=10**7)
+    assert out.strip() == render_expression(expanded)
+
+
+def test_reduce_large_power(capsys):
+    # from x*th = th*x + h2*x^2 and th*th = -h2*th*x: (x+th)^n equals
+    # x^n + n*th*x^(n-1) + C(n,2)*h2*x^n - C(n+1,3)*h2*th*x^(n-1)
+    code, out, _ = run_cli(capsys, "reduce", "(x+th)^1000", "--presentation",
+                           "h-calculus")
+    assert code == 0
+    assert out.strip() == ("1000*th*x^999 + x^1000 - 166666500*h2*th*x^999"
+                           " + 499500*h2*x^1000")
+
+
+def test_reduce_runaway_power_exhausts_fuel(capsys):
+    code, out, err = run_cli(capsys, "reduce", "(x+th+px+pth)^1000",
+                             "--presentation", "h-calculus")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: fuel of 10000 steps exhausted in h-calculus")
+    assert err.count("\n") == 1, err
+
+
 def test_reduce_unknown_presentation(capsys):
     code, _, err = run_cli(
         capsys, "reduce", "x", "--presentation", "nope")
