@@ -153,6 +153,8 @@ class Expression:
         s = _scalarize(c)
         if s.is_zero():
             return _E_ZERO
+        if s.const == 1:
+            return self
         return _expr_raw({w: v * s for w, v in self._t.items()})
 
     def __add__(self, other):

@@ -5,8 +5,9 @@ dump a presentation, or scan a presentation for non-joinable critical
 pairs.  Presentations are addressed by catalog name (see `rules --list`).
 
 Exit status: 0 when everything passed, 1 when any check or reduction
-failed, 2 for usage and parse errors.  Reports go to stdout, diagnostics
-to stderr.
+failed, 2 for usage and parse errors.  A reduction that runs out of fuel
+or of memory is a failed reduction: `reduce` then prints a one-line error
+and exits 1.  Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -89,12 +90,20 @@ def _cmd_reduce(ns) -> int:
     mul = pres.multiplier(ns.fuel)
     try:
         expr = parse_expression(ns.expression, pres, mul)
+        print(render_expression(mul(expr)))
+        return OK
     except DivisionByZero as exc:
         raise UsageError(str(exc)) from exc
     except RecursionError:
         raise UsageError("expression is nested too deeply") from None
-    print(render_expression(mul(expr)))
-    return OK
+    except MemoryError:
+        pass
+    # out of the handler the reduction's frames are gone; the copy's memo
+    # goes with the last references to it
+    del pres, mul
+    print(f"error: out of memory while reducing in {ns.presentation} "
+          f"with fuel {ns.fuel} (try a smaller --fuel)", file=sys.stderr)
+    return FAILED
 
 
 def _cmd_verify(ns) -> int:

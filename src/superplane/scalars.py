@@ -7,6 +7,13 @@ kept in lowest terms by one integer gcd per operation (Knuth, TAOCP vol. 2,
 4.5.1); a Scalar is a fraction of Polys over them, kept canonical by a
 polynomial gcd and a monic denominator.  The polynomial gcd reads a Poly in
 the recursive view (Q(i)[q])[p] and runs on Poly's own arithmetic.
+
+Almost every scalar the rewriting engine multiplies is a constant, so a
+Scalar stores its Gaussian-rational value when it has one: products and
+sums of constants do no Poly work, and a product with one constant factor
+scales a numerator.  Two non-constant factors cancel across (Henrici,
+JACM 3, 1956; TAOCP vol. 2, 4.5.1).  These results are canonical as built,
+with no gcd of the product and no monic rescale; Scalar says why.
 """
 
 from __future__ import annotations
@@ -541,9 +548,20 @@ class Scalar:
     Invariants: den is nonzero and monic under graded-lex order, num and den
     are coprime, and zero is stored as 0/1.  Equality of canonical forms then
     coincides with equality in the fraction field.
+
+    const holds the GaussianRational value of a constant scalar (num
+    constant, den 1; zero included) and is None otherwise.  A product or
+    sum of two constants is one GaussianRational operation, and a product
+    with one constant factor scales the other numerator by it: a unit keeps
+    num and den coprime and leaves the monic den untouched.  Two
+    non-constant factors n1/d1 * n2/d2 cancel across by Henrici's method,
+    g1 = gcd(n1, d2) and g2 = gcd(n2, d1), giving
+    (n1/g1)(n2/g2) / ((d1/g2)(d2/g1)) in lowest terms with no gcd of the
+    product; the gcds are monic, and under a monomial order a quotient or
+    product of monics is monic, so no rescale is needed either.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "const", "_hash")
 
     def __init__(self, num=0, den=1):
         n = _as_poly(num)
@@ -559,13 +577,10 @@ class Scalar:
             if g != _POLY_ONE:
                 n = n.divexact(g)
                 d = d.divexact(g)
-            lc = d.leading_coeff()
-            if lc != _G1:
-                inv = _G1 / lc
-                n = n.scale(inv)
-                d = d.scale(inv)
+            n, d = _monic(n, d)
         self.num = n
         self.den = d
+        self.const = _const_value(n, d)
         self._hash = None
 
     @staticmethod
@@ -599,6 +614,8 @@ class Scalar:
         other = _as_scalar(other)
         if other is None:
             return NotImplemented
+        if self.const is not None and other.const is not None:
+            return _const_scalar(self.const + other.const)
         return Scalar(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -606,19 +623,13 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        s = object.__new__(Scalar)  # negation preserves canonical form
-        s.num = -self.num
-        s.den = self.den
-        s._hash = None
-        return s
+        return _scalar_raw(-self.num, self.den)
 
     def __sub__(self, other):
         other = _as_scalar(other)
         if other is None:
             return NotImplemented
-        return Scalar(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + (-other)
 
     def __rsub__(self, other):
         other = _as_scalar(other)
@@ -630,17 +641,37 @@ class Scalar:
         other = _as_scalar(other)
         if other is None:
             return NotImplemented
-        return Scalar(self.num * other.num, self.den * other.den)
+        if self.const is not None:
+            return other._scaled(self.const)
+        if other.const is not None:
+            return self._scaled(other.const)
+        # neither factor is zero, since zero is a constant
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g1 = poly_gcd(n1, d2)
+        if g1 != _POLY_ONE:
+            n1, d2 = n1.divexact(g1), d2.divexact(g1)
+        g2 = poly_gcd(n2, d1)
+        if g2 != _POLY_ONE:
+            n2, d1 = n2.divexact(g2), d1.divexact(g2)
+        return _scalar_raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
+
+    def _scaled(self, k: GaussianRational) -> "Scalar":
+        """self times the constant k; a constant self takes no Poly work."""
+        if k == _G1:
+            return self
+        if self.const is not None:
+            return _const_scalar(self.const * k)
+        if k.is_zero():
+            return _S_ZERO
+        return _scalar_raw(self.num.scale(k), self.den)
 
     def __truediv__(self, other):
         other = _as_scalar(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by zero scalar")
-        return Scalar(self.num * other.den, self.den * other.num)
+        return self * other.inv()
 
     def __rtruediv__(self, other):
         other = _as_scalar(other)
@@ -649,14 +680,15 @@ class Scalar:
         return other / self
 
     def inv(self) -> "Scalar":
-        return _S_ONE / self
+        if self.is_zero():
+            raise DivisionByZero("division by zero scalar")
+        # the parts are coprime already; only the new den needs rescaling
+        return _scalar_raw(*_monic(self.den, self.num))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
-            if self.is_zero():
-                raise DivisionByZero("zero scalar has no inverse")
             return self.inv() ** (-n)
         return power(self, n, _S_ONE)
 
@@ -675,7 +707,10 @@ class Scalar:
         return not self.num.is_zero()
 
     def conj(self, swap_pq: bool = False) -> "Scalar":
-        return Scalar(self.num.conj(swap_pq), self.den.conj(swap_pq))
+        # a ring automorphism keeps the parts coprime, but swapping p and q
+        # can move the leading monomial of den
+        return _scalar_raw(
+            *_monic(self.num.conj(swap_pq), self.den.conj(swap_pq)))
 
     def eval(self, p0, q0) -> GaussianRational:
         dv = self.den.eval(p0, q0)
@@ -695,6 +730,40 @@ class Scalar:
         return f"Scalar({str(self)!r})"
 
 
+def _monic(n: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """n and d divided by the leading coefficient of the nonzero d."""
+    lc = d.leading_coeff()
+    if lc == _G1:
+        return n, d
+    inv = _G1 / lc
+    return n.scale(inv), d.scale(inv)
+
+
+def _const_value(n: Poly, d: Poly):
+    """The constant n/d for canonical parts, or None when p or q occur."""
+    if len(d._c) != 1 or (0, 0) not in d._c:
+        return None
+    if not n._c:
+        return _G0
+    if len(n._c) != 1:
+        return None
+    return n._c.get((0, 0))
+
+
+def _scalar_raw(n: Poly, d: Poly) -> Scalar:
+    """The Scalar n/d for parts already in canonical form."""
+    s = object.__new__(Scalar)
+    s.num, s.den, s._hash = n, d, None
+    s.const = _const_value(n, d)
+    return s
+
+
+def _const_scalar(k: GaussianRational) -> Scalar:
+    if k.is_zero():
+        return _S_ZERO
+    return _scalar_raw(_poly_raw({(0, 0): k}), _POLY_ONE)
+
+
 def _as_scalar(x):
     if isinstance(x, Scalar):
         return x
@@ -703,6 +772,7 @@ def _as_scalar(x):
     return None
 
 
+_G0 = GaussianRational(0)
 _G1 = GaussianRational(1)
 _GN1 = GaussianRational(-1)
 _POLY_ZERO = Poly({})

@@ -109,6 +109,27 @@ def test_reduce_runaway_power_exhausts_fuel(capsys):
     assert err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("text", ["x", "x*th"])
+def test_reduce_out_of_memory_is_one_line(capsys, monkeypatch, text):
+    # "x" meets the failing product only in the final reduction, "x*th"
+    # already while parsing
+    from superplane import Presentation, build_catalog
+
+    def multiplier(self, fuel):
+        def mul(a, b=None):
+            raise MemoryError
+        return mul
+
+    build_catalog()  # built before the patch, or its own products fail
+    monkeypatch.setattr(Presentation, "multiplier", multiplier)
+    code, out, err = run_cli(capsys, "reduce", text, "--presentation",
+                             "h-calculus", "--fuel", "500")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: out of memory while reducing in h-calculus with "
+                   "fuel 500 (try a smaller --fuel)\n")
+
+
 def test_reduce_unknown_presentation(capsys):
     code, _, err = run_cli(
         capsys, "reduce", "x", "--presentation", "nope")

@@ -44,6 +44,12 @@ small_monomials = st.tuples(st.integers(0, 1), st.integers(0, 1))
 small_polys = st.builds(Poly, st.dictionaries(small_monomials, gaussians, max_size=3))
 small_nonzero = small_polys.filter(lambda f: not f.is_zero())
 scalars = st.builds(Scalar, small_polys, small_nonzero)
+# constants, among them the ones the engine multiplies by most, next to
+# general scalars, so that every operation meets each mix of operand kinds
+constants = st.one_of(
+    st.sampled_from([Scalar.zero(), Scalar.one(), Scalar(-1), Scalar.i()]),
+    st.builds(Scalar, gaussians))
+mixed_scalars = st.one_of(constants, scalars)
 rational_points = st.tuples(fractions_, fractions_)
 
 
@@ -259,6 +265,56 @@ class TestScalar:
         else:
             assert s.den.leading_coeff() == G(1)
             assert poly_gcd(s.num, s.den) == ONE
+
+    @given(mixed_scalars, mixed_scalars, st.booleans())
+    def test_every_operation_is_canonical(self, a, b, swap):
+        # oracle: the constructor, which cancels by a gcd of the whole
+        # cross-multiplied fraction
+        cases = [
+            (a * b, Scalar(a.num * b.num, a.den * b.den)),
+            (a + b, Scalar(a.num * b.den + b.num * a.den, a.den * b.den)),
+            (a - b, Scalar(a.num * b.den - b.num * a.den, a.den * b.den)),
+            (a.conj(swap), Scalar(a.num.conj(swap), a.den.conj(swap))),
+        ]
+        if not a.is_zero():
+            cases.append((a.inv(), Scalar(a.den, a.num)))
+        if not b.is_zero():
+            cases.append((a / b, Scalar(a.num * b.den, a.den * b.num)))
+        for got, want in cases:
+            if got.is_zero():
+                assert got.num == ZERO and got.den == ONE
+            else:
+                assert got.den.leading_coeff() == G(1)
+                assert poly_gcd(got.num, got.den) == ONE
+            assert (got.num, got.den) == (want.num, want.den)
+            assert hash(got) == hash(want)
+            # the constant slot holds the value exactly when p and q are absent
+            constant = got.den == ONE and (
+                got.num.is_zero() or got.num.leading()[0] == (0, 0))
+            assert (got.const is not None) == constant
+            if constant:
+                assert Poly.const(got.const) == got.num
+
+    def test_cross_cancellation_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+
+        @given(small_nonzero, small_nonzero, small_nonzero, small_nonzero,
+               small_nonzero)
+        def agrees(n1, d1, n2, d2, m):
+            # m planted in n1 and d2 leaves the product a factor to cancel
+            # across the two operands
+            a, b = Scalar(n1 * m, d1), Scalar(n2, d2 * m)
+            assume(a.const is None and b.const is None)
+            assume(poly_gcd(a.num, b.den) != ONE)
+            s = a * b
+            num, den = to_sympy(sympy, s.num), to_sympy(sympy, s.den)
+            want_num = to_sympy(sympy, n1 * m * n2)
+            want_den = to_sympy(sympy, d1 * d2 * m)
+            assert (num * want_den - want_num * den).is_zero
+            assert num.gcd(den).is_ground
+            assert s.den.leading_coeff() == G(1)
+
+        agrees()
 
     def test_canonical_form_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

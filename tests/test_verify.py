@@ -1,5 +1,7 @@
 """Suite reports: frozen outcome sets, exact recorded residuals, rendering."""
 
+from pathlib import Path
+
 import pytest
 
 from superplane.algebra import Expression
@@ -55,6 +57,11 @@ FROZEN_RESIDUALS = {
         "-2*h1*Bp*A + (2)/(q - 1)*h1*h2*Ap*A"
         " + (2)/(q - 1)*h1*h2*Bp*B",
 }
+
+
+# the structured check records of the reference tree, residuals included
+GOLDEN = (Path(__file__).resolve().parents[1] / "bench" / "golden"
+          / "verify-checks.tsv")
 
 
 def by_suite(reports):
@@ -185,6 +192,17 @@ def test_structured_render_layout(reports):
         assert parts[3] in {PASS, FAIL, DISCREPANCY}
     # stable across repeated rendering of the same reports
     assert render_structured(reports) == render_structured(reports)
+
+
+def test_structured_checks_match_golden_file(reports):
+    # every verdict and every rendered residual, scalars included, byte for
+    # byte; fingerprint records are left to test_fingerprints_recorded
+    got = [l for l in render_structured(reports).splitlines()
+           if l.startswith("check\t")]
+    assert got == GOLDEN.read_text().splitlines()
+    assert len(got) == 138
+    statuses = [l.split("\t")[3] for l in got]
+    assert statuses.count(DISCREPANCY) == 14 and FAIL not in statuses
 
 
 def test_structured_render_has_no_timing(reports):
