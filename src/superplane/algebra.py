@@ -6,20 +6,28 @@ word order (weighted degree, then lexicographic on sort keys); negative
 weights for localization inverses make the order non-well-founded, so every
 reduction also carries a fuel bound as the termination backstop.
 
-Deformation parameters that supercommute with every generator, i.e. whose
-rules are exactly param_swap_rules, are not moved one letter at a time:
-reduction sorts them to the front of each word in one pass with the Koszul
-sign.  The swap rules stay in the presentation as declarative data.
+Letters that supercommute are not moved one letter at a time.  Deformation
+parameters whose rules are exactly param_swap_rules are sorted to the front
+of each word, and the other generators fall into blocks: intervals of the
+sort order between which every disordered pair rewrites by its exact Koszul
+swap and no other rule reaches across (the group and the plane of the
+covariance tensor).  Reduction sorts a word into parameters P and blocks
+B1...Bk in one pass with the Koszul sign, reduces each P*Bi on its own and
+multiplies the results back together; a Koszul tensor product of confluent
+systems is confluent (Bergman 1978).  Memo keys are the words P*B with
+their parameters: dropping P would not terminate, since the supergroup's
+a*d -> d*a + h1*a*ga - ... leads back to a*d through a*ga once h1 is gone,
+and only h1*h1 = 0 cuts that cycle.  The swap rules stay in the
+presentation as declarative data.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-from superplane.scalars import GaussianRational, Poly, Scalar, power
+from superplane.scalars import Scalar, as_scalar, power
 
 DEFAULT_FUEL = 10_000
 
@@ -90,11 +98,10 @@ class GeneratorDecl:
 
 
 def _scalarize(c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    if isinstance(c, (int, Fraction, GaussianRational, Poly)):
-        return Scalar(c)
-    raise TypeError(f"cannot use {c!r} as a scalar coefficient")
+    s = as_scalar(c)
+    if s is None:
+        raise TypeError(f"cannot use {c!r} as a scalar coefficient")
+    return s
 
 
 class Expression:
@@ -153,7 +160,7 @@ class Expression:
         s = _scalarize(c)
         if s.is_zero():
             return _E_ZERO
-        if s.const == 1:
+        if s.const == _G_ONE:
             return self
         return _expr_raw({w: v * s for w, v in self._t.items()})
 
@@ -244,6 +251,9 @@ def _expr_raw(t: dict) -> Expression:
 
 _E_ZERO = Expression({})
 _E_ONE = Expression({(): 1})
+# a constant's value is compared with this, not with the int 1, which
+# would be converted on every comparison
+_G_ONE = Scalar.one().const
 
 
 @dataclass(frozen=True)
@@ -319,14 +329,19 @@ class Presentation:
         self.require_complete = require_complete
         if require_complete:
             self._check_complete()
-        self._memo: dict[Word, Expression] = {}
-        params = {g.id: (g.sort_key, g.parity) for g in self.gens.values()
-                  if g.klass is GenClass.PARAMETER}
-        own = {r.lhs: r.rhs for r in out if not params.keys().isdisjoint(r.lhs)}
+        self._memo: dict[tuple[Word, Word], dict] = {}
+        params = {g.id for g in self.gens.values() if g.klass is GenClass.PARAMETER}
+        own = {r.lhs: r.rhs for r in out if not params.isdisjoint(r.lhs)}
         koszul = {r.lhs: r.rhs for r in param_swap_rules(self.gens.values())}
-        # parameter letters _word_nf sorts in one pass: all of them when the
-        # rules that mention them are exactly the Koszul swaps, else none
-        self._hoisted = params if own == koszul else {}
+        # parameter letters _split sorts to the front in one pass: all of
+        # them when the rules that mention them are exactly the Koszul swaps,
+        # else none
+        self._front = params if own == koszul else set()
+        self._parity = {g.id: g.parity for g in self.gens.values()}
+        self._part = self._find_blocks()
+        self._nparts = max(self._part.values(), default=0) + 1
+        self._merged = {}  # (P, F) -> (sign, P and F sorted), see _children
+        self._terms = {}  # rule lhs -> its right-hand side, see _children
 
     # ---------------------------------------------------------- word order
 
@@ -382,6 +397,80 @@ class Presentation:
                         f"generator {gid!r} is not part of presentation {self.name}"
                     )
 
+    # ---------------------------------------------------------- blocks
+
+    def _is_swap(self, r: RewriteRule) -> bool:
+        """Whether r is v*u -> u*v with the Koszul sign of its two letters."""
+        if len(r.lhs) != 2:
+            return False
+        v, u = r.lhs
+        sign = -1 if self._parity[v] and self._parity[u] else 1
+        t = r.rhs._t
+        return t.keys() == {(u, v)} and t[u, v].const == sign
+
+    def _find_blocks(self) -> dict[str, int]:
+        """The part of each letter in _split, numbered in the order of parts.
+
+        The order puts the front letters first, then the others, each by
+        sort key.  Every front letter is a part of its own; the others fall
+        into blocks.  Neighbours in the order fall in different parts when
+        no rule but an exact Koszul swap has letters (front letters aside)
+        on both sides of them, and every disordered pair across them has its
+        exact Koszul swap.  Parts are thus intervals that supercommute.
+        """
+        front = self._front
+        order = sorted(self.gens, key=lambda gid: (gid not in front, self.gens[gid].sort_key))
+        at = {gid: i for i, gid in enumerate(order)}
+        # reach[i]: the last letter in the order that shares order[i]'s part
+        reach = list(range(len(order)))
+        swaps = set()
+        for r in self.rules:
+            if self._is_swap(r):
+                swaps.add(r.lhs)
+                continue
+            ks = [at[gid] for w in (r.lhs, *r.rhs._t) for gid in w if gid not in front]
+            if ks:
+                reach[min(ks)] = max(reach[min(ks)], max(ks))
+        for j, v in enumerate(order):
+            for i in range(j):
+                if (v, order[i]) not in swaps:
+                    reach[i] = max(reach[i], j)
+        part, b, end = {}, -1, -1
+        for i, gid in enumerate(order):
+            if i > end:
+                b += 1
+            end = max(end, reach[i])
+            part[gid] = b
+        return part
+
+    def _odd(self, word: Word) -> int:
+        parity = self._parity
+        return sum(parity[gid] for gid in word) & 1
+
+    def _split(self, word: Word):
+        """word sorted into its front letters and its blocks: (sign, P, Bs).
+
+        P is the front letters sorted, Bs the nonempty block subwords in
+        block order, each letter kept in its order within its block.  The
+        sign is the Koszul sign: -1 for every exchange of two odd letters.
+        A repeated odd front letter gives sign 0.
+        """
+        part, parity, nfront = self._part, self._parity, len(self._front)
+        parts = [[] for _ in range(self._nparts)]
+        odd = [0] * self._nparts  # parity of each part's letters met so far
+        sign = 1
+        for letter in word:
+            b = part[letter]
+            if parity[letter]:
+                if b < nfront and odd[b]:
+                    return 0, (), ()
+                if sum(odd[b + 1:]) & 1:
+                    sign = -sign
+                odd[b] ^= 1
+            parts[b].append(letter)
+        return (sign, tuple(gid for p in parts[:nfront] for gid in p),
+                tuple(tuple(p) for p in parts[nfront:] if p))
+
     # ---------------------------------------------------------- reduction
 
     def rule_for(self, word) -> RewriteRule | None:
@@ -404,9 +493,11 @@ class Presentation:
         """Reduce expr to normal form within fuel rewrite steps.
 
         Each rule application costs one unit of fuel, and one budget
-        covers the whole call.  Sorting the parameters of a word to the
-        front is one bounded pass and costs none; memo hits cost none
-        either.
+        covers the whole call.  Sorting a word's parameters to the front
+        and its letters into their blocks is one bounded pass and costs
+        none; memo hits cost none either.  The memo holds the normal form
+        of each word P*B met, P its sorted parameters and B a word in one
+        block.
         """
         self._validate_expr(expr)
         return self.multiplier(fuel)(expr)
@@ -423,48 +514,12 @@ class Presentation:
         cell = [fuel]
 
         def mul(a: Expression, b: Expression | None = None) -> Expression:
-            out = _E_ZERO
+            acc = {}
             for word, c in (a if b is None else a * b).terms():
-                out = out + self._word_nf(word, cell, fuel).scale(c)
-            return out
+                _accumulate(acc, self._word_nf(word, cell, fuel), c)
+            return _expr_raw({p + w: c for (p, w), c in acc.items()})
 
         return mul
-
-    def _hoist(self, w: Word):
-        """w with its parameters sorted to the front, as (sign, word).
-
-        The sign is the Koszul sign: -1 for every exchange of two odd
-        letters.  A repeated odd parameter gives sign 0.  Returns None when
-        w already starts with its sorted parameters.
-        """
-        params = self._hoisted
-        if params.keys().isdisjoint(w):
-            return None
-        gens = self.gens
-        front = []  # (sort key, parity, letter) of each parameter met
-        rest = []
-        sign = 1
-        odd_rest = 0  # parity of the other letters met so far
-        for letter in w:
-            kp = params.get(letter)
-            if kp is None:
-                rest.append(letter)
-                odd_rest ^= gens[letter].parity
-                continue
-            key, odd = kp
-            if odd:
-                if odd_rest:
-                    sign = -sign
-                for key2, odd2, _ in front:
-                    if odd2:
-                        if key2 == key:
-                            return 0, w
-                        if key2 > key:
-                            sign = -sign
-            front.append((key, odd, letter))
-        front.sort()
-        out = tuple(letter for _, _, letter in front) + tuple(rest)
-        return None if out == w else (sign, out)
 
     def _fuel_error(self, word: Word, fuel: int) -> FuelExhausted:
         shown = "*".join(word[:_SHOWN_LETTERS])
@@ -475,56 +530,59 @@ class Presentation:
             f"a word of {len(word)} letters: {shown}"
         )
 
-    def _word_nf(self, word: Word, cell: list, fuel: int) -> Expression:
-        memo = self._memo
-        hit = memo.get(word)
-        if hit is not None:
-            return hit
+    def _word_nf(self, word: Word, cell: list, fuel: int) -> dict:
+        """The normal form of word as a dict (P, W) -> coefficient.
+
+        Blocks are reduced one after the other: a term P1*W times
+        nf(P1*B) = sum c*P2*B' gives the sign of moving P1 and P2 past W.
+        """
+        sign, params, blocks = self._split(word)
+        if not sign:
+            return {}
         one = Scalar.one()
-        # explicit stack; frame = [word, children, next index, accumulator];
-        # a hoisted child replaces its entry, whose coefficient the child's
-        # frame reads back when it pops
-        root = [None, [(one, word)], 0, _E_ZERO]
+        acc = {(params, ()): one if sign > 0 else -one}
+        for b in blocks:
+            out = {}
+            for (p1, w), c in acc.items():
+                got = self._block_nf((p1, b), cell, fuel)
+                if w:
+                    odd_w, odd_p1 = self._odd(w), self._odd(p1)
+                    got = {(p2, w + b2): -v if odd_w and self._odd(p2) != odd_p1 else v
+                           for (p2, b2), v in got.items()}
+                _accumulate(out, got, c)
+            acc = out
+        return acc
+
+    def _block_nf(self, key: tuple[Word, Word], cell: list, fuel: int) -> dict:
+        """The normal form of P*B for key = (P, B), B in one block, as a
+        dict (P2, B2) -> coefficient; memoized under key."""
+        memo = self._memo
+        got = memo.get(key)
+        if got is not None:
+            return got
+        one = Scalar.one()
+        # explicit stack; frame = [key, children, next index, accumulator]
+        root = [None, [(one, key)], 0, {}]
         stack = [root]
         while True:
             fr = stack[-1]
             i = fr[2]
             kids = fr[1]
             if i < len(kids):
-                c, w = kids[i]
-                moved = self._hoist(w)
-                if moved is not None:
-                    sign, w = moved
-                    if not sign:
-                        fr[2] = i + 1
-                        continue
-                    if sign < 0:
-                        c = -c
-                    kids[i] = (c, w)
-                got = memo.get(w)
+                c, key = kids[i]
+                got = memo.get(key)
                 if got is None:
+                    p, w = key
                     red = self._find_redex(w)
                     if red is not None:
                         if cell[0] <= 0:
-                            raise self._fuel_error(w, fuel)
+                            raise self._fuel_error(p + w, fuel)
                         cell[0] -= 1
-                        pos, rule = red
-                        tail = pos + len(rule.lhs)
-                        stack.append(
-                            [
-                                w,
-                                [
-                                    (cc, w[:pos] + m + w[tail:])
-                                    for m, cc in rule.rhs.terms()
-                                ],
-                                0,
-                                _E_ZERO,
-                            ]
-                        )
+                        stack.append([key, self._children(p, w, *red), 0, {}])
                         continue
-                    got = _expr_raw({w: one})
-                    memo[w] = got
-                fr[3] = fr[3] + got.scale(c)
+                    got = {key: one}
+                    memo[key] = got
+                _accumulate(fr[3], got, c)
                 fr[2] = i + 1
             else:
                 stack.pop()
@@ -533,9 +591,51 @@ class Presentation:
                 if fr[0] is not None:
                     memo[fr[0]] = fr[3]
                 parent = stack[-1]
-                pc, _ = parent[1][parent[2]]
-                parent[3] = parent[3] + fr[3].scale(pc)
+                _accumulate(parent[3], fr[3], parent[1][parent[2]][0])
                 parent[2] += 1
+
+    def _children(self, p: Word, w: Word, pos: int, rule: RewriteRule) -> list:
+        """The words P*B one rewrite at pos makes of P*w, with coefficients."""
+        terms = self._terms.get(rule.lhs)
+        if terms is None:
+            # each term as (coefficient, front letters, block letters, parity
+            # of the front letters), the front letters moved ahead with their
+            # sign; a term with a repeated odd parameter is zero and left out
+            terms = self._terms[rule.lhs] = []
+            for m, c in rule.rhs.terms():
+                sign, front, blocks = self._split(m)
+                if sign:
+                    terms.append((c if sign > 0 else -c, front,
+                                  sum(blocks, ()), self._odd(front)))
+        head, rest = w[:pos], w[pos + len(rule.lhs):]
+        odd_head = self._odd(head)
+        kids = []
+        for c, front, mid, odd in terms:
+            # the rule's parameters pass head, then merge into p
+            merged = self._merged.get((p, front))
+            if merged is None:
+                merged = self._merged[p, front] = self._split(p + front)[:2]
+            sign, front = merged
+            if odd and odd_head:
+                sign = -sign
+            if sign:
+                kids.append((c if sign > 0 else -c, (front, head + mid + rest)))
+        return kids
+
+
+def _accumulate(acc: dict, terms: dict, c: Scalar) -> None:
+    """acc += c * terms in place; a zero sum drops its key."""
+    one = c.const == _G_ONE
+    for k, v in terms.items():
+        if not one:
+            v = v * c
+        s = acc.get(k)
+        if s is not None:
+            v = s + v
+            if v.is_zero():
+                del acc[k]
+                continue
+        acc[k] = v
 
 
 @dataclass(frozen=True)

@@ -611,7 +611,7 @@ class Scalar:
         return self.num.is_zero()
 
     def __add__(self, other):
-        other = _as_scalar(other)
+        other = as_scalar(other)
         if other is None:
             return NotImplemented
         if self.const is not None and other.const is not None:
@@ -626,19 +626,19 @@ class Scalar:
         return _scalar_raw(-self.num, self.den)
 
     def __sub__(self, other):
-        other = _as_scalar(other)
+        other = as_scalar(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _as_scalar(other)
+        other = as_scalar(other)
         if other is None:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        other = _as_scalar(other)
+        other = as_scalar(other)
         if other is None:
             return NotImplemented
         if self.const is not None:
@@ -668,13 +668,13 @@ class Scalar:
         return _scalar_raw(self.num.scale(k), self.den)
 
     def __truediv__(self, other):
-        other = _as_scalar(other)
+        other = as_scalar(other)
         if other is None:
             return NotImplemented
         return self * other.inv()
 
     def __rtruediv__(self, other):
-        other = _as_scalar(other)
+        other = as_scalar(other)
         if other is None:
             return NotImplemented
         return other / self
@@ -693,7 +693,7 @@ class Scalar:
         return power(self, n, _S_ONE)
 
     def __eq__(self, other):
-        other = _as_scalar(other)
+        other = as_scalar(other)
         if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -764,10 +764,17 @@ def _const_scalar(k: GaussianRational) -> Scalar:
     return _scalar_raw(_poly_raw({(0, 0): k}), _POLY_ONE)
 
 
-def _as_scalar(x):
+def as_scalar(x):
+    """x as a Scalar, or None when x is no number, Poly or Scalar.
+
+    A number is already a canonical constant, so it takes no gcd.
+    """
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational, Poly)):
+    k = _as_gauss(x)
+    if k is not None:
+        return _const_scalar(k)
+    if isinstance(x, Poly):
         return Scalar(x)
     return None
 

@@ -88,6 +88,26 @@ def koszul_qmix(flip=False):
     return Presentation("koszul-qmix", decls, swaps + list(qmix().rules))
 
 
+def xye(e_key):
+    # even x < y with y*x = q*x*y and an odd e that supercommutes with both;
+    # e_key places e between x and y or above both
+    decls = [gen("x", 0, 1), gen("y", 0, 3), gen("e", 1, e_key)]
+    rules = [(("y", "x"), E({("x", "y"): Q})), (("e", "e"), E({}))]
+    for d in decls[:2]:
+        hi, lo = ("e", d.id) if e_key > d.sort_key else (d.id, "e")
+        rules.append(((hi, lo), E({(lo, hi): 1})))
+    return Presentation("xye", decls, rules)
+
+
+def covariance_copy(catalog, flip=False):
+    # a cold copy of covariance; flip gives the (th, ga) cross rule the sign
+    # of two even letters, so it is no Koszul swap
+    p = catalog.covariance_tensor
+    rules = [RewriteRule(r.lhs, -r.rhs) if flip and r.lhs == ("th", "ga") else r
+             for r in p.rules]
+    return Presentation(p.name, p.gens.values(), rules, p.require_complete)
+
+
 words_xe = st.lists(st.sampled_from(["x", "e"]), max_size=5).map(tuple)
 exprs_xe = st.builds(
     Expression, st.dictionaries(words_xe, st.integers(-3, 3), max_size=3)
@@ -272,6 +292,20 @@ class TestNormalForm:
             expr = E({word: 1})
             assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
 
+    def test_rule_parameters_move_with_their_sign(self):
+        # e*x -> x*e*h leaves h behind the odd e: the engine moves it to the
+        # front with sign -1 at no fuel, the random reducer by the e*h swap
+        decls = [gen("h", 1, 0, GenClass.PARAMETER), gen("x", 0, 1), gen("e", 1, 2)]
+        rules = [(("e", "x"), E({("x", "e", "h"): 1})), (("e", "e"), E({}))]
+        pres = Presentation("tail-h", decls, param_swap_rules(decls) + rules)
+        ex = E({("e", "x"): 1})
+        assert pres.normal_form(ex, fuel=1) == E({("h", "x", "e"): -1})
+        rng = random.Random(20261018)
+        for _ in range(60):
+            word = tuple(rng.choice("xeh") for _ in range(rng.randint(0, 7)))
+            expr = E({word: 1})
+            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+
     @pytest.mark.parametrize(
         "name", ["pq-calculus", "h-calculus", "one-forms", "oscillator"]
     )
@@ -287,6 +321,45 @@ class TestNormalForm:
             for h in rng.choices(["h1", "h2"], k=rng.randint(1, 3)):
                 word.insert(rng.randint(0, len(word)), h)
             expr = E({tuple(word): 1})
+            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_covariance_matches_random_strategy(self, catalog, flip):
+        # group and plane letters with scattered parameters: the engine
+        # reduces the group and the plane blocks apart, the random reducer
+        # applies one declared rule at a time; the flipped cross rule must
+        # turn the blocks off, so passing th costs a rule step
+        pres = covariance_copy(catalog, flip)
+        cross = E({("th", "ga"): 1})
+        if flip:
+            with pytest.raises(FuelExhausted):
+                pres.normal_form(cross, fuel=0)
+        else:
+            assert pres.normal_form(cross, fuel=0) == E({("ga", "th"): -1})
+        letters = ["ga", "be", "d", "a", "dth", "dx", "th", "x", "pth", "px"]
+        words, rng = random.Random("blocks"), random.Random(f"blocks-{flip}")
+        for _ in range(40):
+            word = [words.choice(letters) for _ in range(words.randint(1, 4))]
+            for h in words.choices(["h1", "h2"], k=words.randint(0, 2)):
+                word.insert(words.randint(0, len(word)), h)
+            expr = E({tuple(word): 1})
+            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+
+    @pytest.mark.parametrize("e_key", [2, 4])
+    def test_blocks_are_intervals_of_the_order(self, e_key):
+        # above x and y, e forms a block of its own and passes x without a
+        # rule step; between them it cannot, since y*x ties x to y
+        pres = xye(e_key)
+        word = E({("e", "x"): 1})
+        if e_key == 4:
+            assert pres.normal_form(word, fuel=0) == E({("x", "e"): 1})
+        else:
+            with pytest.raises(FuelExhausted):
+                pres.normal_form(word, fuel=0)
+        rng = random.Random(f"xye-{e_key}")
+        for _ in range(60):
+            w = tuple(rng.choice("xye") for _ in range(rng.randint(0, 6)))
+            expr = E({w: 1})
             assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
 
     def test_memo_reuse_matches_fresh_instance(self):

@@ -18,6 +18,7 @@ from superplane.scalars import (
     Poly,
     PoleAtPoint,
     Scalar,
+    as_scalar,
     poly_gcd,
 )
 
@@ -184,6 +185,18 @@ class TestPoly:
 
 
 class TestScalar:
+    @pytest.mark.parametrize(
+        "x", [0, 1, -7, F(-3, 4), G(F(1, 2), -2), Poly({(0, 0): 5}),
+              Poly({(1, 0): 2})])
+    def test_coercion_matches_constructor(self, x):
+        # numbers skip the constructor's gcd; the result must not differ
+        s = as_scalar(x)
+        assert s == Scalar(x) and hash(s) == hash(Scalar(x))
+        assert (s.num, s.den, s.const) == (Scalar(x).num, Scalar(x).den,
+                                          Scalar(x).const)
+        assert as_scalar(s) is s
+        assert as_scalar("1") is None and as_scalar(1.0) is None
+
     def test_partial_fraction_sum(self):
         # oracle 1, computed first: cross-multiplication on raw polynomials
         raw_num = ONE * (Q - ONE) + ONE * (P - ONE)

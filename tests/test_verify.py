@@ -158,6 +158,31 @@ def test_fingerprints_recorded(reports):
             assert int(digest, 16) >= 0
 
 
+# sha256 of each presentation's rendered generators and rules; the engine
+# may factor the rules for reduction but must not rewrite them
+FROZEN_FINGERPRINTS = {
+    "pq-calculus":
+        "d6557f5cead7d820768783ed96d9d12f8ce1dbaafd903d5fb04e50ccbd426579",
+    "h-calculus":
+        "bb5ca1b9bee585025d7e2b9928d5ed6b684ad73c5b2b7e1c55f0168c55a40158",
+    "covariance":
+        "9e3dc50caaa3c3effa06fa0ea2f01a12a8cdb7c6bd641f642a66e058fd963d56",
+    "one-forms":
+        "699f79c847d4e37948d95ecf99914021d5f459cb503ef2e12be5c59945058046",
+    "oscillator":
+        "6639dc276f0646810165194ca559efcfe14a667c92bd8255f57a6c4c45b7a4cd",
+}
+
+
+def test_fingerprint_records_are_frozen(reports):
+    got = [l.split("\t") for l in render_structured(reports).splitlines()
+           if l.startswith("fingerprint\t")]
+    assert len(got) == 11
+    assert {name for _, _, name, _ in got} == set(FROZEN_FINGERPRINTS)
+    for _, suite, name, digest in got:
+        assert digest == FROZEN_FINGERPRINTS[name], (suite, name)
+
+
 def test_single_suite_matches_shared_run(catalog, reports):
     rep = run_differential_structure_suite(catalog)
     shared = by_suite(reports)["differential"]
