@@ -14,13 +14,26 @@ sums of constants do no Poly work, and a product with one constant factor
 scales a numerator.  Two non-constant factors cancel across (Henrici,
 JACM 3, 1956; TAOCP vol. 2, 4.5.1).  These results are canonical as built,
 with no gcd of the product and no monic rescale; Scalar says why.
+
+Sums not of two constants and products of two non-constant factors cost
+one or two polynomial gcds each, and the engine forms the same few again
+and again.  _sum and _product memoize them by value, process-wide, each in
+a functools.lru_cache of MEMO_SIZE entries: the operations are pure over
+immutable canonical values, so a hit returns what a miss would build.  The
+memos outlive every catalog, and a hit costs no rewriting fuel (no scalar
+operation does).
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+
+# entries kept by each of the two memos of non-constant Scalar arithmetic;
+# a cold catalog plus verify --suite all leaves under 200 in each
+MEMO_SIZE = 1024
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -476,8 +489,11 @@ def _term_str(m: tuple[int, int], c: GaussianRational) -> str:
 # ------------------------------------------------------------------ gcd
 # The gcd runs in the recursive view (Q(i)[q])[p]: a Poly read as a polynomial
 # in p with q-only Poly coefficients.  A primitive pseudo-remainder sequence
-# (Collins 1967, Brown 1971) runs on Poly arithmetic; inputs in this package
-# are tiny, so coefficient growth is a non-issue.  A nonzero constant is a
+# (Collins 1967, Brown 1971) runs on Poly arithmetic.  Dividing out the
+# content in Q(i)[q] leaves any nonzero constant factor in place, and each
+# pseudo-remainder would multiply it into the next, so the rationals grow
+# exponentially in digit length with the degree; each primitive part is made
+# monic instead, and the final monic gcd is the same.  A nonzero constant is a
 # unit, so poly_gcd answers 1 for it at once: most Scalar gcds are of these.
 
 
@@ -500,13 +516,13 @@ def _q_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _primitive(f: Poly) -> tuple[Poly, Poly]:
-    """Content of f in Q(i)[q] and its primitive part; zero maps to zero."""
+    """Content in Q(i)[q] and monic primitive part of f; zero maps to zero."""
     c = _POLY_ZERO
     for u in _p_coeffs(f).values():
         c = _q_gcd(c, u)
-    if c.is_zero() or c == _POLY_ONE:
-        return c, f
-    return c, f.divexact(c)
+    if not (c.is_zero() or c == _POLY_ONE):
+        f = f.divexact(c)
+    return c, f.monic()
 
 
 def _pseudo_rem(f: Poly, g: Poly) -> Poly:
@@ -559,6 +575,10 @@ class Scalar:
     (n1/g1)(n2/g2) / ((d1/g2)(d2/g1)) in lowest terms with no gcd of the
     product; the gcds are monic, and under a monomial order a quotient or
     product of monics is monic, so no rescale is needed either.
+
+    Those two non-constant routes, _sum and _product, are memoized
+    process-wide in MEMO_SIZE-entry least-recently-used caches (see the
+    module docstring); a hit costs no fuel.
     """
 
     __slots__ = ("num", "den", "const", "_hash")
@@ -616,9 +636,7 @@ class Scalar:
             return NotImplemented
         if self.const is not None and other.const is not None:
             return _const_scalar(self.const + other.const)
-        return Scalar(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return _sum(self, other)
 
     __radd__ = __add__
 
@@ -645,15 +663,7 @@ class Scalar:
             return other._scaled(self.const)
         if other.const is not None:
             return self._scaled(other.const)
-        # neither factor is zero, since zero is a constant
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g1 = poly_gcd(n1, d2)
-        if g1 != _POLY_ONE:
-            n1, d2 = n1.divexact(g1), d2.divexact(g1)
-        g2 = poly_gcd(n2, d1)
-        if g2 != _POLY_ONE:
-            n2, d1 = n2.divexact(g2), d1.divexact(g2)
-        return _scalar_raw(n1 * n2, d1 * d2)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -756,6 +766,26 @@ def _scalar_raw(n: Poly, d: Poly) -> Scalar:
     s.num, s.den, s._hash = n, d, None
     s.const = _const_value(n, d)
     return s
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _sum(a: Scalar, b: Scalar) -> Scalar:
+    """a + b for two scalars that are not both constant."""
+    return Scalar(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _product(a: Scalar, b: Scalar) -> Scalar:
+    """a * b for two non-constant scalars, cancelled across (Henrici)."""
+    # neither factor is zero, since zero is a constant
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    g1 = poly_gcd(n1, d2)
+    if g1 != _POLY_ONE:
+        n1, d2 = n1.divexact(g1), d2.divexact(g1)
+    g2 = poly_gcd(n2, d1)
+    if g2 != _POLY_ONE:
+        n2, d1 = n2.divexact(g2), d1.divexact(g2)
+    return _scalar_raw(n1 * n2, d1 * d2)
 
 
 def _const_scalar(k: GaussianRational) -> Scalar:

@@ -75,19 +75,21 @@ def test_reduce_fuel_exhaustion_after_warm_catalog(capsys):
 
 
 def test_reduce_forms_reduced_products(capsys):
-    # the free expansion of this power has 4^6 words; the verb reduces
-    # each product as it is formed and must agree with expanding first
+    # the free expansion of the first power has 4^6 words; the verb reduces
+    # each product as it is formed and must agree with expanding first.
+    # The second takes a gcd of two degree-30 polynomials, which must keep
+    # its coefficients small to finish.
     from superplane import (Presentation, build_catalog, parse_expression,
                             render_expression)
 
-    text = "(x+th+px+pth)^6"
-    code, out, _ = run_cli(capsys, "reduce", text, "--presentation",
-                           "h-calculus")
-    assert code == 0
     h = build_catalog().h_calculus
-    cold = Presentation(h.name, h.gens.values(), h.rules)
-    expanded = cold.normal_form(parse_expression(text, cold), fuel=10**7)
-    assert out.strip() == render_expression(expanded)
+    for text in ("(x+th+px+pth)^6", "(p+q)^30/(p-q)^30*x"):
+        code, out, _ = run_cli(capsys, "reduce", text, "--presentation",
+                               "h-calculus")
+        assert code == 0
+        cold = Presentation(h.name, h.gens.values(), h.rules)
+        expanded = cold.normal_form(parse_expression(text, cold), fuel=10**7)
+        assert out.strip() == render_expression(expanded)
 
 
 def test_reduce_large_power(capsys):

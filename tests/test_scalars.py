@@ -5,6 +5,7 @@ Derived expected values are recomputed here by an independent route
 sampled rational points) before the canonical literals are asserted.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -12,12 +13,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from superplane.scalars import (
+    MEMO_SIZE,
     DivisionByZero,
     GaussianRational,
     IndeterminateAtPoint,
     Poly,
     PoleAtPoint,
     Scalar,
+    _product,
+    _sum,
     as_scalar,
     poly_gcd,
 )
@@ -183,6 +187,38 @@ class TestPoly:
 
         agrees()
 
+    def test_gcd_coefficients_stay_small(self):
+        # a pseudo-remainder sequence that keeps the numeric content makes
+        # its rationals grow exponentially with the degree: at degree 30
+        # this did not finish in minutes
+        assert poly_gcd((P + Q) ** 30, (P - Q) ** 30) == ONE
+
+    def test_high_degree_gcd_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        m = (P * Q - ONE) ** 2
+        f, g = (P + Q) ** 30 * m, (P - Q) ** 30 * m
+        got = poly_gcd(f, g)
+        assert got == m
+        # the coefficients are rational, and a gcd does not change under a
+        # field extension; sympy's gcd over QQ_I takes minutes here
+        f, g = (to_sympy(sympy, x).set_domain(sympy.QQ) for x in (f, g))
+        assert to_sympy(sympy, got).set_domain(sympy.QQ) == f.gcd(g).monic()
+
+
+def assert_canonical(s):
+    """s is in lowest terms with a monic den, and const is set exactly
+    when p and q are absent."""
+    if s.is_zero():
+        assert s.num == ZERO and s.den == ONE
+    else:
+        assert s.den.leading_coeff() == G(1)
+        assert poly_gcd(s.num, s.den) == ONE
+    constant = s.den == ONE and (
+        s.num.is_zero() or s.num.leading()[0] == (0, 0))
+    assert (s.const is not None) == constant
+    if constant:
+        assert Poly.const(s.const) == s.num
+
 
 class TestScalar:
     @pytest.mark.parametrize(
@@ -294,19 +330,34 @@ class TestScalar:
         if not b.is_zero():
             cases.append((a / b, Scalar(a.num * b.den, a.den * b.num)))
         for got, want in cases:
-            if got.is_zero():
-                assert got.num == ZERO and got.den == ONE
-            else:
-                assert got.den.leading_coeff() == G(1)
-                assert poly_gcd(got.num, got.den) == ONE
+            assert_canonical(got)
             assert (got.num, got.den) == (want.num, want.den)
             assert hash(got) == hash(want)
-            # the constant slot holds the value exactly when p and q are absent
-            constant = got.den == ONE and (
-                got.num.is_zero() or got.num.leading()[0] == (0, 0))
-            assert (got.const is not None) == constant
-            if constant:
-                assert Poly.const(got.const) == got.num
+
+    @given(mixed_scalars, mixed_scalars)
+    def test_memo_gives_cold_results(self, a, b):
+        ops = [operator.add, operator.sub, operator.mul]
+        if not b.is_zero():
+            ops.append(operator.truediv)
+        # the memos hold whatever earlier examples and tests left in them
+        warm = [op(a, b) for op in ops]
+        _sum.cache_clear()
+        _product.cache_clear()
+        cold = [op(a, b) for op in ops]
+        hits = _sum.cache_info().hits + _product.cache_info().hits
+        again = [op(a, b) for op in ops]
+        if a.const is None or b.const is None:
+            # a sum that is not of two constants is always memoized
+            assert _sum.cache_info().hits + _product.cache_info().hits > hits
+        for w, c, g in zip(warm, cold, again):
+            assert_canonical(c)
+            for x in (w, g):
+                assert (x.num, x.den, x.const) == (c.num, c.den, c.const)
+                assert x == c and hash(x) == hash(c)
+
+    def test_memo_bound(self):
+        assert _sum.cache_info().maxsize == MEMO_SIZE
+        assert _product.cache_info().maxsize == MEMO_SIZE
 
     def test_cross_cancellation_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

@@ -234,3 +234,19 @@ def test_structured_render_has_no_timing(reports):
     text = render_structured(reports)
     assert "elapsed" not in text
     assert "s)" not in text
+
+
+def test_structured_report_does_not_depend_on_scalar_memos():
+    # the scalar memos outlive a catalog: a fresh catalog built and run on
+    # cleared memos and one on warm memos must render the same bytes
+    from superplane.presentations import build_catalog
+    from superplane.scalars import _product, _sum
+    from superplane.verify import run_all
+
+    _sum.cache_clear()
+    _product.cache_clear()
+    cold = render_structured(run_all(build_catalog.__wrapped__()))
+    hits = _sum.cache_info().hits
+    warm = render_structured(run_all(build_catalog.__wrapped__()))
+    assert _sum.cache_info().hits > hits
+    assert warm == cold
