@@ -14,11 +14,19 @@ swap and no other rule reaches across (the group and the plane of the
 covariance tensor).  Reduction sorts a word into parameters P and blocks
 B1...Bk in one pass with the Koszul sign, reduces each P*Bi on its own and
 multiplies the results back together; a Koszul tensor product of confluent
-systems is confluent (Bergman 1978).  Memo keys are the words P*B with
+systems is confluent (Bergman 1978).  The swap rules stay in the
+presentation as declarative data.
+
+A block word B is reduced by folding its letters one at a time into the
+normal words formed so far, as Plural builds its G-algebra products
+(Levandovskyy and Schoenemann, ISSAC 2003): the normal form of P*w*l, for w
+normal, has its only redex at the junction.  The memo keys are these P*w*l
+with w normal, the words the leftmost strategy rewrites them into, and the
+whole blocks P*B; the unreduced rest of a word never enters a key, so the
+memo grows with the output rather than with the derivation.  Keys keep
 their parameters: dropping P would not terminate, since the supergroup's
 a*d -> d*a + h1*a*ga - ... leads back to a*d through a*ga once h1 is gone,
-and only h1*h1 = 0 cuts that cycle.  The swap rules stay in the
-presentation as declarative data.
+and only h1*h1 = 0 cuts that cycle.
 """
 
 from __future__ import annotations
@@ -30,6 +38,10 @@ from typing import Iterable, Mapping
 from superplane.scalars import Scalar, as_scalar, power
 
 DEFAULT_FUEL = 10_000
+
+# word prefixes whose images one Morphism or Involution keeps; the catalog's
+# maps fold under 400 distinct prefixes over a cold build plus verify
+PREFIX_MEMO_SIZE = 1024
 
 Word = tuple[str, ...]
 
@@ -495,9 +507,10 @@ class Presentation:
         Each rule application costs one unit of fuel, and one budget
         covers the whole call.  Sorting a word's parameters to the front
         and its letters into their blocks is one bounded pass and costs
-        none; memo hits cost none either.  The memo holds the normal form
-        of each word P*B met, P its sorted parameters and B a word in one
-        block.
+        none; memo hits cost none either.  Each block word B is folded in
+        one letter at a time, and the memo holds the normal form of each
+        P*w*l met, P sorted parameters and w a normal word of one block, of
+        the words its rewriting passes through, and of each whole P*B.
         """
         self._validate_expr(expr)
         return self.multiplier(fuel)(expr)
@@ -508,8 +521,10 @@ class Presentation:
         All calls of one mul draw on one budget of fuel rewrite steps.  For
         confluent rules the normal form of a product does not depend on when
         its factors were reduced (Bergman's diamond lemma), so a fold
-        through mul never builds the expansion.  mul does not check that
-        a and b are over this presentation's generators.
+        through mul never builds the expansion.  Each word of a*b is then
+        reduced block by block, each block one letter at a time onto a
+        normal word, through the memo described in normal_form.  mul does
+        not check that a and b are over this presentation's generators.
         """
         cell = [fuel]
 
@@ -544,13 +559,34 @@ class Presentation:
         for b in blocks:
             out = {}
             for (p1, w), c in acc.items():
-                got = self._block_nf((p1, b), cell, fuel)
+                got = self._fold_block((p1, b), cell, fuel)
                 if w:
                     odd_w, odd_p1 = self._odd(w), self._odd(p1)
                     got = {(p2, w + b2): -v if odd_w and self._odd(p2) != odd_p1 else v
                            for (p2, b2), v in got.items()}
                 _accumulate(out, got, c)
             acc = out
+        return acc
+
+    def _fold_block(self, key: tuple[Word, Word], cell: list, fuel: int) -> dict:
+        """The normal form of P*B for key = (P, B), B in one block, as a
+        dict (P2, B2) -> coefficient; memoized under key.
+
+        B's letters are appended one at a time to the normal words formed
+        so far, so each step reduces P'*w*l with w normal: its only redex
+        is at the junction, and the rest of B stays out of the memo keys.
+        """
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        p, b = key
+        acc = self._block_nf((p, b[:1]), cell, fuel)
+        for letter in b[1:]:
+            out = {}
+            for (p1, w), c in acc.items():
+                _accumulate(out, self._block_nf((p1, w + (letter,)), cell, fuel), c)
+            acc = out
+        self._memo[key] = acc
         return acc
 
     def _block_nf(self, key: tuple[Word, Word], cell: list, fuel: int) -> dict:
@@ -771,17 +807,24 @@ class Morphism:
             target._validate_expr(e)
             imgs[gid] = e
         self.images = imgs
+        self._prefixes: dict[Word, Expression] = {}
 
     def apply(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
         """The normal form of expr's image.  Each word's letter images are
-        folded through one target multiplier: one fuel budget per call."""
+        folded through one target multiplier: one fuel budget per call.
+
+        The map keeps the normal form of the image of every word prefix it
+        has folded, using image(w*l) = mul(image(w), image(l)), at most
+        PREFIX_MEMO_SIZE of them across calls, the oldest evicted first.
+        Each word is folded on from its longest prefix held there.  Like a
+        hit in a presentation's memo, a hit here costs no fuel, so the fuel
+        a call needs can depend on what earlier calls folded.
+        """
         self.source._validate_expr(expr)
         mul = self.target.multiplier(fuel)
         total = _E_ZERO
         for word, c in expr.terms():
-            prod = _E_ONE
-            for gid in word:
-                prod = mul(prod, self.images[gid])
+            prod = _fold(self._prefixes, word, self.images.__getitem__, mul)
             total = total + prod.scale(c)
         return total
 
@@ -807,6 +850,7 @@ class Involution:
             presentation._validate_expr(e)
             imgs[gid] = e
         self.images = imgs
+        self._prefixes: dict[Word, Expression] = {}
         for gid in imgs:
             g = Expression.from_gen(gid)
             if self.apply(self.apply(g)) != presentation.normal_form(g):
@@ -816,21 +860,48 @@ class Involution:
 
     def apply(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
         """The normal form of expr's image.  Each word's letter images, last
-        first, are folded through one multiplier: one fuel budget per call."""
+        first, are folded through one multiplier: one fuel budget per call.
+
+        As in Morphism.apply, the normal forms of folded prefixes are kept
+        across calls, here keyed on the reversed word, at most
+        PREFIX_MEMO_SIZE of them, and a hit costs no fuel.  The coefficient
+        is conjugated afterwards.
+        """
         self.presentation._validate_expr(expr)
         mul = self.presentation.multiplier(fuel)
         total = _E_ZERO
         for word, c in expr.terms():
-            prod = _E_ONE
-            for gid in reversed(word):
-                img = self.images.get(gid)
-                if img is None:
-                    raise MissingImage(
-                        f"{self.name or 'involution'} has no image for generator {gid}"
-                    )
-                prod = mul(prod, img)
+            prod = _fold(self._prefixes, word[::-1], self._image, mul)
             total = total + prod.scale(c.conj(self.swap_pq))
         return total
+
+    def _image(self, gid: str) -> Expression:
+        img = self.images.get(gid)
+        if img is None:
+            raise MissingImage(
+                f"{self.name or 'involution'} has no image for generator {gid}"
+            )
+        return img
+
+
+def _fold(memo: dict, word: Word, image, mul) -> Expression:
+    """mul's normal form of image(word[0]) * ... * image(word[-1]).
+
+    memo maps word prefixes to the normal forms of their images.  The fold
+    starts from the longest prefix in memo and adds each longer prefix once
+    its product is complete, so a FuelExhausted leaves no partial entry;
+    past PREFIX_MEMO_SIZE entries the oldest goes first.
+    """
+    k = len(word)
+    while k and word[:k] not in memo:
+        k -= 1
+    prod = memo[word[:k]] if k else _E_ONE
+    for j in range(k, len(word)):
+        prod = mul(prod, image(word[j]))
+        if len(memo) >= PREFIX_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[word[:j + 1]] = prod
+    return prod
 
 
 def adjoin_inverse(

@@ -7,12 +7,15 @@ pairs.  Presentations are addressed by catalog name (see `rules --list`).
 Exit status: 0 when everything passed, 1 when any check or reduction
 failed, 2 for usage and parse errors.  A reduction that runs out of fuel
 or of memory is a failed reduction: `reduce` then prints a one-line error
-and exits 1.  Reports go to stdout, diagnostics to stderr.
+and exits 1.  Reports go to stdout, diagnostics to stderr.  A reader
+that closes the pipe early (`| head`) gets what it read, and the verb exits
+1 with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import verify
@@ -163,7 +166,14 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
         _check_limits(ns)
-        return _DISPATCH[ns.verb](ns)
+        rc = _DISPATCH[ns.verb](ns)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the rest of the output has no reader; stdout now points at
+        # devnull, so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAILED
     except (UsageError, ExprSyntaxError, UnknownGenerator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -11,17 +11,23 @@ the recursive view (Q(i)[q])[p] and runs on Poly's own arithmetic.
 Almost every scalar the rewriting engine multiplies is a constant, so a
 Scalar stores its Gaussian-rational value when it has one: products and
 sums of constants do no Poly work, and a product with one constant factor
-scales a numerator.  Two non-constant factors cancel across (Henrici,
-JACM 3, 1956; TAOCP vol. 2, 4.5.1).  These results are canonical as built,
-with no gcd of the product and no monic rescale; Scalar says why.
+scales a numerator.  Constant results are interned: arithmetic returns the
+one Scalar kept for each Gaussian-rational value in a table of MEMO_SIZE
+values, least recently used first out, so a hit builds no Poly and no
+Scalar.  Interning saves work only; equality and hashing compare values.
+Two non-constant factors cancel across (Henrici, JACM 3, 1956; TAOCP
+vol. 2, 4.5.1).  These results are canonical as built, with no gcd of the
+product and no monic rescale; Scalar says why.
 
 Sums not of two constants and products of two non-constant factors cost
 one or two polynomial gcds each, and the engine forms the same few again
 and again.  _sum and _product memoize them by value, process-wide, each in
 a functools.lru_cache of MEMO_SIZE entries: the operations are pure over
-immutable canonical values, so a hit returns what a miss would build.  The
-memos outlive every catalog, and a hit costs no rewriting fuel (no scalar
-operation does).
+immutable canonical values, so a hit returns what a miss would build.  Both
+commute, so each takes its operands in hash order and a + b and b + a share
+an entry.  A sum over one denominator adds the numerators.  The memos and
+the interned constants outlive every catalog, and a hit costs no rewriting
+fuel (no scalar operation does).
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-# entries kept by each of the two memos of non-constant Scalar arithmetic;
-# a cold catalog plus verify --suite all leaves under 200 in each
+# entries kept by each of the two memos of non-constant Scalar arithmetic,
+# and constants kept interned; a cold catalog plus verify --suite all
+# leaves under 200 in each memo and 31 interned constants
 MEMO_SIZE = 1024
 
 
@@ -578,7 +585,10 @@ class Scalar:
 
     Those two non-constant routes, _sum and _product, are memoized
     process-wide in MEMO_SIZE-entry least-recently-used caches (see the
-    module docstring); a hit costs no fuel.
+    module docstring); a hit costs no fuel.  Constant results of sums,
+    products and negation are interned, one Scalar per value while the
+    table holds it; the constructor builds a new object, and equal values
+    compare and hash equal either way.
     """
 
     __slots__ = ("num", "den", "const", "_hash")
@@ -636,11 +646,13 @@ class Scalar:
             return NotImplemented
         if self.const is not None and other.const is not None:
             return _const_scalar(self.const + other.const)
-        return _sum(self, other)
+        return _sum(*_ordered(self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.const is not None:
+            return _const_scalar(-self.const)
         return _scalar_raw(-self.num, self.den)
 
     def __sub__(self, other):
@@ -663,7 +675,7 @@ class Scalar:
             return other._scaled(self.const)
         if other.const is not None:
             return self._scaled(other.const)
-        return _product(self, other)
+        return _product(*_ordered(self, other))
 
     __rmul__ = __mul__
 
@@ -768,9 +780,18 @@ def _scalar_raw(n: Poly, d: Poly) -> Scalar:
     return s
 
 
+def _ordered(a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
+    """a and b by hash, so that both orders meet one memo entry.  A
+    Scalar's hash is built from ints alone, which PYTHONHASHSEED leaves
+    alone, so the order is the same in every process."""
+    return (a, b) if hash(a) <= hash(b) else (b, a)
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _sum(a: Scalar, b: Scalar) -> Scalar:
     """a + b for two scalars that are not both constant."""
+    if a.den == b.den:
+        return Scalar(a.num + b.num, a.den)
     return Scalar(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
@@ -789,9 +810,15 @@ def _product(a: Scalar, b: Scalar) -> Scalar:
 
 
 def _const_scalar(k: GaussianRational) -> Scalar:
+    """The interned Scalar of the constant k."""
     if k.is_zero():
         return _S_ZERO
-    return _scalar_raw(_poly_raw({(0, 0): k}), _POLY_ONE)
+    return _interned(k.a, k.b, k.d)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _interned(a: int, b: int, d: int) -> Scalar:
+    return _scalar_raw(_poly_raw({(0, 0): _gauss_raw(a, b, d)}), _POLY_ONE)
 
 
 def as_scalar(x):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superplane import algebra
 from superplane.algebra import (
     DEFAULT_FUEL,
     Expression,
@@ -345,6 +346,23 @@ class TestNormalForm:
             expr = E({tuple(word): 1})
             assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
 
+    def test_covariance_warm_memo_matches_random_strategy(self, catalog, reports):
+        # the catalog's covariance after run_all holds the memo the suites
+        # left; a cold copy reduces the same words from nothing
+        warm, cold = catalog.covariance_tensor, covariance_copy(catalog)
+        assert warm._memo
+        # no inverse letters: the random reducer need not terminate on them
+        letters = ["ga", "be", "d", "a", "dth", "dx", "th", "x", "pth", "px"]
+        rng = random.Random("warm-blocks")
+        for _ in range(30):
+            word = [rng.choice(letters) for _ in range(rng.randint(2, 4))]
+            for h in rng.choices(["h1", "h2"], k=rng.randint(0, 2)):
+                word.insert(rng.randint(0, len(word)), h)
+            expr = E({tuple(word): 1})
+            want = random_reduce(warm, expr, rng)
+            assert warm.normal_form(expr) == want
+            assert cold.normal_form(expr) == want
+
     @pytest.mark.parametrize("e_key", [2, 4])
     def test_blocks_are_intervals_of_the_order(self, e_key):
         # above x and y, e forms a block of its own and passes x without a
@@ -555,6 +573,86 @@ class TestMorphism:
         m = Morphism(g, g, {"e1": E({("e2",): 1}), "e2": E({("e1",): 1})})
         e = E({word: 1})
         assert m.apply(g.normal_form(e)) == m.apply(e)
+
+
+def fresh_copy(pres):
+    return Presentation(pres.name, pres.gens.values(), pres.rules,
+                        pres.require_complete)
+
+
+CATALOG_MAPS = {
+    "coaction": lambda cat: cat.coaction,
+    "h-to-pq": lambda cat: cat.contraction.forward,
+    "pq-to-h": lambda cat: cat.contraction.backward,
+    "plane-dagger": lambda cat: cat.plane_dagger,
+    "oscillator-dictionary": lambda cat: cat.oscillator_dictionary,
+    "oscillator-star": lambda cat: cat.oscillator_star,
+}
+
+
+class TestPrefixMemo:
+    @pytest.mark.parametrize("name", sorted(CATALOG_MAPS))
+    def test_warm_fresh_and_plain_fold_agree(self, catalog, reports, name):
+        # the catalog's map after run_all is warm; a fresh map on a fresh
+        # target starts from empty memos; the plain fold multiplies the
+        # letter images one by one with no prefix memo at all
+        warm = CATALOG_MAPS[name](catalog)
+        if isinstance(warm, Involution):
+            fresh = Involution(fresh_copy(warm.presentation), warm.images,
+                               warm.swap_pq, warm.name)
+            target = fresh_copy(warm.presentation)
+        else:
+            fresh = Morphism(warm.source, fresh_copy(warm.target), warm.images,
+                             warm.name)
+            target = fresh_copy(warm.target)
+        letters = sorted(warm.images)
+        rng = random.Random(f"prefix-{name}")
+        for _ in range(12):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            c = Scalar(rng.randint(-3, 3) or 1) * rng.choice([ONE, Q, Scalar.i()])
+            mul = target.multiplier()
+            plain = E.one()
+            if isinstance(warm, Involution):
+                for gid in reversed(word):
+                    plain = mul(plain, warm.images[gid])
+                plain = plain.scale(c.conj(warm.swap_pq))
+            else:
+                for gid in word:
+                    plain = mul(plain, warm.images[gid])
+                plain = plain.scale(c)
+            expr = E({word: c})
+            assert warm.apply(expr) == plain
+            assert fresh.apply(expr) == plain
+            # a second call reads every prefix from the memo
+            assert fresh.apply(expr) == plain
+
+    def test_fuel_exhaustion_keeps_only_complete_prefixes(self, catalog):
+        m = catalog.coaction
+
+        def fresh():
+            return Morphism(m.source, fresh_copy(m.target), m.images, m.name)
+
+        word = ("px", "x", "pth")
+        f = fresh()
+        with pytest.raises(FuelExhausted):
+            f.apply(E({word: 1}), fuel=300)
+        # the fuel ran out within the last letter's product
+        assert sorted(f._prefixes) == [word[:1], word[:2]]
+        for prefix, img in f._prefixes.items():
+            assert img == fresh().apply(E({prefix: 1}))
+        assert f.apply(E({word: 1})) == fresh().apply(E({word: 1}))
+
+    def test_memo_bound(self, catalog, monkeypatch):
+        assert len(catalog.coaction._prefixes) <= algebra.PREFIX_MEMO_SIZE
+        monkeypatch.setattr(algebra, "PREFIX_MEMO_SIZE", 3)
+        m = catalog.contraction.forward
+        f = Morphism(m.source, fresh_copy(m.target), m.images, m.name)
+        rng = random.Random("bound")
+        letters = sorted(m.images)
+        for _ in range(10):
+            word = tuple(rng.choice(letters) for _ in range(3))
+            assert f.apply(E({word: 1})) == m.apply(E({word: 1}))
+            assert len(f._prefixes) <= 3
 
 
 class TestInvolution:

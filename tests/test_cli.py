@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, and output shape of the console tool."""
 
+import os
 import subprocess
 import sys
 
@@ -22,6 +23,25 @@ def test_help_runs_without_catalog():
     assert proc.returncode == 0
     assert "reduce" in proc.stdout
     assert "critical-pairs" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["rules", "--presentation", "covariance"],
+    ["reduce", "(x+th+px+pth)^4", "--presentation", "h-calculus"],
+])
+def test_closed_pipe_exits_quietly(argv):
+    # the reader is gone before the first write, as after `| head -1`
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superplane", *argv], stdout=w,
+            stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(w)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 1
 
 
 def test_reduce_zero(capsys):

@@ -6,6 +6,9 @@ sampled rational points) before the canonical literals are asserted.
 """
 
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +23,7 @@ from superplane.scalars import (
     Poly,
     PoleAtPoint,
     Scalar,
+    _interned,
     _product,
     _sum,
     as_scalar,
@@ -358,6 +362,76 @@ class TestScalar:
     def test_memo_bound(self):
         assert _sum.cache_info().maxsize == MEMO_SIZE
         assert _product.cache_info().maxsize == MEMO_SIZE
+        assert _interned.cache_info().maxsize == MEMO_SIZE
+        for k in range(1, 2 * MEMO_SIZE):
+            as_scalar(F(1, k))
+        assert _interned.cache_info().currsize <= MEMO_SIZE
+
+    def test_swapped_operands_hit_the_memo(self):
+        a, b = Scalar(P, Q - ONE), Scalar(Q + ONE, P + ONE)
+        _sum.cache_clear()
+        _product.cache_clear()
+        assert a + b == b + a and a * b == b * a
+        for memo in (_sum, _product):
+            info = memo.cache_info()
+            assert (info.hits, info.misses) == (1, 1)
+
+    def test_operand_order_ignores_hash_seed(self):
+        # the memos order operands by hash; the hashes must not depend on
+        # PYTHONHASHSEED, or the memo contents would differ between runs
+        code = ("from superplane.scalars import Poly, Scalar; "
+                "P, Q = Poly({(1, 0): 1}), Poly({(0, 1): 1}); "
+                "print([hash(s) for s in (Scalar(P, Q + 1), Scalar(Q, P * P), "
+                "Scalar(P * Q - 3, 1), Scalar(2) / Scalar(7))])")
+        outs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+
+    def test_constants_interned_by_value(self):
+        routes = [as_scalar(6), Scalar(2) * Scalar(3), Scalar(Poly({(0, 0): 6})),
+                  -Scalar(-6), Scalar(3) + Scalar(3), Scalar(12) / Scalar(2),
+                  Scalar(6).conj()]
+        for x in routes:
+            assert x.const == G(6)
+            for y in routes:
+                assert x == y and hash(x) == hash(y)
+        # arithmetic on constants returns the one interned object ...
+        assert Scalar(2) * Scalar(3) is as_scalar(6)
+        assert -Scalar(-6) is as_scalar(6)
+        # ... but equality never depends on identity: the constructor
+        # builds its own object, and so does a cleared table
+        built = Scalar(Poly({(0, 0): 6}))
+        assert built is not as_scalar(6) and built == as_scalar(6)
+        old = as_scalar(6)
+        _interned.cache_clear()
+        new = as_scalar(6)
+        assert new is not old and new == old and hash(new) == hash(old)
+        assert {old: 1}[new] == 1
+
+    def test_equal_denominator_sum_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+
+        @given(small_nonzero, small_nonzero, small_nonzero, small_nonzero,
+               small_nonzero)
+        def agrees(u, w, d, m, e):
+            # over the shared den d*m, the numerators u*m + w and e*m - w
+            # sum to (u + e)*m, which cancels against the den
+            a, b = Scalar(u * m + w, d * m), Scalar(e * m - w, d * m)
+            assume(a.den == b.den and a.const is None)
+            s = a + b
+            num, den = to_sympy(sympy, s.num), to_sympy(sympy, s.den)
+            want_num = to_sympy(sympy, (u + e) * m)
+            want_den = to_sympy(sympy, d * m)
+            assert (num * want_den - want_num * den).is_zero
+            assert s.num.is_zero() or num.gcd(den).is_ground
+            assert s.den.leading_coeff() == G(1)
+
+        agrees()
 
     def test_cross_cancellation_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
