@@ -1,4 +1,8 @@
-"""Exact computer algebra for two-parameter deformed superplane calculi."""
+"""Exact computer algebra for two-parameter deformed superplane calculi.
+
+The verification suites load on first use of one of their names here, so
+that a command which runs no suite does not compile them.
+"""
 
 from superplane.algebra import (
     DEFAULT_FUEL,
@@ -54,15 +58,17 @@ from superplane.scalars import (
     Scalar,
     poly_gcd,
 )
-from superplane.verify import (
-    CheckResult,
-    SuiteReport,
-    SUITES,
-    overall_ok,
-    render_structured,
-    render_text,
-    run_all,
-)
+
+_VERIFY_NAMES = frozenset({"CheckResult", "SuiteReport", "SUITES", "overall_ok",
+                           "render_structured", "render_text", "run_all"})
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from superplane import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DEFAULT_FUEL",

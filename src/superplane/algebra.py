@@ -32,7 +32,7 @@ and only h1*h1 = 0 cuts that cycle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping
 
 from superplane.scalars import Scalar, as_scalar, power
@@ -87,26 +87,24 @@ _CLASS_WEIGHT = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorDecl:
+class GeneratorDecl(namedtuple("GeneratorDecl",
+                               "id parity klass sort_key weight")):
     """One generator: id string, parity (0 even, 1 odd), class, order key.
 
     weight defaults by class: parameters 0, inverses -1, everything else 1.
     """
 
-    id: str
-    parity: int
-    klass: GenClass = GenClass.STANDARD
-    sort_key: int = 0
-    weight: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.id or not isinstance(self.id, str):
-            raise RuleError(f"bad generator id {self.id!r}")
-        if self.parity not in (0, 1):
-            raise RuleError(f"parity of {self.id} must be 0 or 1")
-        if self.weight is None:
-            object.__setattr__(self, "weight", _CLASS_WEIGHT[self.klass])
+    def __new__(cls, id: str, parity: int, klass: GenClass = GenClass.STANDARD,
+                sort_key: int = 0, weight: int | None = None):
+        if not id or not isinstance(id, str):
+            raise RuleError(f"bad generator id {id!r}")
+        if parity not in (0, 1):
+            raise RuleError(f"parity of {id} must be 0 or 1")
+        if weight is None:
+            weight = _CLASS_WEIGHT[klass]
+        return super().__new__(cls, id, parity, klass, sort_key, weight)
 
 
 def _scalarize(c) -> Scalar:
@@ -268,17 +266,15 @@ _E_ONE = Expression({(): 1})
 _G_ONE = Scalar.one().const
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(namedtuple("RewriteRule", "lhs rhs")):
     """lhs word (length 1 or 2) rewriting to an expression."""
 
-    lhs: Word
-    rhs: Expression
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lhs", tuple(self.lhs))
-        if not isinstance(self.rhs, Expression):
-            object.__setattr__(self, "rhs", Expression(self.rhs))
+    def __new__(cls, lhs: Word, rhs: Expression):
+        if not isinstance(rhs, Expression):
+            rhs = Expression(rhs)
+        return super().__new__(cls, tuple(lhs), rhs)
 
 
 def param_swap_rules(decls) -> list[RewriteRule]:
@@ -350,10 +346,12 @@ class Presentation:
         # else none
         self._front = params if own == koszul else set()
         self._parity = {g.id: g.parity for g in self.gens.values()}
+        self._odd_words: dict[Word, int] = {}
         self._part = self._find_blocks()
         self._nparts = max(self._part.values(), default=0) + 1
         self._merged = {}  # (P, F) -> (sign, P and F sorted), see _children
         self._terms = {}  # rule lhs -> its right-hand side, see _children
+        self._fingerprint = None  # see parsing.fingerprint
 
     # ---------------------------------------------------------- word order
 
@@ -456,8 +454,13 @@ class Presentation:
         return part
 
     def _odd(self, word: Word) -> int:
-        parity = self._parity
-        return sum(parity[gid] for gid in word) & 1
+        """The parity of word, memoized: reduction asks it of few distinct
+        words, many times over."""
+        got = self._odd_words.get(word)
+        if got is None:
+            got = sum(map(self._parity.__getitem__, word)) & 1
+            self._odd_words[word] = got
+        return got
 
     def _split(self, word: Word):
         """word sorted into its front letters and its blocks: (sign, P, Bs).
@@ -674,15 +677,12 @@ def _accumulate(acc: dict, terms: dict, c: Scalar) -> None:
         acc[k] = v
 
 
-@dataclass(frozen=True)
-class CriticalPair:
-    word: Word
-    pos_a: int
-    rule_a: RewriteRule
-    pos_b: int
-    rule_b: RewriteRule
-    branch_a: Expression
-    branch_b: Expression
+class CriticalPair(namedtuple("CriticalPair", "word pos_a rule_a pos_b rule_b "
+                                             "branch_a branch_b")):
+    """An overlap word with the two rules applied at pos_a and pos_b and
+    the one-step result of each."""
+
+    __slots__ = ()
 
 
 def _one_step(word: Word, pos: int, rule: RewriteRule) -> Expression:
@@ -741,24 +741,20 @@ def critical_pairs(pres: Presentation, max_len: int = 4) -> list[CriticalPair]:
     return out
 
 
-@dataclass(frozen=True)
-class ConfluenceFailure:
-    word: Word
-    pos_a: int
-    lhs_a: Word
-    pos_b: int
-    lhs_b: Word
-    nf_a: Expression
-    nf_b: Expression
+class ConfluenceFailure(namedtuple("ConfluenceFailure", "word pos_a lhs_a "
+                                                       "pos_b lhs_b nf_a nf_b")):
+    """A critical pair whose two branches reduce to different normal
+    forms nf_a and nf_b."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    presentation: str
-    max_len: int
-    words_scanned: int
-    pairs_checked: int
-    failures: tuple[ConfluenceFailure, ...]
+class ConfluenceReport(namedtuple("ConfluenceReport", "presentation max_len "
+                                  "words_scanned pairs_checked failures")):
+    """Outcome of a scan: counts, and the non-joinable pairs as a tuple of
+    ConfluenceFailure."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 
-from . import verify
 from .algebra import (AlgebraError, DEFAULT_FUEL, Presentation,
                       check_local_confluence)
 from .parsing import (ExprSyntaxError, UnknownGenerator, parse_expression,
@@ -110,6 +109,8 @@ def _cmd_reduce(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
+    from . import verify
+
     if ns.suite != "all" and ns.suite not in verify.SUITES:
         known = ", ".join(verify.SUITES)
         raise UsageError(f"unknown suite {ns.suite!r} (known: {known},"

@@ -21,7 +21,6 @@ all on that multiplier's one fuel budget.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import re
 
@@ -321,5 +320,12 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def fingerprint(pres: Presentation) -> str:
-    """sha256 of the rendered presentation file."""
-    return hashlib.sha256(render_presentation(pres).encode()).hexdigest()
+    """sha256 of the rendered presentation file, computed once per
+    presentation: its generators and rules do not change."""
+    if pres._fingerprint is None:
+        # hashlib loads OpenSSL, which no command but verify needs
+        import hashlib
+
+        text = render_presentation(pres).encode()
+        pres._fingerprint = hashlib.sha256(text).hexdigest()
+    return pres._fingerprint

@@ -25,7 +25,7 @@ Two sort-key conventions matter everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from superplane.algebra import (
@@ -207,20 +207,19 @@ _C2 = Scalar.one() / _Q1          # coefficient of h2
 _CH = _C1 * _C2                   # coefficient of h1*h2
 
 
-@dataclass(frozen=True)
-class ContractionMap:
+class ContractionMap(namedtuple("ContractionMap",
+                                 "forward backward g_matrix h_scratch")):
     """Invertible change of generators between the h frame and (p,q) frame.
 
     forward sends each h-frame generator to its (p,q)-frame expression and
     reduces there; backward sends each (p,q)-frame generator to its h-frame
     expression and reduces in a parameters-only scratch presentation, so its
-    outputs are always parameter-normalized free expressions.
+    outputs are always parameter-normalized free expressions.  Both are
+    Morphisms; g_matrix is the 2x2 tuple of Expressions of the frame change
+    and h_scratch the scratch Presentation.
     """
 
-    forward: Morphism
-    backward: Morphism
-    g_matrix: tuple
-    h_scratch: Presentation
+    __slots__ = ()
 
 
 def build_contraction(pq: Presentation) -> ContractionMap:
@@ -295,8 +294,9 @@ H_REDUCIBLE_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class DerivedRelation:
+class DerivedRelation(namedtuple("DerivedRelation",
+                                  "word general specialized pole_note",
+                                  defaults=("",))):
     """One reducible h-frame pair and what it equals.
 
     general holds the exact right-hand side over the rational-function
@@ -304,10 +304,7 @@ class DerivedRelation:
     a pole_note when some coefficient is singular there.
     """
 
-    word: Word
-    general: Expression
-    specialized: Expression | None
-    pole_note: str = ""
+    __slots__ = ()
 
 
 def _family_subword(word: Word, pairs: frozenset) -> int:
@@ -733,9 +730,10 @@ def build_oscillator_star(oscillator: Presentation) -> Involution:
 
 # --------------------------------------------------------- composites
 
-@dataclass(frozen=True)
-class CompositeElements:
-    """Named elements built from the generators.
+class CompositeElements(namedtuple("CompositeElements", (
+        "exterior number_operator supercharge frame_form_x frame_form_th "
+        "position_even position_odd momentum_even momentum_odd"))):
+    """Named elements built from the generators, each an Expression.
 
     exterior lives in the full h calculus; number_operator and supercharge
     in its derivative sector; the frame forms in the localized one-forms
@@ -743,15 +741,7 @@ class CompositeElements:
     non-differential sector.
     """
 
-    exterior: Expression
-    number_operator: Expression
-    supercharge: Expression
-    frame_form_x: Expression
-    frame_form_th: Expression
-    position_even: Expression
-    position_odd: Expression
-    momentum_even: Expression
-    momentum_odd: Expression
+    __slots__ = ()
 
 
 def build_composites(h_calculus: Presentation, one_forms: Presentation) -> CompositeElements:
@@ -787,24 +777,18 @@ def expression_parity(pres: Presentation, expr: Expression) -> int | None:
 
 # -------------------------------------------------------------- catalog
 
-@dataclass(frozen=True)
-class AlgebraCatalog:
-    primed_calculus: Presentation
-    h_calculus: Presentation
-    supergroup: Presentation
-    localized_supergroup: Presentation
-    covariance_tensor: Presentation
-    oscillator: Presentation
-    one_forms: Presentation
-    contraction: ContractionMap
-    derived: dict
-    coaction: Morphism
-    plane_dagger: Involution
-    oscillator_star: Involution
-    oscillator_dictionary: Morphism
-    composites: CompositeElements
-    coord_diff_variant: str
-    variant_matches: dict
+class AlgebraCatalog(namedtuple("AlgebraCatalog", (
+        "primed_calculus h_calculus supergroup localized_supergroup "
+        "covariance_tensor oscillator one_forms contraction derived coaction "
+        "plane_dagger oscillator_star oscillator_dictionary composites "
+        "coord_diff_variant variant_matches"))):
+    """The model family built once per process by build_catalog: seven
+    Presentations, the ContractionMap, the derived relations (a dict of
+    DerivedRelation by word), the coaction and ladder dictionary
+    (Morphisms), the two Involutions, the CompositeElements, and the
+    coordinate-differential variant chosen with its per-variant matches."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -407,11 +407,15 @@ class Poly:
         return quot
 
     def eval(self, p0, q0) -> GaussianRational:
-        p0 = _as_fraction(p0)
-        q0 = _as_fraction(q0)
-        tot = GaussianRational(0)
+        p0 = _as_gauss(_as_fraction(p0))
+        q0 = _as_gauss(_as_fraction(q0))
+        tot = _G0
         for (i, j), c in self._c.items():
-            tot = tot + c * (p0 ** i * q0 ** j)
+            if i:
+                c = c * p0 ** i
+            if j:
+                c = c * q0 ** j
+            tot = tot + c
         return tot
 
     def conj(self, swap_pq: bool = False) -> "Poly":
@@ -502,6 +506,25 @@ def _term_str(m: tuple[int, int], c: GaussianRational) -> str:
 # exponentially in digit length with the degree; each primitive part is made
 # monic instead, and the final monic gcd is the same.  A nonzero constant is a
 # unit, so poly_gcd answers 1 for it at once: most Scalar gcds are of these.
+#
+# Most of the other gcds are 1 as well, and a modular image certifies that
+# exactly (Brown, JACM 18, 1971).  _MOD_P is prime and 1 mod 4, so sending i
+# to _MOD_I, a square root of -1 mod _MOD_P, maps every Gaussian rational
+# whose denominator _MOD_P does not divide into Z/_MOD_P, as a ring
+# homomorphism.  Suppose f and g share a factor of positive degree in p.  By
+# Gauss's lemma they share one, h, whose coefficients map too, and f = h*f1
+# with f1 mapping as well.  Set q to _MOD_AT[0] in the images: if f's image
+# keeps its p-degree, so does h's, and h's image divides the images of f and
+# g, so their gcd over Z/_MOD_P has positive degree.  A constant image gcd
+# thus rules out a common factor in p; the same with p set to _MOD_AT[1]
+# rules one out in q.  A variable that f or g lacks cannot occur in a
+# common factor.  Where the certificate fails (a denominator divisible by
+# _MOD_P, an image that loses degree at the point, an image gcd that is not
+# constant) the pseudo-remainder sequence decides.
+
+_MOD_P = 1_000_000_009
+_MOD_I = 569_522_298  # _MOD_I ** 2 % _MOD_P == _MOD_P - 1
+_MOD_AT = (3, 5)  # the value of q in the p-images, of p in the q-images
 
 
 def _p_coeffs(f: Poly) -> dict[int, Poly]:
@@ -548,14 +571,73 @@ def _pseudo_rem(f: Poly, g: Poly) -> Poly:
     return f
 
 
+def _image(f: Poly, var: int) -> list[int] | None:
+    """f mod _MOD_P as a polynomial in p (var 0) or q (var 1), the other
+    variable set to _MOD_AT[var]: its coefficients from the constant term
+    up, with no zero at the top.  None when _MOD_P divides a denominator."""
+    at = _MOD_AT[var]
+    out = [0] * (1 + max(m[var] for m in f._c))
+    for m, c in f._c.items():
+        if not c.d % _MOD_P:
+            return None
+        k = m[var]
+        out[k] = (out[k] + (c.a + c.b * _MOD_I) * pow(c.d, -1, _MOD_P)
+                  * pow(at, m[1 - var], _MOD_P)) % _MOD_P
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _coprime_mod_p(f: Poly, g: Poly) -> bool:
+    """Whether the images of the nonzero f and g certify gcd(f, g) = 1 (see
+    above).  False only means that they do not."""
+    for var in (0, 1):
+        deg = max(m[var] for m in f._c)
+        if not deg or not max(m[var] for m in g._c):
+            continue
+        a, b = _image(f, var), _image(g, var)
+        if a is None or b is None or len(a) != deg + 1:
+            return False
+        # Euclid over Z/_MOD_P: a, b = b, a mod b until b is zero
+        while b:
+            inv = pow(b[-1], -1, _MOD_P)
+            n = len(b) - 1
+            while len(a) > n:
+                c = a.pop() * inv % _MOD_P
+                if c:
+                    top = len(a) - n
+                    for k in range(n):
+                        a[top + k] = (a[top + k] - c * b[k]) % _MOD_P
+            while a and not a[-1]:
+                a.pop()
+            a, b = b, a
+        if len(a) > 1:
+            return False
+    return True
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd in Q(i)[p, q]."""
+    """Monic gcd in Q(i)[p, q].
+
+    1 at once when f or g is a nonzero constant, or when images of f and g
+    modulo the prime _MOD_P certify that they are coprime (Brown, JACM 18,
+    1971; see the comment above _MOD_P).  Otherwise the primitive
+    pseudo-remainder sequence, the only algorithm that computes a gcd here.
+    """
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
     if len(f._c) == 1 and (0, 0) in f._c or len(g._c) == 1 and (0, 0) in g._c:
         return _POLY_ONE
+    if _coprime_mod_p(f, g):
+        return _POLY_ONE
+    return _prs_gcd(f, g)
+
+
+def _prs_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd of two nonzero polynomials by the primitive
+    pseudo-remainder sequence."""
     cf, F = _primitive(f)
     cg, G = _primitive(g)
     if max(_p_coeffs(F)) < max(_p_coeffs(G)):

@@ -15,7 +15,7 @@ structured rendering carries no timing data.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import DEFAULT_FUEL, Expression, Morphism, Presentation
 from .parsing import fingerprint, parse_expression, render_expression
@@ -30,22 +30,19 @@ FAIL = "Fail"
 DISCREPANCY = "Discrepancy"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "id status residual notes",
+                             defaults=(None, ""))):
     """One verified identity.  residual is present iff status is not Pass."""
 
-    id: str
-    status: str
-    residual: Expression | None = None
-    notes: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    results: tuple[CheckResult, ...]
-    elapsed: float
-    presentation_fingerprints: tuple[tuple[str, str], ...]
+class SuiteReport(namedtuple("SuiteReport", "suite results elapsed "
+                             "presentation_fingerprints")):
+    """One suite's CheckResults in id order, its wall time in seconds, and
+    the (name, sha256) fingerprint of each presentation it used."""
+
+    __slots__ = ()
 
     @property
     def counts(self) -> dict[str, int]:

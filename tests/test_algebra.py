@@ -236,6 +236,42 @@ class TestRuleValidation:
         assert pres.normal_form(E({("g", "ginv"): 1})) == E.one()
 
 
+class TestRecords:
+    @pytest.mark.parametrize("make", [
+        lambda: GeneratorDecl("x", 0),
+        lambda: RewriteRule(["e2", "e1"], {("e1", "e2"): -1}),
+        lambda: critical_pairs(grassmann())[0],
+        lambda: check_local_confluence(grassmann()),
+    ])
+    def test_immutable_values(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        field = a._fields[0]
+        assert repr(a).startswith(f"{type(a).__name__}({field}=")
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            a.extra = None
+
+    def test_generator_checks_and_default_weight(self):
+        for bad in ("", 7):
+            with pytest.raises(RuleError):
+                GeneratorDecl(bad, 0)
+        with pytest.raises(RuleError):
+            GeneratorDecl("x", 2)
+        weights = {k: GeneratorDecl("g", 0, k).weight for k in GenClass}
+        assert weights == {GenClass.PARAMETER: 0, GenClass.STANDARD: 1,
+                           GenClass.INVERSE: -1}
+        assert GeneratorDecl("g", 0, GenClass.INVERSE, 3, -2).weight == -2
+        assert GeneratorDecl("g", 1, sort_key=4) == gen("g", 1, 4)
+
+    def test_rule_coerces_its_parts(self):
+        r = RewriteRule(["e2", "e1"], {("e1", "e2"): -1})
+        assert r.lhs == ("e2", "e1")
+        assert r.rhs == E({("e1", "e2"): -1})
+        assert r == RewriteRule(lhs=("e2", "e1"), rhs=r.rhs)
+
+
 class TestNormalForm:
     def test_grassmann_signs(self):
         g = grassmann()

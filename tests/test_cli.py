@@ -25,6 +25,22 @@ def test_help_runs_without_catalog():
     assert "critical-pairs" in proc.stdout
 
 
+def test_import_loads_only_what_every_command_needs():
+    # verify is loaded by the verify command alone, hashlib by the first
+    # fingerprint, and no record is a dataclass
+    code = ("import sys; before = set(sys.modules); import superplane; "
+            "print(sorted(set(sys.modules) - before)); "
+            "print(superplane.run_all.__module__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added, home = proc.stdout.splitlines()
+    for name in ("dataclasses", "inspect", "hashlib", "superplane.verify"):
+        assert repr(name) not in added
+    assert "'superplane.algebra'" in added
+    assert home == "superplane.verify"
+
+
 @pytest.mark.parametrize("argv", [
     ["rules", "--presentation", "covariance"],
     ["reduce", "(x+th+px+pth)^4", "--presentation", "h-calculus"],

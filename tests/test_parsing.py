@@ -21,6 +21,7 @@ from superplane.parsing import (
     render_expression,
     render_presentation,
 )
+from superplane.presentations import catalog_presentations
 from superplane.scalars import DivisionByZero, GaussianRational, Poly, Scalar
 
 E = Expression
@@ -148,6 +149,15 @@ class TestRender:
 
 
 class TestPresentationFiles:
+    def test_round_trip_keeps_catalog_fingerprints(self, catalog):
+        table = catalog_presentations(catalog)
+        assert len(table) == 6
+        for name, pres in table.items():
+            back = parse_presentation(render_presentation(pres))
+            assert fingerprint(back) == fingerprint(pres), name
+            # one digest per presentation, computed on first use
+            assert fingerprint(pres) is fingerprint(pres)
+
     def test_render_parse_round_trip(self):
         pres = toy()
         text = render_presentation(pres)

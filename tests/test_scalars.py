@@ -23,7 +23,9 @@ from superplane.scalars import (
     Poly,
     PoleAtPoint,
     Scalar,
+    _coprime_mod_p,
     _interned,
+    _prs_gcd,
     _product,
     _sum,
     as_scalar,
@@ -190,6 +192,37 @@ class TestPoly:
             assert ours == to_sympy(sympy, f).gcd(to_sympy(sympy, g)).monic()
 
         agrees()
+
+    @given(polys, polys, nonzero_polys)
+    def test_certificate_agrees_with_the_prs(self, a, b, m):
+        # without and with a planted common factor m
+        for f, g in ((a, b), (a * m, b * m)):
+            if f.is_zero() or g.is_zero():
+                continue
+            prs = _prs_gcd(f, g)
+            if _coprime_mod_p(f, g):
+                assert prs == ONE
+            assert poly_gcd(f, g) == prs
+
+    def test_certificate_answers_typical_pairs(self):
+        for f, g in ((P * Q - ONE, P + Q), (P - Q, (P - ONE) * (Q + ONE)),
+                     (P * P - Q, G(0, 1) * P + ONE)):
+            assert _coprime_mod_p(f, g) and _coprime_mod_p(g, f)
+        assert not _coprime_mod_p((P + Q) * (P - ONE), (P + Q) * Q)
+
+    def test_certificate_falls_back_to_the_prs(self):
+        # a denominator divisible by the modulus has no image
+        f = P + Poly.const(F(1, 1000000009))
+        assert not _coprime_mod_p(f, P - ONE)
+        assert poly_gcd(f, P - ONE) == ONE
+        # at q = 3 the image of f loses its p-degree
+        f = (Q - 3) * P + ONE
+        assert not _coprime_mod_p(f, P)
+        assert poly_gcd(f, P) == ONE
+        # at q = 3 both images vanish at p = 0
+        f, g = P + Q - 3, P * (Q + ONE)
+        assert not _coprime_mod_p(f, g)
+        assert poly_gcd(f, g) == ONE
 
     def test_gcd_coefficients_stay_small(self):
         # a pseudo-remainder sequence that keeps the numeric content makes
