@@ -277,6 +277,18 @@ class RewriteRule(namedtuple("RewriteRule", "lhs rhs")):
         return super().__new__(cls, tuple(lhs), rhs)
 
 
+def koszul_swap(v: GeneratorDecl, u: GeneratorDecl) -> RewriteRule:
+    """v*u -> u*v, negated when both letters are odd."""
+    sign = -1 if (v.parity and u.parity) else 1
+    return RewriteRule((v.id, u.id), Expression({(u.id, v.id): sign}))
+
+
+def unit_rules(gen_id: str, inv_id: str) -> list[RewriteRule]:
+    """inv*g -> 1 and g*inv -> 1 for a two-sided inverse inv of g."""
+    return [RewriteRule((inv_id, gen_id), _E_ONE),
+            RewriteRule((gen_id, inv_id), _E_ONE)]
+
+
 def param_swap_rules(decls) -> list[RewriteRule]:
     """Rules moving the nilpotent parameters to the front of every word."""
     decls = list(decls)
@@ -286,14 +298,11 @@ def param_swap_rules(decls) -> list[RewriteRule]:
     out = []
     for h in params:
         for v in decls:
-            if v.klass is GenClass.PARAMETER:
-                continue
-            sign = -1 if (v.parity and h.parity) else 1
-            out.append(RewriteRule((v.id, h.id), Expression({(h.id, v.id): sign})))
+            if v.klass is not GenClass.PARAMETER:
+                out.append(koszul_swap(v, h))
     for i, hi in enumerate(params):
         for hj in params[:i]:
-            sign = -1 if (hi.parity and hj.parity) else 1
-            out.append(RewriteRule((hi.id, hj.id), Expression({(hj.id, hi.id): sign})))
+            out.append(koszul_swap(hi, hj))
         if hi.parity:
             out.append(RewriteRule((hi.id, hi.id), Expression.zero()))
     return out
@@ -789,20 +798,12 @@ class Morphism:
         self.source = source
         self.target = target
         self.name = name
-        imgs: dict[str, Expression] = {}
         for gid in source.gens:
             if gid not in images:
                 raise MissingImage(
                     f"{name or 'morphism'} lacks an image for generator {gid}"
                 )
-        for gid, e in images.items():
-            if gid not in source.gens:
-                raise RuleError(f"image given for unknown generator {gid}")
-            if not isinstance(e, Expression):
-                e = Expression(e)
-            target._validate_expr(e)
-            imgs[gid] = e
-        self.images = imgs
+        self.images = _checked_images(source, target, images)
         self._prefixes: dict[Word, Expression] = {}
 
     def apply(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
@@ -837,17 +838,9 @@ class Involution:
         self.presentation = presentation
         self.swap_pq = swap_pq
         self.name = name
-        imgs: dict[str, Expression] = {}
-        for gid, e in images.items():
-            if gid not in presentation.gens:
-                raise RuleError(f"image given for unknown generator {gid}")
-            if not isinstance(e, Expression):
-                e = Expression(e)
-            presentation._validate_expr(e)
-            imgs[gid] = e
-        self.images = imgs
+        self.images = _checked_images(presentation, presentation, images)
         self._prefixes: dict[Word, Expression] = {}
-        for gid in imgs:
+        for gid in self.images:
             g = Expression.from_gen(gid)
             if self.apply(self.apply(g)) != presentation.normal_form(g):
                 raise NotInvolutive(
@@ -878,6 +871,20 @@ class Involution:
                 f"{self.name or 'involution'} has no image for generator {gid}"
             )
         return img
+
+
+def _checked_images(source: Presentation, target: Presentation,
+                    images: Mapping[str, Expression]) -> dict[str, Expression]:
+    """images as Expressions over target, keyed by generators of source."""
+    out: dict[str, Expression] = {}
+    for gid, e in images.items():
+        if gid not in source.gens:
+            raise RuleError(f"image given for unknown generator {gid}")
+        if not isinstance(e, Expression):
+            e = Expression(e)
+        target._validate_expr(e)
+        out[gid] = e
+    return out
 
 
 def _fold(memo: dict, word: Word, image, mul) -> Expression:
@@ -924,13 +931,9 @@ def adjoin_inverse(
         raise RuleError(f"generator {inverse_decl.id} already present")
     if inverse_decl.weight is None or inverse_decl.weight >= 0:
         raise RuleError("inverse generators need negative weight")
-    units = [
-        RewriteRule((inverse_decl.id, gen_id), _E_ONE),
-        RewriteRule((gen_id, inverse_decl.id), _E_ONE),
-    ]
     return Presentation(
         name or f"{pres.name}[{inverse_decl.id}]",
         list(pres.gens.values()) + [inverse_decl],
-        list(pres.rules) + units + list(swap_rules),
+        list(pres.rules) + unit_rules(gen_id, inverse_decl.id) + list(swap_rules),
         require_complete=require_complete,
     )

@@ -40,7 +40,9 @@ from superplane.algebra import (
     RewriteRule,
     RuleError,
     adjoin_inverse,
+    koszul_swap,
     param_swap_rules,
+    unit_rules,
 )
 from superplane.parsing import parse_expression
 from superplane.scalars import IndeterminateAtPoint, PoleAtPoint, Scalar
@@ -125,9 +127,10 @@ def scaffold(name: str, decls) -> Presentation:
     return Presentation(name, decls, [], require_complete=False)
 
 
-def param_scratch(name: str, decls) -> Presentation:
-    """Presentation with only the parameter swap rules."""
-    return Presentation(name, decls, param_swap_rules(decls), require_complete=False)
+def param_scratch(name: str, decls, rules=()) -> Presentation:
+    """Presentation with the parameter swap rules followed by rules."""
+    return Presentation(name, decls, param_swap_rules(decls) + list(rules),
+                        require_complete=False)
 
 
 def _table_rules(decls, table) -> list[RewriteRule]:
@@ -307,13 +310,6 @@ class DerivedRelation(namedtuple("DerivedRelation",
     __slots__ = ()
 
 
-def _family_subword(word: Word, pairs: frozenset) -> int:
-    for i in range(len(word) - 1):
-        if word[i : i + 2] in pairs:
-            return i
-    return -1
-
-
 def derive_h_relations(
     cmap: ContractionMap,
     pairs=H_REDUCIBLE_PAIRS,
@@ -323,12 +319,14 @@ def derive_h_relations(
 
     The raw pull-back of a pair may mention reducible pairs again: itself
     (with a scalar coefficient, solved linearly) or a pair buried behind a
-    parameter prefix (substituted away; terminates because three parameter
-    letters annihilate).  A pair whose ordering is transposed between the
-    two frames pulls back to itself exactly; its content lives in the
-    pull-back of the reversed word instead, which is solved for the pair.
-    The result expresses every pair over irreducible words with
-    coefficients still exact in p and q.
+    parameter prefix.  A pair whose ordering is transposed between the two
+    frames pulls back to itself exactly; its content lives in the pull-back
+    of the reversed word instead, which is solved for the pair.  The solved
+    relations are then closed as normal forms in one scratch presentation
+    whose rules are those relations and the parameter swaps: the rules
+    strictly descend, every buried pair sitting behind a parameter, and the
+    fuel bound is the backstop.  The result expresses every pair over
+    irreducible words with coefficients still exact in p and q.
     """
 
     def pull(word):
@@ -336,7 +334,6 @@ def derive_h_relations(
             cmap.forward.apply(Expression.from_word(word), fuel), fuel
         )
 
-    pair_set = frozenset(pairs)
     scratch = cmap.h_scratch
     general: dict = {}
     for w in pairs:
@@ -357,34 +354,12 @@ def derive_h_relations(
             )
         solved = Expression.from_word(rev) - raw + Expression.from_word(w, lam)
         general[w] = scratch.normal_form(solved.scale(lam.inv()), fuel)
-    for w in pairs:
-        budget = fuel
-        while True:
-            expr = general[w]
-            hit = None
-            for word, coeff in expr.terms():
-                pos = _family_subword(word, pair_set)
-                if pos >= 0:
-                    hit = (word, coeff, pos)
-                    break
-            if hit is None:
-                break
-            word, coeff, pos = hit
-            if word in pair_set:
-                raise ConstructionFailure(f"pair {w} re-entered itself while closing")
-            budget -= 1
-            if budget <= 0:
-                raise ConstructionFailure(f"substitution closure for {w} did not settle")
-            replacement = (
-                Expression.from_word(word[:pos])
-                * general[word[pos : pos + 2]]
-                * Expression.from_word(word[pos + 2 :])
-            )
-            expr = expr - Expression.from_word(word, coeff) + replacement.scale(coeff)
-            general[w] = scratch.normal_form(expr, fuel)
+    closure = param_scratch(
+        "h-frame-closure", H_DECLS, [RewriteRule(w, general[w]) for w in pairs]
+    )
     out = {}
     for w in pairs:
-        expr = general[w]
+        expr = closure.normal_form(general[w], fuel)
         spec_terms = {}
         note = ""
         try:
@@ -479,23 +454,6 @@ def build_supergroup() -> Presentation:
 
 # ------------------------------------------------------- localization
 
-def _cancel_units(expr: Expression, gid: str, ginv: str) -> Expression:
-    """Delete adjacent unit pairs; sign-free because both letters are even."""
-    out = Expression.zero()
-    for word, c in expr.terms():
-        stack = []
-        for letter in word:
-            if stack and (
-                (stack[-1] == gid and letter == ginv)
-                or (stack[-1] == ginv and letter == gid)
-            ):
-                stack.pop()
-            else:
-                stack.append(letter)
-        out = out + Expression.from_word(tuple(stack), c)
-    return out
-
-
 def derive_localized_rules(
     pres: Presentation,
     gen_id: str,
@@ -508,7 +466,9 @@ def derive_localized_rules(
     on both sides yields an identity whose head term is (ginv, v); solving
     for that head gives the new rule.  For v above the inverse the mirror
     image applies.  Parameters commute with g, hence with its inverse, and
-    are emitted directly.
+    are emitted directly.  The sandwich is reduced in a scratch presentation
+    of the parameter swaps and the two unit rules, so one normal form moves
+    the parameters to the front and cancels every unit pair.
     """
 
     g = pres.gens.get(gen_id)
@@ -521,9 +481,9 @@ def derive_localized_rules(
             f"inverse {inverse_decl.id} must take sort key {g.sort_key + 1}, "
             f"immediately above {gen_id}"
         )
-    decls = list(pres.gens.values()) + [inverse_decl]
-    scratch = param_scratch(f"{pres.name}-params", decls)
     ginv = inverse_decl.id
+    decls = list(pres.gens.values()) + [inverse_decl]
+    scratch = param_scratch(f"{pres.name}-params", decls, unit_rules(gen_id, ginv))
     sandwich = Expression.from_gen(ginv)
     rules = []
     for v in sorted(pres.gens.values(), key=lambda dcl: dcl.sort_key):
@@ -542,8 +502,7 @@ def derive_localized_rules(
             raise IncompleteLocalization(
                 f"no rule joins {gen_id} and {v.id}; cannot derive {lhs}"
             )
-        pulled = scratch.normal_form(sandwich * base.rhs * sandwich, fuel)
-        sandwiched = _cancel_units(pulled, gen_id, ginv)
+        sandwiched = scratch.normal_form(sandwich * base.rhs * sandwich, fuel)
         head = sandwiched.coefficient(lhs)
         if head.is_zero():
             raise IncompleteLocalization(
@@ -598,11 +557,7 @@ def build_covariance_tensor(
     localized_supergroup: Presentation, h_calculus: Presentation
 ) -> Presentation:
     gens = {d.id: d for d in COVARIANCE_DECLS}
-    cross = []
-    for v in _PLANE_IDS:
-        for u in _GROUP_IDS:
-            sign = -1 if (gens[v].parity and gens[u].parity) else 1
-            cross.append(RewriteRule((v, u), Expression({(u, v): sign})))
+    cross = [koszul_swap(gens[v], gens[u]) for v in _PLANE_IDS for u in _GROUP_IDS]
     rules = (
         non_param_rules(localized_supergroup)
         + non_param_rules(h_calculus)

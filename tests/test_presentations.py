@@ -5,26 +5,35 @@ solves, pull-backs, matrix inverses) before the builders existed, or is
 a structural invariant (parity, completeness, unit cancellation).
 """
 
+import hashlib
+
 import pytest
 
-from superplane.algebra import Expression, GenClass, GeneratorDecl, RuleError
-from superplane.parsing import parse_expression
+from superplane.algebra import (
+    Expression, GenClass, GeneratorDecl, RuleError, unit_rules,
+)
+from superplane.parsing import parse_expression, render_expression
 from superplane.presentations import (
+    COORD_DIFF_PAIRS,
     COORD_DIFF_TARGETS,
+    COORD_DIFF_VARIANTS,
     H_REDUCIBLE_PAIRS,
     ConstructionFailure,
     build_catalog,
+    build_contraction,
     build_primed_calculus,
     catalog_presentations,
     choose_variant,
+    derive_h_relations,
     derive_localized_rules,
     expression_parity,
     localize,
+    param_scratch,
     param_swap_rules,
     GROUP_DETERMINANT_LEFT,
     GROUP_DETERMINANT_RIGHT,
     PQ_DECLS,
-    _cancel_units,
+    SUPERGROUP_DECLS,
 )
 
 
@@ -150,11 +159,38 @@ def test_h_rules_are_parity_homogeneous(cat):
 
 
 def test_cancel_units():
+    decls = SUPERGROUP_DECLS + (GeneratorDecl("ainv", 0, GenClass.INVERSE, 15),)
+    scratch = param_scratch("units", decls, unit_rules("a", "ainv"))
     e = Expression.from_word(("a", "ainv", "h1", "a", "d", "ainv"))
-    got = _cancel_units(e, "a", "ainv")
+    got = scratch.normal_form(e)
     assert got == Expression.from_word(("h1", "a", "d", "ainv"))
     nested = Expression.from_word(("a", "a", "ainv", "ainv"))
-    assert _cancel_units(nested, "a", "ainv") == Expression.one()
+    assert scratch.normal_form(nested) == Expression.one()
+
+
+def _derived_text(derived) -> str:
+    lines = []
+    for word, rel in sorted(derived.items()):
+        spec = "None" if rel.specialized is None else render_expression(rel.specialized)
+        lines.append("\t".join(("*".join(word), render_expression(rel.general),
+                                spec, rel.pole_note)))
+    return "\n".join(lines)
+
+
+# sha256 of the general relations, their values at p = q = 1 and the pole
+# notes of the catalog's derivation and of both coordinate-differential
+# readings; the h-calculus fingerprint freezes only the specialized rules
+DERIVED_RELATIONS_DIGEST = (
+    "2c123fbac0ff3cf17b112988e52858e09fae4f57e07473fea50db4c947f31040")
+
+
+def test_derived_relations_are_frozen(cat):
+    parts = [_derived_text(cat.derived)]
+    for variant in sorted(COORD_DIFF_VARIANTS):
+        cmap = build_contraction(build_primed_calculus(variant))
+        parts.append(_derived_text(derive_h_relations(cmap, pairs=COORD_DIFF_PAIRS)))
+    text = "\n\n".join(parts) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == DERIVED_RELATIONS_DIGEST
 
 
 def test_one_forms_localization_oracle(cat):
