@@ -27,12 +27,30 @@ memo grows with the output rather than with the derivation.  Keys keep
 their parameters: dropping P would not terminate, since the supergroup's
 a*d -> d*a + h1*a*ga - ... leads back to a*d through a*ga once h1 is gone,
 and only h1*h1 = 0 cuts that cycle.
+
+The leftmost redex is found with a cursor, the stack-based reduction of
+Book and Otto (String-Rewriting Systems, 1993, ch. 2): every left-hand side
+has one or two letters, so after a rewrite at pos the letters before pos-1
+still hold no redex, and the scan of each word it makes resumes at pos-1; a
+letter appended to a normal word can make a redex only at the junction.  The
+cursor changes no rewrite and costs no fuel.
+
+Where every rule coefficient of a presentation is an integer (the
+h-calculus, the supergroup, the covariance tensor and the one-forms), the
+reduction computes with Python ints: the rule terms, the sums it
+accumulates and the memo values are ints, and the unit is 1 instead of
+Scalar.one().  The multiplier passes each coefficient of its input as an
+int where it is an integer and turns each coefficient of its output into
+the interned Scalar, so every Expression holds Scalars.  Presentations with
+p and q in their rules reduce with Scalars through the same code.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import namedtuple
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping
 
 from superplane.scalars import Scalar, as_scalar, power
@@ -150,7 +168,10 @@ class Expression:
         return Expression({tuple(word): coeff})
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def from_gen(gid: str) -> "Expression":
+        """The expression gid, one per generator id: Expressions are
+        immutable."""
         return Expression({(gid,): 1})
 
     def is_zero(self) -> bool:
@@ -158,7 +179,7 @@ class Expression:
 
     def terms(self) -> list[tuple[Word, Scalar]]:
         """Term list in a deterministic order: by length, then by word."""
-        return sorted(self._t.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return sorted(self._t.items(), key=_by_word)
 
     def words(self) -> list[Word]:
         return [w for w, _ in self.terms()]
@@ -170,7 +191,8 @@ class Expression:
         s = _scalarize(c)
         if s.is_zero():
             return _E_ZERO
-        if s.const == _G_ONE:
+        k = s.const
+        if k is not None and k.a == k.d and not k.b:
             return self
         return _expr_raw({w: v * s for w, v in self._t.items()})
 
@@ -202,18 +224,7 @@ class Expression:
 
     def __mul__(self, other):
         if isinstance(other, Expression):
-            out: dict[Word, Scalar] = {}
-            for w1, c1 in self._t.items():
-                for w2, c2 in other._t.items():
-                    w = w1 + w2
-                    s = out.get(w)
-                    t = c1 * c2
-                    s = t if s is None else s + t
-                    if s.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
-            return _expr_raw(out)
+            return _expr_raw(_times(self._t, other._t))
         try:
             return self.scale(other)
         except TypeError:
@@ -252,6 +263,28 @@ class Expression:
         return f"Expression({str(self)!r})"
 
 
+def _times(t1: dict, t2: dict) -> dict:
+    """The terms of t1*t2 for dicts word -> coefficient: words are
+    concatenated, and a zero sum drops its word."""
+    out = {}
+    for w1, c1 in t1.items():
+        for w2, c2 in t2.items():
+            w = w1 + w2
+            s = out.get(w)
+            t = c1 * c2
+            s = t if s is None else s + t
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
+
+
+def _by_word(term) -> tuple:
+    # the order of Expression.terms: by length, then by word
+    return len(term[0]), term[0]
+
+
 def _expr_raw(t: dict) -> Expression:
     e = object.__new__(Expression)
     e._t = t
@@ -261,9 +294,6 @@ def _expr_raw(t: dict) -> Expression:
 
 _E_ZERO = Expression({})
 _E_ONE = Expression({(): 1})
-# a constant's value is compared with this, not with the int 1, which
-# would be converted on every comparison
-_G_ONE = Scalar.one().const
 
 
 class RewriteRule(namedtuple("RewriteRule", "lhs rhs")):
@@ -332,12 +362,15 @@ class Presentation:
         if len(set(keys)) != len(keys):
             raise RuleError(f"sort keys must be distinct in {name}")
         self._idx: dict[Word, RewriteRule] = {}
+        weight = {g.id: g.weight for g in self.gens.values()}
+        key = {g.id: g.sort_key for g in self.gens.values()}
         out = []
         for r in rules:
             if not isinstance(r, RewriteRule):
                 lhs, rhs = r
                 r = RewriteRule(tuple(lhs), rhs)
-            self._validate_rule(r)
+            if not _descends(r, weight, key):
+                self._validate_rule(r)
             if r.lhs in self._idx:
                 raise RuleError(f"duplicate rule for {r.lhs} in {name}")
             self._idx[r.lhs] = r
@@ -347,19 +380,27 @@ class Presentation:
         if require_complete:
             self._check_complete()
         self._memo: dict[tuple[Word, Word], dict] = {}
+        self._parity = {g.id: g.parity for g in self.gens.values()}
         params = {g.id for g in self.gens.values() if g.klass is GenClass.PARAMETER}
-        own = {r.lhs: r.rhs for r in out if not params.isdisjoint(r.lhs)}
-        koszul = {r.lhs: r.rhs for r in param_swap_rules(self.gens.values())}
         # parameter letters _split sorts to the front in one pass: all of
         # them when the rules that mention them are exactly the Koszul swaps,
         # else none
-        self._front = params if own == koszul else set()
-        self._parity = {g.id: g.parity for g in self.gens.values()}
+        self._front = params if self._only_swaps(params) else set()
+        self._nfront = len(self._front)
         self._odd_words: dict[Word, int] = {}
-        self._part = self._find_blocks()
-        self._nparts = max(self._part.values(), default=0) + 1
-        self._merged = {}  # (P, F) -> (sign, P and F sorted), see _children
-        self._terms = {}  # rule lhs -> its right-hand side, see _children
+        part = self._find_blocks()
+        self._nparts = max(part.values(), default=0) + 1
+        # each letter's part, its bit in _split's parity mask when it is
+        # odd, and the mask of the parts after it
+        self._letters = {gid: (b, self._parity[gid] << b, -2 << b)
+                         for gid, b in part.items()}
+        self._singles = any(len(lhs) == 1 for lhs in self._idx)
+        # the kernel reduces with ints when every rule coefficient is an
+        # integer, with Scalars otherwise
+        self._one = 1 if all(type(_lower(c)) is int for r in out
+                             for c in r.rhs._t.values()) else Scalar.one()
+        self._terms = {}  # (P, rule lhs) -> see _rule_terms
+        self._merged = {}  # (P, F) -> (sign, P and F sorted), see _rule_terms
         self._fingerprint = None  # see parsing.fingerprint
 
     # ---------------------------------------------------------- word order
@@ -389,6 +430,20 @@ class Presentation:
                     f"rule {r.lhs} does not strictly descend at rhs word {w} in {self.name}"
                 )
 
+    def _only_swaps(self, params: set) -> bool:
+        """Whether the rules that mention a parameter are exactly those of
+        param_swap_rules: the Koszul swaps v*h and hi*hj, hj before hi, for
+        parameters h, hi and hj and other letters v, and h*h -> 0 for each
+        odd parameter h."""
+        key = {h: self.gens[h].sort_key for h in params}
+        want = {(v, h) for h in params for v in self.gens
+                if v not in params or key[v] > key[h]}
+        want |= {(h, h) for h in params if self._parity[h]}
+        own = [r for r in self.rules if not params.isdisjoint(r.lhs)]
+        return {r.lhs for r in own} == want and all(
+            not r.rhs._t if r.lhs[0] == r.lhs[-1] else self._is_swap(r)
+            for r in own)
+
     def _check_complete(self):
         missing = []
         decls = sorted(self.gens.values(), key=lambda g: g.sort_key)
@@ -409,12 +464,11 @@ class Presentation:
     def _validate_expr(self, expr: Expression):
         if not isinstance(expr, Expression):
             raise TypeError("expected an Expression")
-        for w in expr._t:
-            for gid in w:
-                if gid not in self.gens:
-                    raise MixedPresentation(
-                        f"generator {gid!r} is not part of presentation {self.name}"
-                    )
+        for gid in chain.from_iterable(expr._t):
+            if gid not in self.gens:
+                raise MixedPresentation(
+                    f"generator {gid!r} is not part of presentation {self.name}"
+                )
 
     # ---------------------------------------------------------- blocks
 
@@ -479,36 +533,39 @@ class Presentation:
         sign is the Koszul sign: -1 for every exchange of two odd letters.
         A repeated odd front letter gives sign 0.
         """
-        part, parity, nfront = self._part, self._parity, len(self._front)
+        letters, nfront = self._letters, self._nfront
         parts = [[] for _ in range(self._nparts)]
-        odd = [0] * self._nparts  # parity of each part's letters met so far
+        odd = 0  # bit b: part b holds an odd number of odd letters so far
         sign = 1
         for letter in word:
-            b = part[letter]
-            if parity[letter]:
-                if b < nfront and odd[b]:
+            b, bit, above = letters[letter]
+            if bit:
+                if odd & bit and b < nfront:
                     return 0, (), ()
-                if sum(odd[b + 1:]) & 1:
+                if (odd & above).bit_count() & 1:
                     sign = -sign
-                odd[b] ^= 1
+                odd ^= bit
             parts[b].append(letter)
-        return (sign, tuple(gid for p in parts[:nfront] for gid in p),
-                tuple(tuple(p) for p in parts[nfront:] if p))
+        return (sign, tuple(chain.from_iterable(parts[:nfront])),
+                tuple(map(tuple, filter(None, parts[nfront:]))))
 
     # ---------------------------------------------------------- reduction
 
     def rule_for(self, word) -> RewriteRule | None:
         return self._idx.get(tuple(word))
 
-    def _find_redex(self, w: Word):
+    def _find_redex(self, w: Word, start: int):
+        """The leftmost redex (pos, rule) of w, or None, for a w with none
+        before start."""
         idx = self._idx
-        n = len(w)
-        for pos in range(n):
-            if pos + 1 < n:
-                r = idx.get((w[pos], w[pos + 1]))
+        if self._singles:
+            for pos in range(start, len(w)):
+                r = idx.get(w[pos:pos + 2]) or idx.get(w[pos:pos + 1])
                 if r is not None:
                     return pos, r
-            r = idx.get((w[pos],))
+            return None
+        for pos in range(start, len(w) - 1):
+            r = idx.get(w[pos:pos + 2])
             if r is not None:
                 return pos, r
         return None
@@ -522,7 +579,11 @@ class Presentation:
         none; memo hits cost none either.  Each block word B is folded in
         one letter at a time, and the memo holds the normal form of each
         P*w*l met, P sorted parameters and w a normal word of one block, of
-        the words its rewriting passes through, and of each whole P*B.
+        the words its rewriting passes through, and of each whole P*B.  The
+        scan for the leftmost redex starts where the last rewrite can have
+        made one, and the coefficients are ints where the rules allow (see
+        the module docstring); neither changes which rules apply, and so
+        neither changes the fuel a reduction needs.
         """
         self._validate_expr(expr)
         return self.multiplier(fuel)(expr)
@@ -541,10 +602,15 @@ class Presentation:
         cell = [fuel]
 
         def mul(a: Expression, b: Expression | None = None) -> Expression:
+            # the coefficients in, products formed and sums taken as ints
+            # where they are integers, and every output coefficient a Scalar
+            t = {w: _lower(c) for w, c in a._t.items()}
+            if b is not None:
+                t = _times(t, {w: _lower(c) for w, c in b._t.items()})
             acc = {}
-            for word, c in (a if b is None else a * b).terms():
+            for word, c in sorted(t.items(), key=_by_word):
                 _accumulate(acc, self._word_nf(word, cell, fuel), c)
-            return _expr_raw({p + w: c for (p, w), c in acc.items()})
+            return _expr_raw({p + w: as_scalar(c) for (p, w), c in acc.items()})
 
         return mul
 
@@ -566,16 +632,22 @@ class Presentation:
         sign, params, blocks = self._split(word)
         if not sign:
             return {}
-        one = Scalar.one()
-        acc = {(params, ()): one if sign > 0 else -one}
-        for b in blocks:
+        if not blocks:
+            return {(params, ()): self._one if sign > 0 else -self._one}
+        acc = self._fold_block((params, blocks[0]), cell, fuel)
+        if sign < 0:
+            acc = {k: -v for k, v in acc.items()}
+        for b in blocks[1:]:
             out = {}
             for (p1, w), c in acc.items():
                 got = self._fold_block((p1, b), cell, fuel)
                 if w:
-                    odd_w, odd_p1 = self._odd(w), self._odd(p1)
-                    got = {(p2, w + b2): -v if odd_w and self._odd(p2) != odd_p1 else v
-                           for (p2, b2), v in got.items()}
+                    if self._odd(w):
+                        odd_p1 = self._odd(p1)
+                        got = {(p2, w + b2): v if self._odd(p2) == odd_p1 else -v
+                               for (p2, b2), v in got.items()}
+                    else:
+                        got = {(p2, w + b2): v for (p2, b2), v in got.items()}
                 _accumulate(out, got, c)
             acc = out
         return acc
@@ -586,104 +658,172 @@ class Presentation:
 
         B's letters are appended one at a time to the normal words formed
         so far, so each step reduces P'*w*l with w normal: its only redex
-        is at the junction, and the rest of B stays out of the memo keys.
+        is at the junction, where the scan for it starts, and the rest of B
+        stays out of the memo keys.
         """
         got = self._memo.get(key)
         if got is not None:
             return got
         p, b = key
-        acc = self._block_nf((p, b[:1]), cell, fuel)
+        acc = self._block_nf((p, b[:1]), 0, cell, fuel)
         for letter in b[1:]:
             out = {}
             for (p1, w), c in acc.items():
-                _accumulate(out, self._block_nf((p1, w + (letter,)), cell, fuel), c)
+                _accumulate(out, self._block_nf((p1, w + (letter,)),
+                                                len(w) - 1 if w else 0,
+                                                cell, fuel), c)
             acc = out
         self._memo[key] = acc
         return acc
 
-    def _block_nf(self, key: tuple[Word, Word], cell: list, fuel: int) -> dict:
+    def _block_nf(self, key: tuple[Word, Word], start: int, cell: list,
+                  fuel: int) -> dict:
         """The normal form of P*B for key = (P, B), B in one block, as a
-        dict (P2, B2) -> coefficient; memoized under key."""
+        dict (P2, B2) -> coefficient, for a B with no redex before start;
+        memoized under key, as is every word its rewriting passes through.
+
+        A rewrite at pos leaves the letters before it irreducible, so the
+        scan of each child resumes at pos - 1 (Book and Otto 1993, ch. 2).
+        """
         memo = self._memo
         got = memo.get(key)
         if got is not None:
             return got
-        one = Scalar.one()
-        # explicit stack; frame = [key, children, next index, accumulator]
-        root = [None, [(one, key)], 0, {}]
-        stack = [root]
-        while True:
-            fr = stack[-1]
-            i = fr[2]
-            kids = fr[1]
-            if i < len(kids):
-                c, key = kids[i]
-                got = memo.get(key)
-                if got is None:
+        one, find = self._one, self._find_redex
+        red = find(key[1], start)
+        if red is None:
+            got = memo[key] = {key: one}
+            return got
+        # frame = (key, iterator over the rule terms that make its children,
+        # the letters before and after the redex, accumulator, its
+        # coefficient in the parent frame, where its children's scans start)
+        stack = []
+        c = one
+        left = cell[0]
+        try:
+            while True:
+                if red is not None:
+                    if left <= 0:
+                        raise self._fuel_error(key[0] + key[1], fuel)
+                    left -= 1
+                    pos, rule = red
                     p, w = key
-                    red = self._find_redex(w)
-                    if red is not None:
-                        if cell[0] <= 0:
-                            raise self._fuel_error(p + w, fuel)
-                        cell[0] -= 1
-                        stack.append([key, self._children(p, w, *red), 0, {}])
-                        continue
-                    got = {key: one}
-                    memo[key] = got
-                _accumulate(fr[3], got, c)
-                fr[2] = i + 1
-            else:
-                stack.pop()
-                if not stack:
-                    return fr[3]
-                if fr[0] is not None:
-                    memo[fr[0]] = fr[3]
-                parent = stack[-1]
-                _accumulate(parent[3], fr[3], parent[1][parent[2]][0])
-                parent[2] += 1
+                    terms = self._terms.get((p, rule.lhs))
+                    if terms is None:
+                        terms = self._terms[p, rule.lhs] = self._rule_terms(p, rule)
+                    head = w[:pos]
+                    even, odd = terms
+                    if odd is not even and self._odd(head):
+                        even = odd
+                    stack.append((key, iter(even), head, w[pos + len(rule.lhs):],
+                                  {}, c, pos - 1 if pos else 0))
+                parent, kids, head, rest, acc, coef, start = stack[-1]
+                for c, front, mid in kids:
+                    key = (front, head + mid + rest)
+                    got = memo.get(key)
+                    if got is None:
+                        red = find(key[1], start)
+                        if red is not None:
+                            break
+                        # irreducible: memoized, and c added to acc directly
+                        memo[key] = {key: one}
+                        s = acc.get(key)
+                        if s is not None:
+                            c = s + c
+                            if not c:
+                                del acc[key]
+                                continue
+                        acc[key] = c
+                    else:
+                        _accumulate(acc, got, c)
+                else:
+                    red = None
+                    stack.pop()
+                    memo[parent] = acc
+                    if not stack:
+                        return acc
+                    _accumulate(stack[-1][4], acc, coef)
+        finally:
+            cell[0] = left
 
-    def _children(self, p: Word, w: Word, pos: int, rule: RewriteRule) -> list:
-        """The words P*B one rewrite at pos makes of P*w, with coefficients."""
-        terms = self._terms.get(rule.lhs)
-        if terms is None:
-            # each term as (coefficient, front letters, block letters, parity
-            # of the front letters), the front letters moved ahead with their
-            # sign; a term with a repeated odd parameter is zero and left out
-            terms = self._terms[rule.lhs] = []
+    def _rule_terms(self, p: Word, rule: RewriteRule) -> tuple[list, list]:
+        """rule's right-hand side as it rewrites P*w, for an even and for
+        an odd head of w before the redex: two lists of (coefficient, P
+        with the term's parameters merged in, the term's other letters).
+
+        The term's parameters move ahead with the Koszul sign, past the
+        head and then into P; a term with a repeated odd parameter is zero
+        and left out.  The lists are one list when no term has odd
+        parameters.  A nonempty P starts from the terms for the empty P.
+        """
+        if p:
+            if ((), rule.lhs) not in self._terms:
+                self._terms[(), rule.lhs] = self._rule_terms((), rule)
+            terms = self._terms[(), rule.lhs][0]
+        else:
+            terms = []
             for m, c in rule.rhs.terms():
                 sign, front, blocks = self._split(m)
                 if sign:
-                    terms.append((c if sign > 0 else -c, front,
-                                  sum(blocks, ()), self._odd(front)))
-        head, rest = w[:pos], w[pos + len(rule.lhs):]
-        odd_head = self._odd(head)
-        kids = []
-        for c, front, mid, odd in terms:
-            # the rule's parameters pass head, then merge into p
-            merged = self._merged.get((p, front))
-            if merged is None:
-                merged = self._merged[p, front] = self._split(p + front)[:2]
-            sign, front = merged
-            if odd and odd_head:
-                sign = -sign
-            if sign:
-                kids.append((c if sign > 0 else -c, (front, head + mid + rest)))
-        return kids
+                    # in the kernel's kind: an int times 1, else a Scalar
+                    c = _lower(c) * self._one * sign
+                    terms.append((c, front, sum(blocks, ())))
+        even, odd = [], []
+        for c, front, mid in terms:
+            passes = self._odd(front)
+            if front and p:
+                merged = self._merged.get((p, front))
+                if merged is None:
+                    merged = self._merged[p, front] = self._split(p + front)[:2]
+                sign, front = merged
+                if not sign:
+                    continue
+                c = c * sign
+            even.append((c, front or p, mid))
+            odd.append((-c if passes else c, front or p, mid))
+        return (even, even) if even == odd else (even, odd)
 
 
-def _accumulate(acc: dict, terms: dict, c: Scalar) -> None:
+def _lower(c: Scalar):
+    """c as an int when it is an integer constant, else c itself."""
+    k = c.const
+    if k is not None and k.d == 1 and not k.b:
+        return k.a
+    return c
+
+
+def _accumulate(acc: dict, terms: dict, c) -> None:
     """acc += c * terms in place; a zero sum drops its key."""
-    one = c.const == _G_ONE
+    if not acc:
+        acc.update(terms if c == 1 else {k: v * c for k, v in terms.items()})
+        return
     for k, v in terms.items():
-        if not one:
-            v = v * c
+        v = v * c
         s = acc.get(k)
         if s is not None:
             v = s + v
-            if v.is_zero():
+            if not v:
                 del acc[k]
                 continue
         acc[k] = v
+
+
+def _descends(r: RewriteRule, weight: dict, key: dict) -> bool:
+    """Whether r has a left-hand side of one or two known letters and
+    every word of its right-hand side is over known letters and smaller;
+    Presentation._validate_rule says how a rule fails this."""
+    if not 0 < len(r.lhs) < 3:
+        return False
+    try:
+        lw = sum(map(weight.__getitem__, r.lhs))
+        lk = tuple(map(key.__getitem__, r.lhs))
+        for w in r.rhs._t:
+            ww = sum(map(weight.__getitem__, w))
+            if ww > lw or ww == lw and tuple(map(key.__getitem__, w)) >= lk:
+                return False
+    except KeyError:
+        return False
+    return True
 
 
 class CriticalPair(namedtuple("CriticalPair", "word pos_a rule_a pos_b rule_b "

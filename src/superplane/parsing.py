@@ -13,16 +13,20 @@ scalar atoms; every other identifier must name a generator of the
 presentation the text is parsed against.  Division is only defined by scalar
 values.
 
-Every product ("*", juxtaposition, "^") goes through a product hook: by
-default the free product, which keeps the text as written, as rule tables
-need; a presentation's multiplier reduces each product as it is formed,
-all on that multiplier's one fuel budget.
+The text is parsed into a small tree first, so that a syntax error, an
+exponent above the bound or an unknown generator anywhere in it is reported
+before any arithmetic is done.  Evaluating the tree forms every product
+("*", juxtaposition, "^") through a product hook: by default the free
+product, which keeps the text as written, as rule tables need; a
+presentation's multiplier reduces each product as it is formed, all on that
+multiplier's one fuel budget.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from itertools import groupby
 
 from superplane.algebra import (
     Expression,
@@ -51,7 +55,9 @@ class UnknownGenerator(ExprSyntaxError):
         self.gid = gid
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+# the last group catches any other character, so that every character but
+# trailing whitespace falls in some token
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()])|(\S))")
 
 MAX_EXPONENT = 1000
 
@@ -60,32 +66,31 @@ _RESERVED = {"i": Scalar.i, "p": Scalar.p, "q": Scalar.q}
 
 def _tokenize(text: str):
     toks = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group(1) is not None:
-            toks.append(("num", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            toks.append(("name", m.group(2), m.start(2)))
+    for m in _TOKEN.finditer(text):
+        num, name, op, other = m.groups()
+        if other is not None:
+            raise ExprSyntaxError(f"unexpected character {other!r}", m.start())
+        if num is not None:
+            toks.append(("num", num, m.start(1)))
+        elif name is not None:
+            toks.append(("name", name, m.start(2)))
         else:
-            toks.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    toks.append(("end", "", n))
+            toks.append(("op", op, m.start(3)))
+    toks.append(("end", "", len(text)))
     return toks
 
 
 class _Parser:
-    def __init__(self, toks, pres: Presentation, product):
+    """Recursive descent over the tokens, building the tree that _evaluate
+    reads.  A node is an Expression (a number, reserved scalar or
+    generator), ("^", node, n), ("sum", node, [(op, node), ...]) for + and -,
+    or ("term", sign, node, [(op, node, pos), ...]) for * and /, pos being
+    where a "/" stands."""
+
+    def __init__(self, toks, pres: Presentation):
         self.toks = toks
         self.i = 0
         self.pres = pres
-        self.product = product
 
     def peek(self):
         return self.toks[self.i]
@@ -100,18 +105,18 @@ class _Parser:
         if kind != "op" or val != op:
             raise ExprSyntaxError(f"expected {op!r}", pos)
 
-    def parse_expr(self) -> Expression:
-        e = self.parse_term()
+    def parse_expr(self):
+        first = self.parse_term()
+        rest = []
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                t = self.parse_term()
-                e = e + t if val == "+" else e - t
+                rest.append((val, self.parse_term()))
             else:
-                return e
+                return ("sum", first, rest) if rest else first
 
-    def parse_term(self) -> Expression:
+    def parse_term(self):
         sign = 1
         while True:
             kind, val, _ = self.peek()
@@ -121,31 +126,20 @@ class _Parser:
                     sign = -sign
             else:
                 break
-        e = self.parse_power()
+        first = self.parse_power()
+        rest = []
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
+            if kind == "op" and val in "*/":
                 self.next()
-                e = self.product(e, self.parse_power())
-            elif kind == "op" and val == "/":
-                self.next()
-                e = e.scale(Scalar.one() / self._scalar_value(self.parse_power(), pos))
+                rest.append((val, self.parse_power(), pos))
             elif kind in ("num", "name") or (kind == "op" and val == "("):
-                e = self.product(e, self.parse_power())
+                rest.append(("*", self.parse_power(), pos))
             else:
                 break
-        return e if sign == 1 else -e
+        return ("term", sign, first, rest) if rest or sign != 1 else first
 
-    @staticmethod
-    def _scalar_value(e: Expression, pos: int) -> Scalar:
-        ts = e.terms()
-        if not ts:
-            raise DivisionByZero("division by zero in expression")
-        if len(ts) == 1 and ts[0][0] == ():
-            return ts[0][1]
-        raise ExprSyntaxError("division is only defined by scalar values", pos)
-
-    def parse_power(self) -> Expression:
+    def parse_power(self):
         e = self.parse_atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -157,10 +151,10 @@ class _Parser:
             digits = v2.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent above {MAX_EXPONENT}", p2)
-            e = power(e, int(digits), Expression.one(), self.product)
+            e = ("^", e, int(digits))
         return e
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self):
         kind, val, pos = self.next()
         if kind == "num":
             try:
@@ -193,16 +187,52 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 
 
+def _evaluate(node, product) -> Expression:
+    """The value of a _Parser node, its products formed left to right
+    with product(a, b)."""
+    if isinstance(node, Expression):
+        return node
+    if node[0] == "^":
+        return power(_evaluate(node[1], product), node[2], Expression.one(),
+                     product)
+    if node[0] == "sum":
+        e = _evaluate(node[1], product)
+        for op, t in node[2]:
+            t = _evaluate(t, product)
+            e = e + t if op == "+" else e - t
+        return e
+    _, sign, first, rest = node
+    e = _evaluate(first, product)
+    for op, f, pos in rest:
+        f = _evaluate(f, product)
+        if op == "*":
+            e = product(e, f)
+        else:
+            e = e.scale(Scalar.one() / _scalar_value(f, pos))
+    return e if sign == 1 else -e
+
+
+def _scalar_value(e: Expression, pos: int) -> Scalar:
+    ts = e.terms()
+    if not ts:
+        raise DivisionByZero("division by zero in expression")
+    if len(ts) == 1 and ts[0][0] == ():
+        return ts[0][1]
+    raise ExprSyntaxError("division is only defined by scalar values", pos)
+
+
 def parse_expression(text: str, pres: Presentation,
                      product=operator.mul) -> Expression:
     """Parse text into an Expression over the presentation's generators,
-    forming every product with product(a, b)."""
-    parser = _Parser(_tokenize(text), pres, product)
-    e = parser.parse_expr()
+    forming every product with product(a, b).  The whole text is read, and
+    its syntax, exponents and generators checked, before the first
+    product is formed."""
+    parser = _Parser(_tokenize(text), pres)
+    tree = parser.parse_expr()
     kind, val, pos = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {val!r}", pos)
-    return e
+    return _evaluate(tree, product)
 
 
 # ------------------------------------------------------------- rendering
@@ -210,13 +240,9 @@ def parse_expression(text: str, pres: Presentation,
 
 def _word_text(word) -> str:
     bits = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        bits.append(word[i] if j - i == 1 else f"{word[i]}^{j - i}")
-        i = j
+    for gid, run in groupby(word):
+        n = len(list(run))
+        bits.append(gid if n == 1 else f"{gid}^{n}")
     return "*".join(bits)
 
 
@@ -231,10 +257,10 @@ def _scalar_factor(c: Scalar) -> str:
 def _term_text(word, c: Scalar) -> str:
     if not word:
         return str(c)
-    if c == Scalar.one():
-        return _word_text(word)
-    if c == -Scalar.one():
-        return "-" + _word_text(word)
+    k = c.const
+    if k is not None and k.d == 1 and not k.b and abs(k.a) == 1:
+        # a coefficient 1 or -1 is written as the word or its negative
+        return ("-" if k.a < 0 else "") + _word_text(word)
     return f"{_scalar_factor(c)}*{_word_text(word)}"
 
 

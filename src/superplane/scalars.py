@@ -10,11 +10,12 @@ the recursive view (Q(i)[q])[p] and runs on Poly's own arithmetic.
 
 Almost every scalar the rewriting engine multiplies is a constant, so a
 Scalar stores its Gaussian-rational value when it has one: products and
-sums of constants do no Poly work, and a product with one constant factor
-scales a numerator.  Constant results are interned: arithmetic returns the
-one Scalar kept for each Gaussian-rational value in a table of MEMO_SIZE
-values, least recently used first out, so a hit builds no Poly and no
-Scalar.  Interning saves work only; equality and hashing compare values.
+sums of two constants are computed on their ints a, b and d and do no Poly
+work, and a product with one constant factor scales a numerator.  Constant
+results are interned: arithmetic returns the one Scalar kept for each
+Gaussian-rational value in a table of MEMO_SIZE values, least recently used
+first out, so a hit builds no Poly and no Scalar.  Interning saves work
+only; equality and hashing compare values.
 Two non-constant factors cancel across (Henrici, JACM 3, 1956; TAOCP
 vol. 2, 4.5.1).  These results are canonical as built, with no gcd of the
 product and no monic rescale; Scalar says why.
@@ -178,9 +179,10 @@ class GaussianRational:
         return power(self, n, _G1)
 
     def __eq__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GaussianRational:
+            other = _as_gauss(other)
+            if other is None:
+                return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
@@ -190,6 +192,8 @@ class GaussianRational:
         return not self.is_zero()
 
     def __str__(self):
+        if self.d == 1 and not self.b:
+            return str(self.a)
         re, im = self.re, self.im
         if not im:
             return str(re)
@@ -424,10 +428,10 @@ class Poly:
         return _poly_raw({m: v.conj() for m, v in self._c.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly({(0, 0): other})
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return NotImplemented
+            other = Poly({(0, 0): other})
         return self._c == other._c
 
     def __hash__(self):
@@ -656,9 +660,9 @@ class Scalar:
 
     const holds the GaussianRational value of a constant scalar (num
     constant, den 1; zero included) and is None otherwise.  A product or
-    sum of two constants is one GaussianRational operation, and a product
-    with one constant factor scales the other numerator by it: a unit keeps
-    num and den coprime and leaves the monic den untouched.  Two
+    sum of two constants is computed on the ints of the two values, and a
+    product with one constant factor scales the other numerator by it: a
+    unit keeps num and den coprime and leaves the monic den untouched.  Two
     non-constant factors n1/d1 * n2/d2 cancel across by Henrici's method,
     g1 = gcd(n1, d2) and g2 = gcd(n2, d1), giving
     (n1/g1)(n2/g2) / ((d1/g2)(d2/g1)) in lowest terms with no gcd of the
@@ -726,15 +730,19 @@ class Scalar:
         other = as_scalar(other)
         if other is None:
             return NotImplemented
-        if self.const is not None and other.const is not None:
-            return _const_scalar(self.const + other.const)
+        k1, k2 = self.const, other.const
+        if k1 is not None and k2 is not None:
+            d1, d2 = k1.d, k2.d
+            return _const_scalar(k1.a * d2 + k2.a * d1, k1.b * d2 + k2.b * d1,
+                                 d1 * d2)
         return _sum(*_ordered(self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.const is not None:
-            return _const_scalar(-self.const)
+        k = self.const
+        if k is not None:
+            return _const_scalar(-k.a, -k.b, k.d)
         return _scalar_raw(-self.num, self.den)
 
     def __sub__(self, other):
@@ -753,21 +761,24 @@ class Scalar:
         other = as_scalar(other)
         if other is None:
             return NotImplemented
-        if self.const is not None:
-            return other._scaled(self.const)
-        if other.const is not None:
-            return self._scaled(other.const)
+        k1, k2 = self.const, other.const
+        if k1 is not None:
+            if k2 is not None:
+                a1, b1, a2, b2 = k1.a, k1.b, k2.a, k2.b
+                return _const_scalar(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                                     k1.d * k2.d)
+            return other._scaled(k1)
+        if k2 is not None:
+            return self._scaled(k2)
         return _product(*_ordered(self, other))
 
     __rmul__ = __mul__
 
     def _scaled(self, k: GaussianRational) -> "Scalar":
-        """self times the constant k; a constant self takes no Poly work."""
-        if k == _G1:
+        """self, not a constant, times the constant k."""
+        if k.a == k.d and not k.b:
             return self
-        if self.const is not None:
-            return _const_scalar(self.const * k)
-        if k.is_zero():
+        if not k.a and not k.b:
             return _S_ZERO
         return _scalar_raw(self.num.scale(k), self.den)
 
@@ -891,11 +902,15 @@ def _product(a: Scalar, b: Scalar) -> Scalar:
     return _scalar_raw(n1 * n2, d1 * d2)
 
 
-def _const_scalar(k: GaussianRational) -> Scalar:
-    """The interned Scalar of the constant k."""
-    if k.is_zero():
+def _const_scalar(a: int, b: int, d: int) -> Scalar:
+    """The interned Scalar of the constant (a + b*i)/d, for ints with d > 0."""
+    if not a and not b:
         return _S_ZERO
-    return _interned(k.a, k.b, k.d)
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _interned(a, b, d)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -910,9 +925,12 @@ def as_scalar(x):
     """
     if isinstance(x, Scalar):
         return x
-    k = _as_gauss(x)
-    if k is not None:
-        return _const_scalar(k)
+    if type(x) is int:
+        return _interned(x, 0, 1) if x else _S_ZERO
+    if isinstance(x, (int, Fraction)):
+        return _const_scalar(x.numerator, 0, x.denominator)
+    if isinstance(x, GaussianRational):
+        return _const_scalar(x.a, x.b, x.d)
     if isinstance(x, Poly):
         return Scalar(x)
     return None

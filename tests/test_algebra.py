@@ -34,6 +34,7 @@ from superplane.algebra import (
     critical_pairs,
     param_swap_rules,
 )
+from superplane.parsing import parse_expression
 from superplane.presentations import catalog_presentations
 from superplane.scalars import Scalar
 
@@ -445,6 +446,27 @@ class TestNormalForm:
         assert "loop" in msg and f"fuel of {DEFAULT_FUEL}" in msg
         assert int(re.search(r"a word of (\d+) letters", msg).group(1)) > DEFAULT_FUEL
         assert len(msg) < 300
+
+    @pytest.mark.parametrize("name, text, need", [
+        ("h-calculus", "(x+th)^1000", 5498),
+        ("covariance", "(a*x+be*th)^6", 81),
+        ("one-forms", "(x+dth-inv(x))^5", 287),
+        ("supergroup", "(a+be+ga+inv(d))^5", 1741),
+    ])
+    def test_fuel_thresholds_are_frozen(self, catalog, name, text, need):
+        # the fuel spent is the number of rule applications of the leftmost
+        # strategy; where the scan for a redex starts, how frames are kept
+        # and when the text is parsed must not change it
+        def reduce(fuel):
+            # as superplane reduce does: a copy with an empty memo, and the
+            # parse and the final reduction on one multiplier
+            pres = fresh_copy(catalog_presentations(catalog)[name])
+            mul = pres.multiplier(fuel)
+            return mul(parse_expression(text, pres, mul))
+
+        assert not reduce(need).is_zero()
+        with pytest.raises(FuelExhausted):
+            reduce(need - 1)
 
     def test_fuel_limit_respected(self):
         pres = qplane()

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -145,6 +146,23 @@ def test_reduce_runaway_power_exhausts_fuel(capsys):
     assert out == ""
     assert err.startswith("error: fuel of 10000 steps exhausted in h-calculus")
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("tail", ["-", ")", "*zz"])
+def test_reduce_finds_trailing_errors_before_the_arithmetic(capsys, tail):
+    # the power alone exhausts the default fuel (see above); the syntax
+    # error or unknown generator after it is a usage error, found before
+    # any product is formed
+    from superplane import build_catalog
+
+    build_catalog()
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "reduce", "(x+th+px+pth)^1000" + tail,
+                             "--presentation", "h-calculus")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("text", ["x", "x*th"])

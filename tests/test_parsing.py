@@ -95,6 +95,26 @@ class TestParse:
             with pytest.raises(ExprSyntaxError):
                 parse_expression(bad, pres)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x*x-", "unexpected end of input (at position 4)"),
+        ("e x)", "trailing input ')' (at position 3)"),
+        ("x*e*zz", "unknown generator 'zz' (at position 4)"),
+        ("x*inv(e)", "unknown generator 'einv' (at position 6)"),
+        ("x*e^1001", "exponent above 1000 (at position 4)"),
+        ("x e^e", "exponent must be a nonnegative integer (at position 4)"),
+        ("x*e & e", "unexpected character '&' (at position 3)"),
+        ("(x*e^2", "expected ')' (at position 6)"),
+    ])
+    def test_syntax_is_checked_before_any_product(self, text, message):
+        # every product of the text would come before the error; none may
+        # be formed, and the message is the one a reading parser gives
+        def product(a, b):
+            raise AssertionError(f"product formed before the error in {text!r}")
+
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text, toy(), product)
+        assert str(err.value) == message
+
     def test_division_restrictions(self):
         pres = toy()
         with pytest.raises(ExprSyntaxError):

@@ -7,6 +7,7 @@ sampled rational points) before the canonical literals are asserted.
 
 import operator
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -255,6 +256,28 @@ def assert_canonical(s):
     assert (s.const is not None) == constant
     if constant:
         assert Poly.const(s.const) == s.num
+
+
+@pytest.mark.parametrize("name", ["pq-calculus", "h-calculus", "supergroup",
+                                  "covariance", "one-forms", "oscillator"])
+def test_normal_forms_hold_canonical_scalars(catalog, name):
+    # presentations with integer rules reduce with ints inside; what they
+    # return holds Scalars, canonical, as every other Expression does
+    from superplane.algebra import Expression, GenClass
+    from superplane.presentations import catalog_presentations
+
+    pres = catalog_presentations(catalog)[name]
+    letters = sorted(g.id for g in pres.gens.values()
+                     if g.klass is not GenClass.INVERSE)
+    coeffs = [1, -2, F(1, 3), G(0, 1), Scalar(P), Scalar(ONE, Q - ONE)]
+    rng = random.Random(name)
+    for _ in range(20):
+        terms = {tuple(rng.choice(letters) for _ in range(rng.randint(0, 4))):
+                 rng.choice(coeffs) for _ in range(3)}
+        got = pres.normal_form(Expression(terms))
+        for word, c in got.terms():
+            assert type(c) is Scalar
+            assert_canonical(c)
 
 
 class TestScalar:
