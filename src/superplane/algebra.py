@@ -179,7 +179,7 @@ class Expression:
 
     def terms(self) -> list[tuple[Word, Scalar]]:
         """Term list in a deterministic order: by length, then by word."""
-        return sorted(self._t.items(), key=_by_word)
+        return sorted(self._t.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def words(self) -> list[Word]:
         return [w for w, _ in self.terms()]
@@ -278,11 +278,6 @@ def _times(t1: dict, t2: dict) -> dict:
             else:
                 out.pop(w, None)
     return out
-
-
-def _by_word(term) -> tuple:
-    # the order of Expression.terms: by length, then by word
-    return len(term[0]), term[0]
 
 
 def _expr_raw(t: dict) -> Expression:
@@ -608,8 +603,9 @@ class Presentation:
             if b is not None:
                 t = _times(t, {w: _lower(c) for w, c in b._t.items()})
             acc = {}
-            for word, c in sorted(t.items(), key=_by_word):
-                _accumulate(acc, self._word_nf(word, cell, fuel), c)
+            # in the order of Expression.terms: by length, then by word
+            for word in sorted(sorted(t), key=len):
+                _accumulate(acc, self._word_nf(word, cell, fuel), t[word])
             return _expr_raw({p + w: as_scalar(c) for (p, w), c in acc.items()})
 
         return mul
@@ -734,7 +730,7 @@ class Presentation:
                                 del acc[key]
                                 continue
                         acc[key] = c
-                    else:
+                    elif got:
                         _accumulate(acc, got, c)
                 else:
                     red = None
@@ -742,7 +738,8 @@ class Presentation:
                     memo[parent] = acc
                     if not stack:
                         return acc
-                    _accumulate(stack[-1][4], acc, coef)
+                    if acc:
+                        _accumulate(stack[-1][4], acc, coef)
         finally:
             cell[0] = left
 
