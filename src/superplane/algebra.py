@@ -551,16 +551,13 @@ class Presentation:
 
     def _find_redex(self, w: Word, start: int):
         """The leftmost redex (pos, rule) of w, or None, for a w with none
-        before start."""
-        idx = self._idx
-        if self._singles:
-            for pos in range(start, len(w)):
-                r = idx.get(w[pos:pos + 2]) or idx.get(w[pos:pos + 1])
-                if r is not None:
-                    return pos, r
-            return None
-        for pos in range(start, len(w) - 1):
+        before start.  One-letter left-hand sides are looked up only when
+        some rule has one."""
+        idx, singles = self._idx, self._singles
+        for pos in range(start, len(w) - (not singles)):
             r = idx.get(w[pos:pos + 2])
+            if r is None and singles:
+                r = idx.get(w[pos:pos + 1])
             if r is not None:
                 return pos, r
         return None
