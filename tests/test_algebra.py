@@ -312,6 +312,22 @@ class TestNormalForm:
             expr = E({word: 1})
             assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
 
+    def test_one_letter_rules_match_random_strategy(self):
+        # c rewrites on its own, so the scan for a redex must also look at
+        # single letters, the last one included
+        pres = Presentation(
+            "one-letter",
+            [gen("a", 0, 1), gen("b", 0, 2), gen("c", 0, 3)],
+            [(("c",), E({("a",): 2, ("b",): -1})),
+             (("b", "a"), E({("a", "b"): 3}))],
+            require_complete=False,
+        )
+        rng = random.Random(20261018)
+        for _ in range(60):
+            word = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
+            expr = E({word: 1})
+            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+
     def test_parameter_sort_costs_no_fuel(self):
         # h reaches the front with the sign of passing e and without a rule
         # step; with the sign flipped the swaps are plain rules that need fuel
