@@ -688,8 +688,10 @@ class Presentation:
             got = memo[key] = {key: one}
             return got
         # frame = (key, iterator over the rule terms that make its children,
-        # the letters before and after the redex, accumulator, its
-        # coefficient in the parent frame, where its children's scans start)
+        # its block word and the bounds of the redex in it, accumulator, its
+        # coefficient in the parent frame, where its children's scans start);
+        # each child is cut from the word when it is reached, so that no
+        # frame holds a copy of the letters around its redex
         stack = []
         c = one
         left = cell[0]
@@ -704,15 +706,14 @@ class Presentation:
                     terms = self._terms.get((p, rule.lhs))
                     if terms is None:
                         terms = self._terms[p, rule.lhs] = self._rule_terms(p, rule)
-                    head = w[:pos]
                     even, odd = terms
-                    if odd is not even and self._odd(head):
+                    if odd is not even and self._odd(w[:pos]):
                         even = odd
-                    stack.append((key, iter(even), head, w[pos + len(rule.lhs):],
+                    stack.append((key, iter(even), w, pos, pos + len(rule.lhs),
                                   {}, c, pos - 1 if pos else 0))
-                parent, kids, head, rest, acc, coef, start = stack[-1]
+                parent, kids, w, pos, end, acc, coef, start = stack[-1]
                 for c, front, mid in kids:
-                    key = (front, head + mid + rest)
+                    key = (front, w[:pos] + mid + w[end:])
                     got = memo.get(key)
                     if got is None:
                         red = find(key[1], start)
@@ -736,7 +737,7 @@ class Presentation:
                     if not stack:
                         return acc
                     if acc:
-                        _accumulate(stack[-1][4], acc, coef)
+                        _accumulate(stack[-1][5], acc, coef)
         finally:
             cell[0] = left
 
