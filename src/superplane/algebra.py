@@ -774,8 +774,9 @@ class Presentation:
                 if not sign:
                     continue
                 c = c * sign
-            even.append((c, front or p, mid))
-            odd.append((-c if passes else c, front or p, mid))
+            term = (c, front or p, mid)
+            even.append(term)
+            odd.append((-c, *term[1:]) if passes else term)
         return (even, even) if even == odd else (even, odd)
 
 
