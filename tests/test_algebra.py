@@ -160,8 +160,13 @@ class TestExpression:
 
 
 class TestRuleValidation:
+    # the messages are pinned word for word: each names the rule and the
+    # first failing word of its right-hand side in terms() order
+
     def test_rejects_non_descending(self):
-        with pytest.raises(RuleError):
+        with pytest.raises(RuleError, match=re.escape(
+                "rule ('x', 'y') does not strictly descend at rhs word "
+                "('y', 'x') in bad")):
             Presentation(
                 "bad",
                 [gen("x", 0, 2), gen("y", 0, 4)],
@@ -170,7 +175,9 @@ class TestRuleValidation:
             )
 
     def test_rejects_rhs_containing_lhs(self):
-        with pytest.raises(RuleError):
+        with pytest.raises(RuleError, match=re.escape(
+                "rule ('y', 'x') does not strictly descend at rhs word "
+                "('y', 'x') in bad")):
             Presentation(
                 "bad",
                 [gen("x", 0, 2), gen("y", 0, 4)],
@@ -178,19 +185,37 @@ class TestRuleValidation:
                 require_complete=False,
             )
 
+    @pytest.mark.parametrize("rhs, failing", [
+        # a longer word and an unknown letter come first in the dict, the
+        # shorter non-descending word first in terms() order
+        ({("y", "x", "x"): 1, ("y", "y"): 1, ("x", "y"): 1},
+         "rule ('y', 'x') does not strictly descend at rhs word ('y', 'y')"),
+        ({("z", "z", "z"): 1, ("y", "y"): 1},
+         "rule ('y', 'x') does not strictly descend at rhs word ('y', 'y')"),
+        ({("y", "y"): 1, ("x", "z"): 1},
+         "unknown generator 'z' in rule rhs for ('y', 'x')"),
+    ])
+    def test_names_the_first_failing_rhs_word(self, rhs, failing):
+        with pytest.raises(RuleError, match=re.escape(failing)):
+            Presentation("bad", [gen("x", 0, 2), gen("y", 0, 4)],
+                         [(("y", "x"), E(rhs))], require_complete=False)
+
     def test_rejects_bad_lhs_length(self):
-        with pytest.raises(RuleError):
+        with pytest.raises(RuleError, match=re.escape(
+                "rule lhs must have length 1 or 2, got ('x', 'x', 'x')")):
             Presentation(
                 "bad",
                 [gen("x", 0, 2)],
                 [(("x", "x", "x"), E({}))],
                 require_complete=False,
             )
-        with pytest.raises(RuleError):
+        with pytest.raises(RuleError, match=re.escape(
+                "rule lhs must have length 1 or 2, got ()")):
             Presentation("bad", [gen("x", 0, 2)], [((), E({}))], require_complete=False)
 
     def test_rejects_duplicate_lhs_and_unknown_gens(self):
-        with pytest.raises(RuleError):
+        with pytest.raises(RuleError, match=re.escape(
+                "duplicate rule for ('y', 'x') in bad")):
             Presentation(
                 "bad",
                 [gen("x", 0, 2), gen("y", 0, 4)],
@@ -199,11 +224,20 @@ class TestRuleValidation:
                     (("y", "x"), E({("x", "y"): 1})),
                 ],
             )
-        with pytest.raises(RuleError):
+        with pytest.raises(RuleError, match=re.escape(
+                "unknown generator 'z' in rule lhs ('x', 'z') (bad)")):
             Presentation(
                 "bad",
                 [gen("x", 0, 2)],
                 [(("x", "z"), E({}))],
+                require_complete=False,
+            )
+        with pytest.raises(RuleError, match=re.escape(
+                "unknown generator 'z' in rule rhs for ('x', 'x') (bad)")):
+            Presentation(
+                "bad",
+                [gen("x", 0, 2)],
+                [(("x", "x"), E({("z",): 1}))],
                 require_complete=False,
             )
 
