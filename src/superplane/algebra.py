@@ -2,9 +2,9 @@
 
 The objects here are presentations of associative Z2-graded algebras by
 generators and length-two rewrite rules.  Rules must strictly descend in a
-word order (weighted degree, then lexicographic on sort keys); negative
-weights for localization inverses make the order non-well-founded, so every
-reduction also carries a fuel bound as the termination backstop.
+word order (weighted degree, then lexicographic on sort keys) that negative
+weights keep from being well-founded; Presentation.terminates certifies
+termination instead, and fuel is the termination argument only without it.
 
 Letters that supercommute are not moved one letter at a time.  Deformation
 parameters whose rules are exactly param_swap_rules are sorted to the front
@@ -35,14 +35,12 @@ still hold no redex, and the scan of each word it makes resumes at pos-1; a
 letter appended to a normal word can make a redex only at the junction.  The
 cursor changes no rewrite and costs no fuel.
 
-Where every rule coefficient of a presentation is an integer (the
-h-calculus, the supergroup, the covariance tensor and the one-forms), the
-reduction computes with Python ints: the rule terms, the sums it
-accumulates and the memo values are ints, and the unit is 1 instead of
-Scalar.one().  The multiplier passes each coefficient of its input as an
-int where it is an integer and turns each coefficient of its output into
-the interned Scalar, so every Expression holds Scalars.  Presentations with
-p and q in their rules reduce with Scalars through the same code.
+Inside the reduction each coefficient is a Python int where it is an
+integer and a Scalar otherwise: the unit is the int 1, rule and input
+coefficients are lowered one by one (_lower), and two ints combine as ints,
+so the h-calculus, the supergroup, the covariance tensor and the one-forms
+reduce on ints alone.  The multiplier turns each output coefficient into the
+interned Scalar, so every Expression holds Scalars.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ import enum
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from superplane.scalars import Scalar, as_scalar, power
@@ -62,6 +61,7 @@ DEFAULT_FUEL = 10_000
 PREFIX_MEMO_SIZE = 1024
 
 Word = tuple[str, ...]
+_WEIGHT, _SORT_KEY = attrgetter("weight"), attrgetter("sort_key")
 
 
 class AlgebraError(Exception):
@@ -302,10 +302,15 @@ class RewriteRule(namedtuple("RewriteRule", "lhs rhs")):
         return super().__new__(cls, tuple(lhs), rhs)
 
 
+def _koszul_sign(a: int, b: int) -> int:
+    """The sign of exchanging two letters of parities a and b."""
+    return -1 if a and b else 1
+
+
 def koszul_swap(v: GeneratorDecl, u: GeneratorDecl) -> RewriteRule:
     """v*u -> u*v, negated when both letters are odd."""
-    sign = -1 if (v.parity and u.parity) else 1
-    return RewriteRule((v.id, u.id), Expression({(u.id, v.id): sign}))
+    return RewriteRule((v.id, u.id),
+                       Expression({(u.id, v.id): _koszul_sign(v.parity, u.parity)}))
 
 
 def unit_rules(gen_id: str, inv_id: str) -> list[RewriteRule]:
@@ -314,23 +319,56 @@ def unit_rules(gen_id: str, inv_id: str) -> list[RewriteRule]:
             RewriteRule((gen_id, inv_id), _E_ONE)]
 
 
-def param_swap_rules(decls) -> list[RewriteRule]:
-    """Rules moving the nilpotent parameters to the front of every word."""
+def _param_swaps(decls) -> list[tuple[GeneratorDecl, GeneratorDecl]]:
+    """The left-hand sides of param_swap_rules in order, as declaration pairs:
+    each other letter before each parameter h, each later one before h, h*h if odd."""
     decls = list(decls)
-    params = sorted(
-        (d for d in decls if d.klass is GenClass.PARAMETER), key=lambda d: d.sort_key
-    )
-    out = []
-    for h in params:
-        for v in decls:
-            if v.klass is not GenClass.PARAMETER:
-                out.append(koszul_swap(v, h))
+    params = sorted((d for d in decls if d.klass is GenClass.PARAMETER),
+                    key=lambda d: d.sort_key)
+    out = [(v, h) for h in params for v in decls if v.klass is not GenClass.PARAMETER]
     for i, hi in enumerate(params):
-        for hj in params[:i]:
-            out.append(koszul_swap(hi, hj))
+        out.extend((hi, hj) for hj in params[:i])
         if hi.parity:
-            out.append(RewriteRule((hi.id, hi.id), Expression.zero()))
+            out.append((hi, hi))
     return out
+
+
+def param_swap_rules(decls) -> list[RewriteRule]:
+    """Rules moving the nilpotent parameters to the front of every word:
+    the Koszul swaps of _param_swaps, and h*h -> 0 for each odd h."""
+    return [RewriteRule((v.id, v.id), _E_ZERO) if v is u else koszul_swap(v, u)
+            for v, u in _param_swaps(decls)]
+
+
+def _order(word: Word, gens: Mapping[str, GeneratorDecl]) -> tuple:
+    """word's place in the order rules descend in: its weighted degree, then
+    its letters' sort keys.  A KeyError names its first letter not in gens."""
+    decls = list(map(gens.__getitem__, word))
+    return sum(map(_WEIGHT, decls)), tuple(map(_SORT_KEY, decls))
+
+
+def _rule_error(r: RewriteRule, gens: Mapping[str, GeneratorDecl], name: str):
+    """None for a rule from one or two letters of gens to words over gens
+    below it in _order, else why not, naming its first failing word in
+    terms() order; a good rule is checked on its words as stored."""
+    lhs = r.lhs
+    if not 0 < len(lhs) < 3:
+        return f"rule lhs must have length 1 or 2, got {lhs}"
+    try:
+        top = _order(lhs, gens)
+    except KeyError as exc:
+        return f"unknown generator {exc.args[0]!r} in rule lhs {lhs} ({name})"
+    try:
+        if all(_order(w, gens) < top for w in r.rhs._t):
+            return None
+    except KeyError:
+        pass
+    for w in r.rhs.words():
+        try:
+            if not _order(w, gens) < top:
+                return f"rule {lhs} does not strictly descend at rhs word {w} in {name}"
+        except KeyError as exc:
+            return f"unknown generator {exc.args[0]!r} in rule rhs for {lhs} ({name})"
 
 
 # a FuelExhausted message shows at most this many letters of its word
@@ -357,15 +395,13 @@ class Presentation:
         if len(set(keys)) != len(keys):
             raise RuleError(f"sort keys must be distinct in {name}")
         self._idx: dict[Word, RewriteRule] = {}
-        weight = {g.id: g.weight for g in self.gens.values()}
-        key = {g.id: g.sort_key for g in self.gens.values()}
         out = []
         for r in rules:
             if not isinstance(r, RewriteRule):
                 lhs, rhs = r
                 r = RewriteRule(tuple(lhs), rhs)
-            if not _descends(r, weight, key):
-                self._validate_rule(r)
+            if why := _rule_error(r, self.gens, name):
+                raise RuleError(why)
             if r.lhs in self._idx:
                 raise RuleError(f"duplicate rule for {r.lhs} in {name}")
             self._idx[r.lhs] = r
@@ -390,50 +426,33 @@ class Presentation:
         self._letters = {gid: (b, self._parity[gid] << b, -2 << b)
                          for gid, b in part.items()}
         self._singles = any(len(lhs) == 1 for lhs in self._idx)
-        # the kernel reduces with ints when every rule coefficient is an
-        # integer, with Scalars otherwise
-        self._one = 1 if all(type(_lower(c)) is int for r in out
-                             for c in r.rhs._t.values()) else Scalar.one()
         self._terms = {}  # (P, rule lhs) -> see _rule_terms
         self._merged = {}  # (P, F) -> (sign, P and F sorted), see _rule_terms
         self._fingerprint = None  # see parsing.fingerprint
 
-    # ---------------------------------------------------------- word order
-
-    def word_weight(self, word: Word) -> int:
-        return sum(self.gens[g].weight for g in word)
-
-    def word_key(self, word: Word):
-        return (self.word_weight(word), tuple(self.gens[g].sort_key for g in word))
+    @property
+    def terminates(self) -> bool:
+        """Whether every parameter is odd and in the front, and no rule whose
+        lhs has no parameter has a parameter-free rhs word longer than it.
+        Then each rewrite of P*W (P the sorted parameters, W a block word,
+        modulo the Koszul sort and the parameter ideal as _split and
+        _block_nf do) lowers (-|P|, |W|, _order(W)), since every rule
+        descends in _order; and that order is well-founded, since an odd
+        parameter occurs at most once in P and for a fixed length _order
+        takes finitely many values.  With local confluence, normal forms are
+        unique (Newman 1942; Bergman 1978; Book and Otto 1993, ch. 1-2).
+        Elsewhere, as for m*n -> n*m*m*n, fuel is the only such argument."""
+        params = {g for g, d in self.gens.items() if d.klass is GenClass.PARAMETER}
+        return (self._front == params and all(map(self._parity.__getitem__, params))
+                and all(len(w) <= len(r.lhs) or not params.isdisjoint(w)
+                        for r in self.rules if params.isdisjoint(r.lhs) for w in r.rhs._t))
 
     # ---------------------------------------------------------- validation
 
-    def _validate_word(self, word: Word, where: str):
-        for gid in word:
-            if gid not in self.gens:
-                raise RuleError(f"unknown generator {gid!r} in {where} ({self.name})")
-
-    def _validate_rule(self, r: RewriteRule):
-        if len(r.lhs) not in (1, 2):
-            raise RuleError(f"rule lhs must have length 1 or 2, got {r.lhs}")
-        self._validate_word(r.lhs, f"rule lhs {r.lhs}")
-        lk = self.word_key(r.lhs)
-        for w, _ in r.rhs.terms():
-            self._validate_word(w, f"rule rhs for {r.lhs}")
-            if not self.word_key(w) < lk:
-                raise RuleError(
-                    f"rule {r.lhs} does not strictly descend at rhs word {w} in {self.name}"
-                )
-
     def _only_swaps(self, params: set) -> bool:
         """Whether the rules that mention a parameter are exactly those of
-        param_swap_rules: the Koszul swaps v*h and hi*hj, hj before hi, for
-        parameters h, hi and hj and other letters v, and h*h -> 0 for each
-        odd parameter h."""
-        key = {h: self.gens[h].sort_key for h in params}
-        want = {(v, h) for h in params for v in self.gens
-                if v not in params or key[v] > key[h]}
-        want |= {(h, h) for h in params if self._parity[h]}
+        param_swap_rules: the swaps of _param_swaps, and h*h -> 0 for odd h."""
+        want = {(v.id, u.id) for v, u in _param_swaps(self.gens.values())}
         own = [r for r in self.rules if not params.isdisjoint(r.lhs)]
         return {r.lhs for r in own} == want and all(
             not r.rhs._t if r.lhs[0] == r.lhs[-1] else self._is_swap(r)
@@ -472,9 +491,9 @@ class Presentation:
         if len(r.lhs) != 2:
             return False
         v, u = r.lhs
-        sign = -1 if self._parity[v] and self._parity[u] else 1
         t = r.rhs._t
-        return t.keys() == {(u, v)} and t[u, v].const == sign
+        return t.keys() == {(u, v)} and t[u, v].const == _koszul_sign(
+            self._parity[v], self._parity[u])
 
     def _find_blocks(self) -> dict[str, int]:
         """The part of each letter in _split, numbered in the order of parts.
@@ -566,16 +585,17 @@ class Presentation:
         """Reduce expr to normal form within fuel rewrite steps.
 
         Each rule application costs one unit of fuel, and one budget
-        covers the whole call.  Sorting a word's parameters to the front
-        and its letters into their blocks is one bounded pass and costs
-        none; memo hits cost none either.  Each block word B is folded in
-        one letter at a time, and the memo holds the normal form of each
-        P*w*l met, P sorted parameters and w a normal word of one block, of
-        the words its rewriting passes through, and of each whole P*B.  The
-        scan for the leftmost redex starts where the last rewrite can have
-        made one, and the coefficients are ints where the rules allow (see
-        the module docstring); neither changes which rules apply, and so
-        neither changes the fuel a reduction needs.
+        covers the whole call; it is the termination argument only where
+        terminates is false.  Sorting a word's parameters to the front and
+        its letters into their blocks is one bounded pass and costs none;
+        memo hits cost none either.  Each block word B is folded in one
+        letter at a time, and the memo holds the normal form of each P*w*l
+        met, P sorted parameters and w a normal word of one block, of the
+        words its rewriting passes through, and of each whole P*B.  The scan
+        for the leftmost redex starts where the last rewrite can have made
+        one, and each coefficient is an int where it is an integer (see the
+        module docstring); neither changes which rules apply, and so neither
+        changes the fuel a reduction needs.
         """
         self._validate_expr(expr)
         return self.multiplier(fuel)(expr)
@@ -626,7 +646,7 @@ class Presentation:
         if not sign:
             return {}
         if not blocks:
-            return {(params, ()): self._one if sign > 0 else -self._one}
+            return {(params, ()): sign}
         acc = self._fold_block((params, blocks[0]), cell, fuel)
         if sign < 0:
             acc = {k: -v for k, v in acc.items()}
@@ -682,10 +702,10 @@ class Presentation:
         got = memo.get(key)
         if got is not None:
             return got
-        one, find = self._one, self._find_redex
+        find = self._find_redex
         red = find(key[1], start)
         if red is None:
-            got = memo[key] = {key: one}
+            got = memo[key] = {key: 1}
             return got
         # frame = (key, iterator over the rule terms that make its children,
         # its block word and the bounds of the redex in it, accumulator, its
@@ -693,7 +713,7 @@ class Presentation:
         # each child is cut from the word when it is reached, so that no
         # frame holds a copy of the letters around its redex
         stack = []
-        c = one
+        c = 1
         left = cell[0]
         try:
             while True:
@@ -720,7 +740,7 @@ class Presentation:
                         if red is not None:
                             break
                         # irreducible: memoized, and c added to acc directly
-                        memo[key] = {key: one}
+                        memo[key] = {key: 1}
                         s = acc.get(key)
                         if s is not None:
                             c = s + c
@@ -760,9 +780,7 @@ class Presentation:
             for m, c in rule.rhs.terms():
                 sign, front, blocks = self._split(m)
                 if sign:
-                    # in the kernel's kind: an int times 1, else a Scalar
-                    c = _lower(c) * self._one * sign
-                    terms.append((c, front, sum(blocks, ())))
+                    terms.append((_lower(c) * sign, front, sum(blocks, ())))
         even, odd = [], []
         for c, front, mid in terms:
             passes = self._odd(front)
@@ -802,24 +820,6 @@ def _accumulate(acc: dict, terms: dict, c) -> None:
                 del acc[k]
                 continue
         acc[k] = v
-
-
-def _descends(r: RewriteRule, weight: dict, key: dict) -> bool:
-    """Whether r has a left-hand side of one or two known letters and
-    every word of its right-hand side is over known letters and smaller;
-    Presentation._validate_rule says how a rule fails this."""
-    if not 0 < len(r.lhs) < 3:
-        return False
-    try:
-        lw = sum(map(weight.__getitem__, r.lhs))
-        lk = tuple(map(key.__getitem__, r.lhs))
-        for w in r.rhs._t:
-            ww = sum(map(weight.__getitem__, w))
-            if ww > lw or ww == lw and tuple(map(key.__getitem__, w)) >= lk:
-                return False
-    except KeyError:
-        return False
-    return True
 
 
 class CriticalPair(namedtuple("CriticalPair", "word pos_a rule_a pos_b rule_b "

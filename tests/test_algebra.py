@@ -635,6 +635,42 @@ class TestLocalConfluence:
         assert r1.words_scanned == r2.words_scanned
 
 
+class TestTermination:
+    def test_catalog_presentations_are_certified(self, catalog):
+        for name, pres in catalog_presentations(catalog).items():
+            assert pres.terminates, name
+        assert koszul_qmix().terminates and qmix().terminates
+
+    def test_legal_loop_is_not_certified(self):
+        # the presentation of test_fuel_exhaustion_on_legal_loop: its rule
+        # descends at equal weighted degree and makes the word longer
+        pres = Presentation(
+            "loop",
+            [gen("n", 0, 5), gen("m", 0, 10, GenClass.INVERSE)],
+            [(("m", "n"), E({("n", "m", "m", "n"): 1}))],
+            require_complete=False,
+        )
+        assert not pres.terminates
+
+    def test_longer_parameter_free_word_is_not_certified(self, catalog):
+        # th*xinv*th*xinv is below xinv*th in the order (weight 0, sort key
+        # of th first), so the rule is still valid, but it is longer
+        p = catalog.one_forms
+        longer = E({("th", "xinv", "th", "xinv"): 1})
+        rules = [RewriteRule(r.lhs, r.rhs + longer) if r.lhs == ("xinv", "th")
+                 else r for r in p.rules]
+        pres = Presentation(p.name, p.gens.values(), rules, p.require_complete)
+        assert not pres.terminates
+
+    def test_even_parameter_is_not_certified(self):
+        # an even h has no h*h -> 0, so the front can hold any number of h
+        decls = [gen("h", 0, 0, GenClass.PARAMETER), gen("x", 0, 1), gen("e", 1, 2)]
+        pres = Presentation("even-h", decls,
+                            param_swap_rules(decls) + list(qmix().rules))
+        assert pres._front == {"h"}
+        assert not pres.terminates
+
+
 class TestMorphism:
     def test_swap_endomorphism_commutes_with_nf(self):
         g = grassmann()
