@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 
-from .algebra import (AlgebraError, DEFAULT_FUEL, Presentation,
+from .algebra import (AlgebraError, DEFAULT_FUEL, FuelExhausted, Presentation,
                       check_local_confluence)
 from .parsing import (ExprSyntaxError, UnknownGenerator, parse_expression,
                       render_expression, render_presentation)
@@ -34,9 +34,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact rewriting over the deformed superplane calculi")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    red = sub.add_parser("reduce", help="print the normal form of an "
-                                        "expression")
-    red.add_argument("expression")
+    # argparse reads a word that starts with '-' as an option, and -h1*dth
+    # as -h with an argument, so such an expression comes after --
+    red = sub.add_parser(
+        "reduce", help="print the normal form of an expression",
+        usage="%(prog)s [-h] --presentation NAME [--fuel FUEL] [--] expression\n"
+              "(write -- before an expression that starts with '-', as in -- -dth)")
+    red.add_argument("expression", help="write -- before it if it starts with '-'")
     red.add_argument("--presentation", required=True, metavar="NAME")
     red.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
 
@@ -116,10 +120,12 @@ def _cmd_verify(ns) -> int:
         raise UsageError(f"unknown suite {ns.suite!r} (known: {known},"
                                f" all)")
     cat = build_catalog()
-    if ns.suite == "all":
-        reports = verify.run_all(cat, ns.fuel)
-    else:
-        reports = [verify.SUITES[ns.suite](cat, ns.fuel)]
+    reports = []
+    for name in verify.SUITES if ns.suite == "all" else [ns.suite]:
+        try:
+            reports.append(verify.SUITES[name](cat, ns.fuel))
+        except FuelExhausted as exc:
+            raise FuelExhausted(f"suite {name}: {exc}") from exc
     render = (verify.render_structured if ns.format == "structured"
               else verify.render_text)
     print(render(reports))

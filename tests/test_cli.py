@@ -186,6 +186,23 @@ def test_reduce_out_of_memory_is_one_line(capsys, monkeypatch, text):
                    "fuel 500 (try a smaller --fuel)\n")
 
 
+def test_reduce_expression_that_starts_with_minus(capsys):
+    # argparse takes -dth for an option: the usage error and the help say
+    # to write -- before it, and after -- it reduces and reads back
+    code, out, err = run_cli(capsys, "reduce", "-dth", "--presentation",
+                             "h-calculus")
+    assert code == 2
+    assert out == ""
+    assert "write -- before an expression that starts with '-'" in err
+    code, out, _ = run_cli(capsys, "reduce", "--help")
+    assert code == 0
+    assert "write -- before an expression that starts with '-'" in out
+    for text in ("-dth", "-h1*th*x"):
+        code, out, err = run_cli(capsys, "reduce", "--presentation",
+                                 "h-calculus", "--fuel", "0", "--", text)
+        assert (code, out, err) == (0, text + "\n", "")
+
+
 def test_reduce_unknown_presentation(capsys):
     code, _, err = run_cli(
         capsys, "reduce", "x", "--presentation", "nope")
@@ -284,6 +301,20 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nonexistent")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_fuel_error_names_the_suite(capsys, monkeypatch):
+    # a fresh catalog, since memo hits cost no fuel: the contraction suite
+    # passes on 10 steps and the differential suite runs out
+    from superplane import build_catalog
+
+    monkeypatch.setattr(cli, "build_catalog", build_catalog.__wrapped__)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--fuel", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: suite differential: fuel of 10 steps "
+                          "exhausted in h-calculus while reducing")
+    assert err.count("\n") == 1, err
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
