@@ -576,6 +576,68 @@ def random_reduce(pres, expr, rng, max_steps=4000):
     raise AssertionError("random reducer did not terminate")
 
 
+def reference_nf(pres, expr, max_steps=200_000):
+    """The normal form of expr under pres.rules as declared, parameter swaps
+    and Koszul cross rules included, rewriting each word at its leftmost
+    redex, with no memo, sort, blocks, cursor or int kernel.  For confluent,
+    terminating rules every strategy gives the engine's normal form
+    (Bergman's diamond lemma)."""
+    rules = {r.lhs: r.rhs.terms() for r in pres.rules}
+    work, out, steps = dict(expr._t), {}, 0
+    while work:
+        # one round rewrites every word once; equal words met in a round merge
+        now, work = work, {}
+        for word, c in now.items():
+            redex = next(((pos, lhs) for pos in range(len(word))
+                          for lhs in (word[pos:pos + 2], word[pos:pos + 1])
+                          if lhs in rules), None)
+            if redex is None:
+                into, terms = out, [(word, c)]
+            else:
+                steps += 1
+                if steps > max_steps:
+                    raise AssertionError(f"{pres.name}: no normal form in "
+                                         f"{max_steps} steps")
+                pos, lhs = redex
+                into = work
+                terms = [(word[:pos] + m + word[pos + len(lhs):], c * cc)
+                         for m, cc in rules[lhs]]
+            for w, v in terms:
+                v = into.get(w, Scalar.zero()) + v
+                if v:
+                    into[w] = v
+                else:
+                    into.pop(w, None)
+    return Expression(out)
+
+
+def test_every_catalog_product_matches_the_reference(monkeypatch):
+    # a fresh catalog (the session's stays cached and warm) and every suite
+    # on it: each product the build and the suites form, through normal
+    # forms, maps and parsing alike, is checked against reference_nf
+    from superplane.presentations import build_catalog
+    from superplane.verify import run_all
+
+    multiplier, checked, wrong = Presentation.multiplier, [], []
+
+    def replayed(self, fuel=DEFAULT_FUEL):
+        mul = multiplier(self, fuel)
+
+        def replay(a, b=None):
+            got = mul(a, b)
+            checked.append(self.name)
+            if got != reference_nf(self, a if b is None else a * b):
+                wrong.append((self.name, a, b))
+            return got
+
+        return replay
+
+    monkeypatch.setattr(Presentation, "multiplier", replayed)
+    run_all(build_catalog.__wrapped__())
+    assert len(set(checked)) > 6 and len(checked) > 500
+    assert not wrong, wrong[:3]
+
+
 class TestCriticalPairs:
     def test_overlap_words_present_and_branches_correct(self):
         pres = qmix()

@@ -1,13 +1,17 @@
 """Command dispatch, exit codes, and output shape of the console tool."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superplane import cli, verify
+from superplane.algebra import GenClass
 from superplane.verify import CheckResult, SuiteReport
 
 
@@ -15,6 +19,13 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_help_runs_without_catalog():
@@ -201,6 +212,33 @@ def test_reduce_expression_that_starts_with_minus(capsys):
         code, out, err = run_cli(capsys, "reduce", "--presentation",
                                  "h-calculus", "--fuel", "0", "--", text)
         assert (code, out, err) == (0, text + "\n", "")
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_reduce_fuzz(data):
+    # random tokens over one presentation and a small fuel: a status of 0,
+    # 1 or 2 and never a traceback, one line on stderr on 1 or 2, and on 0
+    # a normal form that reads back after -- unchanged
+    from superplane import build_catalog, catalog_presentations
+
+    table = catalog_presentations(build_catalog())
+    name = data.draw(st.sampled_from(sorted(table)))
+    gens = table[name].gens
+    tokens = sorted(gens) + [f"inv({g[:-len('inv')]})" for g, d in gens.items()
+                             if d.klass is GenClass.INVERSE]
+    tokens += ["p", "q", "i", "0", "1", "2", "3", *"+-*/^()"]
+    text = " ".join(data.draw(st.lists(st.sampled_from(tokens), max_size=12)))
+    # small budgets often, so that some reductions run out
+    fuel = data.draw(st.one_of(st.integers(0, 3), st.integers(0, 300)))
+    argv = ["reduce", "--presentation", name, "--fuel", str(fuel), "--"]
+    code, out, err = run_quiet(argv + [text])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        assert run_quiet(argv + [out.strip()]) == (0, out, "")
 
 
 def test_reduce_unknown_presentation(capsys):
