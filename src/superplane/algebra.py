@@ -28,6 +28,10 @@ their parameters: dropping P would not terminate, since the supergroup's
 a*d -> d*a + h1*a*ga - ... leads back to a*d through a*ga once h1 is gone,
 and only h1*h1 = 0 cuts that cycle.
 
+These memos, like every cache keyed by words an input brings, live in the
+Budget whose fuel pays for them; presentations and maps keep only what
+their rules fix.  So the fuel a call needs depends only on its inputs.
+
 The leftmost redex is found with a cursor, the stack-based reduction of
 Book and Otto (String-Rewriting Systems, 1993, ch. 2): every left-hand side
 has one or two letters, so after a rewrite at pos the letters before pos-1
@@ -55,10 +59,6 @@ from typing import Iterable, Mapping
 from superplane.scalars import Scalar, as_scalar, power
 
 DEFAULT_FUEL = 10_000
-
-# word prefixes whose images one Morphism or Involution keeps; the catalog's
-# maps fold under 400 distinct prefixes over a cold build plus verify
-PREFIX_MEMO_SIZE = 1024
 
 Word = tuple[str, ...]
 _WEIGHT, _SORT_KEY = attrgetter("weight"), attrgetter("sort_key")
@@ -371,6 +371,28 @@ def _rule_error(r: RewriteRule, gens: Mapping[str, GeneratorDecl], name: str):
             return f"unknown generator {exc.args[0]!r} in rule rhs for {lhs} ({name})"
 
 
+class Budget:
+    """fuel rewrite steps, the left of them, and the memos they pay for:
+    each presentation's normal forms and word parities and each map's
+    prefix images.  A call given an int fuel makes a Budget of that many
+    steps; one given a Budget shares its steps and memos."""
+
+    __slots__ = ("fuel", "left", "_memos")
+
+    def __init__(self, fuel: int):
+        self.fuel = self.left = fuel
+        self._memos: dict[tuple, dict] = {}
+
+    @staticmethod
+    def of(fuel: int | Budget) -> Budget:
+        """fuel as a Budget: itself, or a fresh one of fuel steps."""
+        return fuel if isinstance(fuel, Budget) else Budget(fuel)
+
+    def memo(self, owner, kind: str) -> dict:
+        """The memo of this kind kept for owner, empty at first."""
+        return self._memos.setdefault((owner, kind), {})
+
+
 # a FuelExhausted message shows at most this many letters of its word
 _SHOWN_LETTERS = 40
 
@@ -410,7 +432,6 @@ class Presentation:
         self.require_complete = require_complete
         if require_complete:
             self._check_complete()
-        self._memo: dict[tuple[Word, Word], dict] = {}
         self._parity = {g.id: g.parity for g in self.gens.values()}
         params = {g.id for g in self.gens.values() if g.klass is GenClass.PARAMETER}
         # parameter letters _split sorts to the front in one pass: all of
@@ -418,7 +439,6 @@ class Presentation:
         # else none
         self._front = params if self._only_swaps(params) else set()
         self._nfront = len(self._front)
-        self._odd_words: dict[Word, int] = {}
         part = self._find_blocks()
         self._nparts = max(part.values(), default=0) + 1
         # each letter's part, its bit in _split's parity mask when it is
@@ -530,13 +550,12 @@ class Presentation:
             part[gid] = b
         return part
 
-    def _odd(self, word: Word) -> int:
-        """The parity of word, memoized: reduction asks it of few distinct
-        words, many times over."""
-        got = self._odd_words.get(word)
+    def _odd(self, word: Word, odd: dict) -> int:
+        """The parity of word, memoized in odd: reduction asks it of few
+        distinct words, many times over."""
+        got = odd.get(word)
         if got is None:
-            got = sum(map(self._parity.__getitem__, word)) & 1
-            self._odd_words[word] = got
+            got = odd[word] = sum(map(self._parity.__getitem__, word)) & 1
         return got
 
     def _split(self, word: Word):
@@ -581,37 +600,38 @@ class Presentation:
                 return pos, r
         return None
 
-    def normal_form(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
-        """Reduce expr to normal form within fuel rewrite steps.
+    def normal_form(self, expr: Expression, fuel: int | Budget = DEFAULT_FUEL) -> Expression:
+        """Reduce expr to normal form within a budget of fuel rewrite steps.
 
-        Each rule application costs one unit of fuel, and one budget
-        covers the whole call; it is the termination argument only where
-        terminates is false.  Sorting a word's parameters to the front and
-        its letters into their blocks is one bounded pass and costs none;
-        memo hits cost none either.  Each block word B is folded in one
-        letter at a time, and the memo holds the normal form of each P*w*l
-        met, P sorted parameters and w a normal word of one block, of the
-        words its rewriting passes through, and of each whole P*B.  The scan
-        for the leftmost redex starts where the last rewrite can have made
-        one, and each coefficient is an int where it is an integer (see the
-        module docstring); neither changes which rules apply, and so neither
-        changes the fuel a reduction needs.
+        Each rule application costs one unit of fuel; it is the termination
+        argument only where terminates is false.  Sorting a word's
+        parameters to the front and its letters into their blocks is one
+        bounded pass and costs none.  Each block word B is folded in one
+        letter at a time, and the budget's memo holds the normal form of
+        each P*w*l met, P sorted parameters and w a normal word of one
+        block, of the words its rewriting passes through, and of each whole
+        P*B.  A hit costs no fuel, and memory grows with the fuel spent and
+        the words the input brings.  Neither the redex cursor nor the int
+        coefficients (see the module docstring) change which rules apply,
+        and so the fuel a reduction needs.
         """
         self._validate_expr(expr)
         return self.multiplier(fuel)(expr)
 
-    def multiplier(self, fuel: int = DEFAULT_FUEL):
+    def multiplier(self, fuel: int | Budget = DEFAULT_FUEL):
         """The product primitive: mul(a, b) = nf(a*b), and mul(a) = nf(a).
 
-        All calls of one mul draw on one budget of fuel rewrite steps.  For
-        confluent rules the normal form of a product does not depend on when
-        its factors were reduced (Bergman's diamond lemma), so a fold
-        through mul never builds the expansion.  Each word of a*b is then
-        reduced block by block, each block one letter at a time onto a
-        normal word, through the memo described in normal_form.  mul does
-        not check that a and b are over this presentation's generators.
+        All calls of one mul draw on one budget of fuel rewrite steps and
+        share its memo, which goes with the budget.  For confluent rules
+        the normal form of a product does not depend on when its factors
+        were reduced (Bergman's diamond lemma), so a fold through mul never
+        builds the expansion.  Each word of a*b is then reduced block by
+        block, each block one letter at a time onto a normal word, through
+        the memo described in normal_form.  mul does not check that a and b
+        are over this presentation's generators.
         """
-        cell = [fuel]
+        budget = Budget.of(fuel)
+        memo, odd = budget.memo(self, "words"), budget.memo(self, "parity")
 
         def mul(a: Expression, b: Expression | None = None) -> Expression:
             # the coefficients in, products formed and sums taken as ints
@@ -622,7 +642,7 @@ class Presentation:
             acc = {}
             # in the order of Expression.terms: by length, then by word
             for word in sorted(sorted(t), key=len):
-                _accumulate(acc, self._word_nf(word, cell, fuel), t[word])
+                _accumulate(acc, self._word_nf(word, budget, memo, odd), t[word])
             return _expr_raw({p + w: as_scalar(c) for (p, w), c in acc.items()})
 
         return mul
@@ -636,8 +656,9 @@ class Presentation:
             f"a word of {len(word)} letters: {shown}"
         )
 
-    def _word_nf(self, word: Word, cell: list, fuel: int) -> dict:
-        """The normal form of word as a dict (P, W) -> coefficient.
+    def _word_nf(self, word: Word, budget, memo, odd) -> dict:
+        """The normal form of word as a dict (P, W) -> coefficient, on
+        budget, whose memo and parity memo for self are memo and odd.
 
         Blocks are reduced one after the other: a term P1*W times
         nf(P1*B) = sum c*P2*B' gives the sign of moving P1 and P2 past W.
@@ -647,17 +668,17 @@ class Presentation:
             return {}
         if not blocks:
             return {(params, ()): sign}
-        acc = self._fold_block((params, blocks[0]), cell, fuel)
+        acc = self._fold_block((params, blocks[0]), budget, memo, odd)
         if sign < 0:
             acc = {k: -v for k, v in acc.items()}
         for b in blocks[1:]:
             out = {}
             for (p1, w), c in acc.items():
-                got = self._fold_block((p1, b), cell, fuel)
+                got = self._fold_block((p1, b), budget, memo, odd)
                 if w:
-                    if self._odd(w):
-                        odd_p1 = self._odd(p1)
-                        got = {(p2, w + b2): v if self._odd(p2) == odd_p1 else -v
+                    if self._odd(w, odd):
+                        odd_p1 = self._odd(p1, odd)
+                        got = {(p2, w + b2): v if self._odd(p2, odd) == odd_p1 else -v
                                for (p2, b2), v in got.items()}
                     else:
                         got = {(p2, w + b2): v for (p2, b2), v in got.items()}
@@ -665,7 +686,7 @@ class Presentation:
             acc = out
         return acc
 
-    def _fold_block(self, key: tuple[Word, Word], cell: list, fuel: int) -> dict:
+    def _fold_block(self, key: tuple[Word, Word], budget, memo, odd) -> dict:
         """The normal form of P*B for key = (P, B), B in one block, as a
         dict (P2, B2) -> coefficient; memoized under key.
 
@@ -674,23 +695,22 @@ class Presentation:
         is at the junction, where the scan for it starts, and the rest of B
         stays out of the memo keys.
         """
-        got = self._memo.get(key)
+        got = memo.get(key)
         if got is not None:
             return got
         p, b = key
-        acc = self._block_nf((p, b[:1]), 0, cell, fuel)
+        acc = self._block_nf((p, b[:1]), 0, budget, memo, odd)
         for letter in b[1:]:
             out = {}
             for (p1, w), c in acc.items():
                 _accumulate(out, self._block_nf((p1, w + (letter,)),
                                                 len(w) - 1 if w else 0,
-                                                cell, fuel), c)
+                                                budget, memo, odd), c)
             acc = out
-        self._memo[key] = acc
+        memo[key] = acc
         return acc
 
-    def _block_nf(self, key: tuple[Word, Word], start: int, cell: list,
-                  fuel: int) -> dict:
+    def _block_nf(self, key: tuple[Word, Word], start: int, budget, memo, odd) -> dict:
         """The normal form of P*B for key = (P, B), B in one block, as a
         dict (P2, B2) -> coefficient, for a B with no redex before start;
         memoized under key, as is every word its rewriting passes through.
@@ -698,7 +718,6 @@ class Presentation:
         A rewrite at pos leaves the letters before it irreducible, so the
         scan of each child resumes at pos - 1 (Book and Otto 1993, ch. 2).
         """
-        memo = self._memo
         got = memo.get(key)
         if got is not None:
             return got
@@ -714,21 +733,21 @@ class Presentation:
         # frame holds a copy of the letters around its redex
         stack = []
         c = 1
-        left = cell[0]
+        left = budget.left
         try:
             while True:
                 if red is not None:
                     if left <= 0:
-                        raise self._fuel_error(key[0] + key[1], fuel)
+                        raise self._fuel_error(key[0] + key[1], budget.fuel)
                     left -= 1
                     pos, rule = red
                     p, w = key
                     terms = self._terms.get((p, rule.lhs))
                     if terms is None:
                         terms = self._terms[p, rule.lhs] = self._rule_terms(p, rule)
-                    even, odd = terms
-                    if odd is not even and self._odd(w[:pos]):
-                        even = odd
+                    even, odd_terms = terms
+                    if odd_terms is not even and self._odd(w[:pos], odd):
+                        even = odd_terms
                     stack.append((key, iter(even), w, pos, pos + len(rule.lhs),
                                   {}, c, pos - 1 if pos else 0))
                 parent, kids, w, pos, end, acc, coef, start = stack[-1]
@@ -759,7 +778,7 @@ class Presentation:
                     if acc:
                         _accumulate(stack[-1][5], acc, coef)
         finally:
-            cell[0] = left
+            budget.left = left
 
     def _rule_terms(self, p: Word, rule: RewriteRule) -> tuple[list, list]:
         """rule's right-hand side as it rewrites P*w, for an even and for
@@ -783,7 +802,7 @@ class Presentation:
                     terms.append((_lower(c) * sign, front, sum(blocks, ())))
         even, odd = [], []
         for c, front, mid in terms:
-            passes = self._odd(front)
+            passes = sum(map(self._parity.__getitem__, front)) & 1
             if front and p:
                 merged = self._merged.get((p, front))
                 if merged is None:
@@ -830,21 +849,6 @@ class CriticalPair(namedtuple("CriticalPair", "word pos_a rule_a pos_b rule_b "
     __slots__ = ()
 
 
-def _one_step(word: Word, pos: int, rule: RewriteRule) -> Expression:
-    out: dict[Word, Scalar] = {}
-    tail = pos + len(rule.lhs)
-    for m, c in rule.rhs.terms():
-        w = word[:pos] + m + word[tail:]
-        s = out.get(w)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-    return _expr_raw(out)
-
-
-
 def critical_pairs(pres: Presentation, max_len: int = 4) -> list[CriticalPair]:
     """All words up to max_len admitting two overlapping rule applications.
 
@@ -877,11 +881,10 @@ def critical_pairs(pres: Presentation, max_len: int = 4) -> list[CriticalPair]:
                 if len(word) > max_len or key in seen:
                     continue
                 seen.add(key)
-                out.append(
-                    CriticalPair(
-                        word, 0, ra, d, rb, _one_step(word, 0, ra), _one_step(word, d, rb)
-                    )
-                )
+                branches = (Expression.from_word(word[:pos]) * r.rhs
+                            * Expression.from_word(word[pos + len(r.lhs):])
+                            for pos, r in ((0, ra), (d, rb)))
+                out.append(CriticalPair(word, 0, ra, d, rb, *branches))
     out.sort(key=lambda cp: (len(cp.word), cp.word, cp.pos_b, cp.rule_b.lhs))
     return out
 
@@ -907,17 +910,18 @@ class ConfluenceReport(namedtuple("ConfluenceReport", "presentation max_len "
 
 
 def check_local_confluence(
-    pres: Presentation, max_len: int = 4, fuel: int = DEFAULT_FUEL
+    pres: Presentation, max_len: int = 4, fuel: int | Budget = DEFAULT_FUEL
 ) -> ConfluenceReport:
-    """Reduce both branches of every critical pair and compare."""
+    """Reduce both branches of every critical pair on one budget; compare."""
 
+    budget = Budget.of(fuel)
     words = set()
     failures = []
     pairs = critical_pairs(pres, max_len)
     for cp in pairs:
         words.add(cp.word)
-        na = pres.normal_form(cp.branch_a, fuel)
-        nb = pres.normal_form(cp.branch_b, fuel)
+        na = pres.normal_form(cp.branch_a, budget)
+        nb = pres.normal_form(cp.branch_b, budget)
         if na != nb:
             failures.append(
                 ConfluenceFailure(
@@ -940,24 +944,24 @@ class Morphism:
                     f"{name or 'morphism'} lacks an image for generator {gid}"
                 )
         self.images = _checked_images(source, target, images)
-        self._prefixes: dict[Word, Expression] = {}
 
-    def apply(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
+    def apply(self, expr: Expression, fuel: int | Budget = DEFAULT_FUEL) -> Expression:
         """The normal form of expr's image.  Each word's letter images are
-        folded through one target multiplier: one fuel budget per call.
+        folded through one target multiplier on a budget of fuel steps.
 
-        The map keeps the normal form of the image of every word prefix it
-        has folded, using image(w*l) = mul(image(w), image(l)), at most
-        PREFIX_MEMO_SIZE of them across calls, the oldest evicted first.
-        Each word is folded on from its longest prefix held there.  Like a
-        hit in a presentation's memo, a hit here costs no fuel, so the fuel
-        a call needs can depend on what earlier calls folded.
+        The budget keeps the normal form of the image of every word prefix
+        this map has folded on it, using image(w*l) = mul(image(w),
+        image(l)), and each word is folded on from its longest prefix held
+        there.  Like the target's memo, these images go with the budget,
+        and memory grows with the words it met.
         """
         self.source._validate_expr(expr)
-        mul = self.target.multiplier(fuel)
+        budget = Budget.of(fuel)
+        mul = self.target.multiplier(budget)
+        prefixes = budget.memo(self, "prefixes")
         total = _E_ZERO
         for word, c in expr.terms():
-            prod = _fold(self._prefixes, word, self.images.__getitem__, mul)
+            prod = _fold(prefixes, word, self.images.__getitem__, mul)
             total = total + prod.scale(c)
         return total
 
@@ -975,28 +979,30 @@ class Involution:
         self.swap_pq = swap_pq
         self.name = name
         self.images = _checked_images(presentation, presentation, images)
-        self._prefixes: dict[Word, Expression] = {}
+        budget = Budget(DEFAULT_FUEL)
         for gid in self.images:
             g = Expression.from_gen(gid)
-            if self.apply(self.apply(g)) != presentation.normal_form(g):
+            if (self.apply(self.apply(g, budget), budget)
+                    != presentation.normal_form(g, budget)):
                 raise NotInvolutive(
                     f"{name or 'involution'} fails to square to the identity on {gid}"
                 )
 
-    def apply(self, expr: Expression, fuel: int = DEFAULT_FUEL) -> Expression:
+    def apply(self, expr: Expression, fuel: int | Budget = DEFAULT_FUEL) -> Expression:
         """The normal form of expr's image.  Each word's letter images, last
-        first, are folded through one multiplier: one fuel budget per call.
+        first, are folded through one multiplier on a budget of fuel steps.
 
-        As in Morphism.apply, the normal forms of folded prefixes are kept
-        across calls, here keyed on the reversed word, at most
-        PREFIX_MEMO_SIZE of them, and a hit costs no fuel.  The coefficient
-        is conjugated afterwards.
+        As in Morphism.apply, the budget keeps the normal forms of folded
+        prefixes, here keyed on the reversed word, and memory grows with
+        the words it met.  The coefficient is conjugated afterwards.
         """
         self.presentation._validate_expr(expr)
-        mul = self.presentation.multiplier(fuel)
+        budget = Budget.of(fuel)
+        mul = self.presentation.multiplier(budget)
+        prefixes = budget.memo(self, "prefixes")
         total = _E_ZERO
         for word, c in expr.terms():
-            prod = _fold(self._prefixes, word[::-1], self._image, mul)
+            prod = _fold(prefixes, word[::-1], self._image, mul)
             total = total + prod.scale(c.conj(self.swap_pq))
         return total
 
@@ -1028,8 +1034,7 @@ def _fold(memo: dict, word: Word, image, mul) -> Expression:
 
     memo maps word prefixes to the normal forms of their images.  The fold
     starts from the longest prefix in memo and adds each longer prefix once
-    its product is complete, so a FuelExhausted leaves no partial entry;
-    past PREFIX_MEMO_SIZE entries the oldest goes first.
+    its product is complete, so a FuelExhausted leaves no partial entry.
     """
     k = len(word)
     while k and word[:k] not in memo:
@@ -1037,8 +1042,6 @@ def _fold(memo: dict, word: Word, image, mul) -> Expression:
     prod = memo[word[:k]] if k else _E_ONE
     for j in range(k, len(word)):
         prod = mul(prod, image(word[j]))
-        if len(memo) >= PREFIX_MEMO_SIZE:
-            del memo[next(iter(memo))]
         memo[word[:j + 1]] = prod
     return prod
 
@@ -1049,7 +1052,6 @@ def adjoin_inverse(
     inverse_decl: GeneratorDecl,
     swap_rules,
     name: str | None = None,
-    require_complete: bool = True,
 ) -> Presentation:
     """Extend a presentation by a two-sided inverse of an even generator.
 
@@ -1071,5 +1073,4 @@ def adjoin_inverse(
         name or f"{pres.name}[{inverse_decl.id}]",
         list(pres.gens.values()) + [inverse_decl],
         list(pres.rules) + unit_rules(gen_id, inverse_decl.id) + list(swap_rules),
-        require_complete=require_complete,
     )

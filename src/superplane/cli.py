@@ -7,9 +7,11 @@ pairs.  Presentations are addressed by catalog name (see `rules --list`).
 Exit status: 0 when everything passed, 1 when any check or reduction
 failed, 2 for usage and parse errors.  A reduction that runs out of fuel
 or of memory is a failed reduction: `reduce` then prints a one-line error
-and exits 1.  Reports go to stdout, diagnostics to stderr.  A reader
-that closes the pipe early (`| head`) gets what it read, and the verb exits
-1 with nothing on stderr.
+and exits 1.  `--fuel` bounds one budget of rewrite steps: the parse and
+reduction of `reduce`, each suite of `verify`, the whole `critical-pairs`
+scan.  Reports go to stdout, diagnostics to stderr.  A reader that closes
+the pipe early (`| head`) gets what it read, and the verb exits 1 with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import argparse
 import os
 import sys
 
-from .algebra import (AlgebraError, DEFAULT_FUEL, FuelExhausted, Presentation,
-                      check_local_confluence)
+from .algebra import AlgebraError, DEFAULT_FUEL, FuelExhausted, check_local_confluence
 from .parsing import (ExprSyntaxError, UnknownGenerator, parse_expression,
                       render_expression, render_presentation)
 from .presentations import build_catalog, catalog_presentations
@@ -62,6 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--presentation", required=True, metavar="NAME")
     cp.add_argument("--max-len", type=int, default=4)
     cp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    # leftover words get the verb's usage, with its hint on a leading '-'
+    for verb in sub.choices.values():
+        verb.set_defaults(parser=verb)
     return ap
 
 
@@ -86,11 +90,7 @@ def _named_presentation(name: str):
 
 
 def _cmd_reduce(ns) -> int:
-    # a copy with an empty memo, so the fuel a reduction needs does not
-    # depend on what earlier calls in this process reduced
-    named = _named_presentation(ns.presentation)
-    pres = Presentation(named.name, named.gens.values(), named.rules,
-                        named.require_complete)
+    pres = _named_presentation(ns.presentation)
     # products are reduced as the parser forms them, on one budget with
     # the final reduction
     mul = pres.multiplier(ns.fuel)
@@ -104,9 +104,9 @@ def _cmd_reduce(ns) -> int:
         raise UsageError("expression is nested too deeply") from None
     except MemoryError:
         pass
-    # out of the handler the reduction's frames are gone; the copy's memo
-    # goes with the last references to it
-    del pres, mul
+    # out of the handler the reduction's frames are gone; the budget's
+    # memo goes with the last reference to it
+    del mul
     print(f"error: out of memory while reducing in {ns.presentation} "
           f"with fuel {ns.fuel} (try a smaller --fuel)", file=sys.stderr)
     return FAILED
@@ -167,7 +167,9 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns, extra = ap.parse_known_args(argv)
+        if extra:
+            ns.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return exc.code if isinstance(exc.code, int) else USAGE

@@ -31,6 +31,7 @@ from functools import lru_cache
 from superplane.algebra import (
     DEFAULT_FUEL,
     AlgebraError,
+    Budget,
     Expression,
     GenClass,
     GeneratorDecl,
@@ -271,17 +272,18 @@ def build_contraction(pq: Presentation) -> ContractionMap:
 
 
 def round_trip_residuals(cmap: ContractionMap,
-                         fuel: int = DEFAULT_FUEL) -> dict[str, Expression]:
+                         fuel: int | Budget = DEFAULT_FUEL) -> dict[str, Expression]:
     """backward(forward(g)) - g for each h-frame generator g, keyed h-<g>,
     and forward(backward(g)) - g for each (p,q)-frame one, keyed pq-<g>;
-    all are zero for an exact frame change."""
+    all are zero for an exact frame change, reduced on one budget."""
+    budget = Budget.of(fuel)
     out = {}
     for tag, there, back in (("h", cmap.forward, cmap.backward),
                              ("pq", cmap.backward, cmap.forward)):
         for gid in there.source.gens:
             g = Expression.from_gen(gid)
-            out[f"{tag}-{gid}"] = (back.apply(there.apply(g, fuel), fuel)
-                                   - back.target.normal_form(g, fuel))
+            out[f"{tag}-{gid}"] = (back.apply(there.apply(g, budget), budget)
+                                   - back.target.normal_form(g, budget))
     return out
 
 
@@ -310,11 +312,7 @@ class DerivedRelation(namedtuple("DerivedRelation",
     __slots__ = ()
 
 
-def derive_h_relations(
-    cmap: ContractionMap,
-    pairs=H_REDUCIBLE_PAIRS,
-    fuel: int = DEFAULT_FUEL,
-) -> dict:
+def derive_h_relations(cmap: ContractionMap, pairs=H_REDUCIBLE_PAIRS) -> dict:
     """Push each reducible pair through the frame change and back.
 
     The raw pull-back of a pair may mention reducible pairs again: itself
@@ -326,12 +324,14 @@ def derive_h_relations(
     whose rules are those relations and the parameter swaps: the rules
     strictly descend, every buried pair sitting behind a parameter, and the
     fuel bound is the backstop.  The result expresses every pair over
-    irreducible words with coefficients still exact in p and q.
+    irreducible words with coefficients still exact in p and q.  It all
+    runs on one budget of DEFAULT_FUEL steps.
     """
+    budget = Budget(DEFAULT_FUEL)
 
     def pull(word):
         return cmap.backward.apply(
-            cmap.forward.apply(Expression.from_word(word), fuel), fuel
+            cmap.forward.apply(Expression.from_word(word), budget), budget
         )
 
     scratch = cmap.h_scratch
@@ -353,13 +353,13 @@ def derive_h_relations(
                 f"pair {w} maps onto itself and its reverse does not reach it"
             )
         solved = Expression.from_word(rev) - raw + Expression.from_word(w, lam)
-        general[w] = scratch.normal_form(solved.scale(lam.inv()), fuel)
+        general[w] = scratch.normal_form(solved.scale(lam.inv()), budget)
     closure = param_scratch(
         "h-frame-closure", H_DECLS, [RewriteRule(w, general[w]) for w in pairs]
     )
     out = {}
     for w in pairs:
-        expr = closure.normal_form(general[w], fuel)
+        expr = closure.normal_form(general[w], budget)
         spec_terms = {}
         note = ""
         try:
@@ -397,7 +397,7 @@ COORD_DIFF_TARGETS = {
 COORD_DIFF_PAIRS = tuple(COORD_DIFF_TARGETS)
 
 
-def choose_variant(fuel: int = DEFAULT_FUEL):
+def choose_variant():
     """Pick the coordinate-differential reading that hits the h-limit block.
 
     Returns (variant_name, matches, contraction) where matches maps each
@@ -412,7 +412,7 @@ def choose_variant(fuel: int = DEFAULT_FUEL):
     contractions = {}
     for variant in COORD_DIFF_VARIANTS:
         cmap = contractions[variant] = build_contraction(build_primed_calculus(variant))
-        derived = derive_h_relations(cmap, pairs=COORD_DIFF_PAIRS, fuel=fuel)
+        derived = derive_h_relations(cmap, pairs=COORD_DIFF_PAIRS)
         matches[variant] = {
             w: derived[w].specialized == targets[w] for w in COORD_DIFF_PAIRS
         }
@@ -454,12 +454,8 @@ def build_supergroup() -> Presentation:
 
 # ------------------------------------------------------- localization
 
-def derive_localized_rules(
-    pres: Presentation,
-    gen_id: str,
-    inverse_decl: GeneratorDecl,
-    fuel: int = DEFAULT_FUEL,
-) -> list[RewriteRule]:
+def derive_localized_rules(pres: Presentation, gen_id: str,
+                           inverse_decl: GeneratorDecl) -> list[RewriteRule]:
     """Swap rules for an adjoined inverse, by sandwiching the base rules.
 
     For a generator v below g, multiplying the rule for g*v by the inverse
@@ -468,7 +464,8 @@ def derive_localized_rules(
     image applies.  Parameters commute with g, hence with its inverse, and
     are emitted directly.  The sandwich is reduced in a scratch presentation
     of the parameter swaps and the two unit rules, so one normal form moves
-    the parameters to the front and cancels every unit pair.
+    the parameters to the front and cancels every unit pair.  All the
+    sandwiches are reduced on one budget of DEFAULT_FUEL steps.
     """
 
     g = pres.gens.get(gen_id)
@@ -484,6 +481,7 @@ def derive_localized_rules(
     ginv = inverse_decl.id
     decls = list(pres.gens.values()) + [inverse_decl]
     scratch = param_scratch(f"{pres.name}-params", decls, unit_rules(gen_id, ginv))
+    budget = Budget(DEFAULT_FUEL)
     sandwich = Expression.from_gen(ginv)
     rules = []
     for v in sorted(pres.gens.values(), key=lambda dcl: dcl.sort_key):
@@ -502,7 +500,7 @@ def derive_localized_rules(
             raise IncompleteLocalization(
                 f"no rule joins {gen_id} and {v.id}; cannot derive {lhs}"
             )
-        sandwiched = scratch.normal_form(sandwich * base.rhs * sandwich, fuel)
+        sandwiched = scratch.normal_form(sandwich * base.rhs * sandwich, budget)
         head = sandwiched.coefficient(lhs)
         if head.is_zero():
             raise IncompleteLocalization(
@@ -510,20 +508,19 @@ def derive_localized_rules(
             )
         rest = sandwiched - Expression.from_word(lhs, head)
         rhs = (Expression.from_word(ordered) - rest).scale(head.inv())
-        rules.append(RewriteRule(lhs, scratch.normal_form(rhs, fuel)))
+        rules.append(RewriteRule(lhs, scratch.normal_form(rhs, budget)))
     return rules
 
 
 def localize(pres: Presentation, gen_id: str, inverse_decl: GeneratorDecl,
-             name: str | None = None, fuel: int = DEFAULT_FUEL) -> Presentation:
-    rules = derive_localized_rules(pres, gen_id, inverse_decl, fuel)
+             name: str | None = None) -> Presentation:
+    rules = derive_localized_rules(pres, gen_id, inverse_decl)
     return adjoin_inverse(pres, gen_id, inverse_decl, rules, name=name)
 
 
-def build_localized_supergroup(base: Presentation | None = None) -> Presentation:
-    sg = base if base is not None else build_supergroup()
+def build_localized_supergroup(base: Presentation) -> Presentation:
     step = localize(
-        sg, "d", GeneratorDecl("dinv", 0, GenClass.INVERSE, 13), name="supergroup-dinv"
+        base, "d", GeneratorDecl("dinv", 0, GenClass.INVERSE, 13), name="supergroup-dinv"
     )
     return localize(
         step, "a", GeneratorDecl("ainv", 0, GenClass.INVERSE, 15), name="supergroup-loc"

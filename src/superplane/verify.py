@@ -17,11 +17,11 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 
-from .algebra import DEFAULT_FUEL, Expression, Morphism, Presentation
+from .algebra import DEFAULT_FUEL, Budget, Expression, Morphism, Presentation
 from .parsing import fingerprint, parse_expression, render_expression
 from .presentations import (COORD_DIFF_TARGETS, H_REDUCIBLE_PAIRS, LADDER,
-                            PLANE_DECLS, AlgebraCatalog, build_catalog,
-                            has_param, non_param_rules, round_trip_residuals)
+                            PLANE_DECLS, AlgebraCatalog, has_param,
+                            non_param_rules, round_trip_residuals)
 from .scalars import GaussianRational, Scalar
 
 PASS = "Pass"
@@ -56,9 +56,9 @@ class SuiteReport(namedtuple("SuiteReport", "suite results elapsed "
 
 
 def _check(cid: str, pres: Presentation, expr: Expression,
-           fuel: int, printed: bool = False, notes: str = "") -> CheckResult:
+           budget: Budget, printed: bool = False, notes: str = "") -> CheckResult:
     """Reduce expr; zero is a Pass.  printed rows downgrade to Discrepancy."""
-    nf = pres.normal_form(expr, fuel)
+    nf = pres.normal_form(expr, budget)
     if nf.is_zero():
         return CheckResult(cid, PASS, None, notes)
     if printed:
@@ -152,21 +152,21 @@ _ORIENTATION_NOTE = ("odd-square rules orient onto the mixed product with "
                      "the even derivative rightmost")
 
 
-def run_contraction_suite(cat: AlgebraCatalog | None = None,
-                          fuel: int = DEFAULT_FUEL) -> SuiteReport:
+def run_contraction_suite(cat: AlgebraCatalog,
+                          fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
     """Push each printed general relation through the frame change and
     reduce; then confirm the derived family is regular at p = q = 1 and
     that its specialization matches the printed limit table."""
     t0 = time.perf_counter()
-    cat = cat or build_catalog()
+    budget = Budget.of(fuel)
     fwd = cat.contraction.forward
     rows = []
     for cid, lhs, rhs in PRINTED_GENERAL:
         expr = parse_expression(lhs, fwd.source) - parse_expression(rhs, fwd.source)
         note = _ORIENTATION_NOTE if cid == "deriv-deriv-odd-sq" else ""
         rows.append(_check("sigma-" + cid, cat.primed_calculus,
-                           fwd.apply(expr, fuel),
-                           fuel, printed=True, notes=note))
+                           fwd.apply(expr, budget),
+                           budget, printed=True, notes=note))
 
     poles = [f"{'*'.join(word)}: {rel.pole_note}"
              for word, rel in sorted(cat.derived.items())
@@ -182,17 +182,17 @@ def run_contraction_suite(cat: AlgebraCatalog | None = None,
         expr = (parse_expression(lhs, cat.h_calculus)
                 - parse_expression(rhs, cat.h_calculus))
         note = _ORIENTATION_NOTE if cid == "h-deriv-deriv-odd-sq" else ""
-        rows.append(_check(cid, cat.h_calculus, expr, fuel,
+        rows.append(_check(cid, cat.h_calculus, expr, budget,
                            printed=True, notes=note))
     return _report("contraction", rows, t0,
                    [cat.primed_calculus, cat.h_calculus])
 
 
-def run_differential_structure_suite(cat: AlgebraCatalog | None = None,
-                                     fuel: int = DEFAULT_FUEL) -> SuiteReport:
+def run_differential_structure_suite(cat: AlgebraCatalog,
+                                     fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
     """Nilpotency and pass-through behaviour of the exterior composite."""
     t0 = time.perf_counter()
-    cat = cat or build_catalog()
+    budget = Budget.of(fuel)
     h = cat.h_calculus
     pq = cat.primed_calculus
     D = cat.composites.exterior
@@ -200,18 +200,18 @@ def run_differential_structure_suite(cat: AlgebraCatalog | None = None,
     D_pq = parse_expression("dx*px + dth*pth", pq)
     D_free = parse_expression("dx*px + dth*pth", cat.contraction.forward.source)
     rows = [
-        _check("square-zero", h, D * D, fuel),
-        _check("square-zero-primed", pq, D_pq * D_pq, fuel),
+        _check("square-zero", h, D * D, budget),
+        _check("square-zero-primed", pq, D_pq * D_pq, budget),
         _check("form-preserved", pq,
-               cat.contraction.forward.apply(D_free, fuel) - D_pq, fuel),
+               cat.contraction.forward.apply(D_free, budget) - D_pq, budget),
         # the differential of an odd coordinate is even and vice versa, so
         # the composite anticommutes with one differential and commutes
         # with the other
-        _check("pass-odd-diff", h, D * gen("dx") + gen("dx") * D, fuel),
-        _check("pass-even-diff", h, D * gen("dth") - gen("dth") * D, fuel),
-        _check("unit-action", h, D * Expression.one() - D, fuel),
-        _check("generate-x", h, D * gen("x") - gen("x") * D - gen("dx"), fuel),
-        _check("generate-th", h, D * gen("th") + gen("th") * D - gen("dth"), fuel),
+        _check("pass-odd-diff", h, D * gen("dx") + gen("dx") * D, budget),
+        _check("pass-even-diff", h, D * gen("dth") - gen("dth") * D, budget),
+        _check("unit-action", h, D * Expression.one() - D, budget),
+        _check("generate-x", h, D * gen("x") - gen("x") * D - gen("dx"), budget),
+        _check("generate-th", h, D * gen("th") + gen("th") * D - gen("dth"), budget),
     ]
     return _report("differential", rows, t0, [h, pq])
 
@@ -231,11 +231,11 @@ def _identity_coaction(cat: AlgebraCatalog) -> Morphism:
     return Morphism(cov, cat.h_calculus, images, name="identity-coaction")
 
 
-def run_covariance_suite(cat: AlgebraCatalog | None = None,
-                         fuel: int = DEFAULT_FUEL) -> SuiteReport:
+def run_covariance_suite(cat: AlgebraCatalog,
+                         fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
     """Every calculus relation is preserved by the group coaction."""
     t0 = time.perf_counter()
-    cat = cat or build_catalog()
+    budget = Budget.of(fuel)
     cov = cat.covariance_tensor
     delta = cat.coaction
     rows = []
@@ -243,14 +243,14 @@ def run_covariance_suite(cat: AlgebraCatalog | None = None,
     for rule in non_param_rules(cat.h_calculus):
         expr = Expression.from_word(rule.lhs) - rule.rhs
         rows.append(_check("coact-" + "-".join(rule.lhs), cov,
-                           delta.apply(expr, fuel), fuel))
+                           delta.apply(expr, budget), budget))
 
     eps = _identity_coaction(cat)
     worst = Expression.zero()
     for gid in ("x", "th", "dx", "dth", "px", "pth"):
         g = Expression.from_gen(gid)
-        res = eps.apply(delta.apply(g, fuel), fuel) - g
-        nf = cat.h_calculus.normal_form(res, fuel)
+        res = eps.apply(delta.apply(g, budget), budget) - g
+        nf = cat.h_calculus.normal_form(res, budget)
         if not nf.is_zero():
             worst = nf
             break
@@ -268,12 +268,12 @@ def run_covariance_suite(cat: AlgebraCatalog | None = None,
     return _report("covariance", rows, t0, [cov, cat.h_calculus])
 
 
-def run_forms_suite(cat: AlgebraCatalog | None = None,
-                    fuel: int = DEFAULT_FUEL) -> SuiteReport:
+def run_forms_suite(cat: AlgebraCatalog,
+                    fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
     """Frame one-forms against coordinates, and the scaling and shift
     operators built from the derivative sector."""
     t0 = time.perf_counter()
-    cat = cat or build_catalog()
+    budget = Budget.of(fuel)
     forms = cat.one_forms
     h = cat.h_calculus
     w = cat.composites.frame_form_x
@@ -284,24 +284,24 @@ def run_forms_suite(cat: AlgebraCatalog | None = None,
     x, th = gen("x"), gen("th")
     h1, h2 = gen("h1"), gen("h2")
     rows = [
-        _check("one-form-x-w", forms, x * w - w * x + h1 * (u * x), fuel),
-        _check("one-form-th-w", forms, th * w + w * th - h1 * (u * th), fuel),
-        _check("one-form-x-u", forms, x * u - u * x, fuel),
+        _check("one-form-x-w", forms, x * w - w * x + h1 * (u * x), budget),
+        _check("one-form-th-w", forms, th * w + w * th - h1 * (u * th), budget),
+        _check("one-form-x-u", forms, x * u - u * x, budget),
         # printed right side is short by exactly the h2-scaled even
         # differential; no reading of the bracket closes the gap
         _check("one-form-th-u", forms,
-               th * u - u * th + h2 * (w * th + u * x), fuel, printed=True),
-        _check("one-form-w-sq", forms, w * w, fuel),
-        _check("one-form-w-u", forms, w * u - u * w, fuel),
-        _check("operator-commute", h, T * N - N * T, fuel),
-        _check("operator-nilpotent", h, N * N, fuel),
-        _check("operator-count-x", h, T * x - x - x * T, fuel),
-        _check("operator-shift-x", h, N * x - x * N + h1 * (x * T), fuel),
-        _check("operator-count-th", h, T * th - th - th * T, fuel),
+               th * u - u * th + h2 * (w * th + u * x), budget, printed=True),
+        _check("one-form-w-sq", forms, w * w, budget),
+        _check("one-form-w-u", forms, w * u - u * w, budget),
+        _check("operator-commute", h, T * N - N * T, budget),
+        _check("operator-nilpotent", h, N * N, budget),
+        _check("operator-count-x", h, T * x - x - x * T, budget),
+        _check("operator-shift-x", h, N * x - x * N + h1 * (x * T), budget),
+        _check("operator-count-th", h, T * th - th - th * T, budget),
         # derived rules force the opposite sign on the scaled counting
         # term, matching the even-coordinate shift row above
         _check("operator-shift-th", h,
-               N * th - x + th * N - h1 * (th * T), fuel, printed=True),
+               N * th - x + th * N - h1 * (th * T), budget, printed=True),
     ]
     return _report("forms", rows, t0, [forms, h])
 
@@ -357,13 +357,13 @@ _PLANE_PAIRS = tuple(w for w in H_REDUCIBLE_PAIRS
                      if set(w) <= {d.id for d in PLANE_DECLS})
 
 
-def run_phase_space_suite(cat: AlgebraCatalog | None = None,
-                          fuel: int = DEFAULT_FUEL) -> SuiteReport:
+def run_phase_space_suite(cat: AlgebraCatalog,
+                          fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
     """Hermitian conjugation fixes the hatted operators, preserves the
     non-differential relations, and the hatted operators close on the two
     printed deformed tables."""
     t0 = time.perf_counter()
-    cat = cat or build_catalog()
+    budget = Budget.of(fuel)
     h = cat.h_calculus
     dag = cat.plane_dagger
     c = cat.composites
@@ -372,14 +372,14 @@ def run_phase_space_suite(cat: AlgebraCatalog | None = None,
                    ("hermitian-position-odd", c.position_odd),
                    ("hermitian-momentum-even", c.momentum_even),
                    ("hermitian-momentum-odd", c.momentum_odd)):
-        rows.append(_check(cid, h, dag.apply(e, fuel) - e, fuel))
+        rows.append(_check(cid, h, dag.apply(e, budget) - e, budget))
     for word in _PLANE_PAIRS:
         rule = next(r for r in h.rules if r.lhs == word)
         expr = Expression.from_word(rule.lhs) - rule.rhs
         rows.append(_check("dagger-" + "-".join(word), h,
-                           dag.apply(expr, fuel), fuel))
+                           dag.apply(expr, budget), budget))
     for cid, expr in _phase_rows(cat):
-        rows.append(_check(cid, h, expr, fuel, printed=True))
+        rows.append(_check(cid, h, expr, budget, printed=True))
     return _report("phase-space", rows, t0, [h])
 
 
@@ -395,12 +395,12 @@ _UNDEFORMED = {
 }
 
 
-def run_oscillator_suite(cat: AlgebraCatalog | None = None,
-                         fuel: int = DEFAULT_FUEL) -> SuiteReport:
+def run_oscillator_suite(cat: AlgebraCatalog,
+                         fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
     """The ladder dictionary carries the plane relations into the deformed
     oscillator algebra with every deformation-parameter term cancelling."""
     t0 = time.perf_counter()
-    cat = cat or build_catalog()
+    budget = Budget.of(fuel)
     osc = cat.oscillator
     dic = cat.oscillator_dictionary
     rows = []
@@ -410,8 +410,8 @@ def run_oscillator_suite(cat: AlgebraCatalog | None = None,
         expr = (parse_expression(lhs, dic.source)
                 - parse_expression(rhs, dic.source))
         rows.append(_check("osc-" + cid, osc,
-                           dic.apply(expr, fuel),
-                           fuel, printed=True))
+                           dic.apply(expr, budget),
+                           budget, printed=True))
 
     # the derived plane relations themselves must map to identities of
     # the bare ladder rules, with every parameter term cancelling
@@ -421,7 +421,7 @@ def run_oscillator_suite(cat: AlgebraCatalog | None = None,
             continue
         expr = Expression.from_word(word) - rel.general
         rows.append(_check("ladder-" + "-".join(word), osc,
-                           dic.apply(expr, fuel), fuel))
+                           dic.apply(expr, budget), budget))
 
     stray = []
     for gid, ladder in sorted(LADDER.items()):
@@ -454,7 +454,7 @@ def run_oscillator_suite(cat: AlgebraCatalog | None = None,
     broken = []
     for rule in non_param_rules(osc):
         expr = Expression.from_word(rule.lhs) - rule.rhs
-        if not star.apply(expr, fuel).is_zero():
+        if not star.apply(expr, budget).is_zero():
             broken.append("*".join(rule.lhs))
     rows.append(CheckResult(
         "star-consistency", PASS if not broken else FAIL, None,
@@ -488,17 +488,17 @@ def _wrong_convention_maps(cat: AlgebraCatalog) -> tuple[Morphism, Morphism]:
     )
 
 
-def run_appendix_suite(cat: AlgebraCatalog | None = None,
-                       fuel: int = DEFAULT_FUEL) -> SuiteReport:
+def run_appendix_suite(cat: AlgebraCatalog,
+                       fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
     """Left-convention round trips are exact; the right-acting candidates
     miss by the documented cross-parameter multiples, no more, no less."""
     t0 = time.perf_counter()
-    cat = cat or build_catalog()
+    budget = Budget.of(fuel)
     cm = cat.contraction
     E = Expression
     rows = [CheckResult("round-trip-" + key, PASS if res.is_zero() else FAIL,
                         None if res.is_zero() else res)
-            for key, res in round_trip_residuals(cm, fuel).items()]
+            for key, res in round_trip_residuals(cm, budget).items()]
 
     wrong_fwd, wrong_bwd = _wrong_convention_maps(cat)
     # inverting a transformation with right-acting rules and substituting
@@ -516,7 +516,7 @@ def run_appendix_suite(cat: AlgebraCatalog | None = None,
          "-2*h1*h2/((p-1)*(q-1)) of itself"),
     )
     for cid, wrong, claimed, gid, note in probes:
-        got = wrong.apply(claimed, fuel)
+        got = wrong.apply(claimed, budget)
         drift = got - E.from_gen(gid)
         cross = ("h1", "h2", gid)
         expected = E.from_word(
@@ -542,9 +542,9 @@ SUITES = {
 }
 
 
-def run_all(cat: AlgebraCatalog | None = None,
-            fuel: int = DEFAULT_FUEL) -> list[SuiteReport]:
-    cat = cat or build_catalog()
+def run_all(cat: AlgebraCatalog,
+            fuel: int | Budget = DEFAULT_FUEL) -> list[SuiteReport]:
+    """Every suite on cat, each on a budget of its own unless fuel is one."""
     return [runner(cat, fuel) for runner in SUITES.values()]
 
 

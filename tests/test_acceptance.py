@@ -225,16 +225,15 @@ def test_criterion_8_properties(catalog, confluence_reports):
 
 
 def test_criterion_8_recorded_associative_triple(catalog):
-    """A triple the associative law once drew: reduced on a cold memo at the
-    default fuel, both bracketings agree."""
+    """A triple the associative law once drew: at the default fuel, each
+    reduction on a budget of its own, both bracketings agree."""
     h = catalog.h_calculus
-    cold = Presentation(h.name, h.gens.values(), h.rules)
-    a, b, c = (parse_expression(t, cold) for t in (
+    a, b, c = (parse_expression(t, h) for t in (
         "dx*x*h2*x - px*x*h2*pth + p*th*x*dth*px",
         "i + p*pth*x*dth + x^2*pth",
         "i*x^2*dth"))
-    left = cold.normal_form(cold.normal_form(a * b) * c)
-    right = cold.normal_form(a * cold.normal_form(b * c))
+    left = h.normal_form(h.normal_form(a * b) * c)
+    right = h.normal_form(a * h.normal_form(b * c))
     assert left == right
 
 

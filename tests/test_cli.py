@@ -127,16 +127,14 @@ def test_reduce_forms_reduced_products(capsys):
     # each product as it is formed and must agree with expanding first.
     # The second takes a gcd of two degree-30 polynomials, which must keep
     # its coefficients small to finish.
-    from superplane import (Presentation, build_catalog, parse_expression,
-                            render_expression)
+    from superplane import build_catalog, parse_expression, render_expression
 
     h = build_catalog().h_calculus
     for text in ("(x+th+px+pth)^6", "(p+q)^30/(p-q)^30*x"):
         code, out, _ = run_cli(capsys, "reduce", text, "--presentation",
                                "h-calculus")
         assert code == 0
-        cold = Presentation(h.name, h.gens.values(), h.rules)
-        expanded = cold.normal_form(parse_expression(text, cold), fuel=10**7)
+        expanded = h.normal_form(parse_expression(text, h), fuel=10**7)
         assert out.strip() == render_expression(expanded)
 
 
@@ -198,13 +196,15 @@ def test_reduce_out_of_memory_is_one_line(capsys, monkeypatch, text):
 
 
 def test_reduce_expression_that_starts_with_minus(capsys):
-    # argparse takes -dth for an option: the usage error and the help say
-    # to write -- before it, and after -- it reduces and reads back
-    code, out, err = run_cli(capsys, "reduce", "-dth", "--presentation",
-                             "h-calculus")
-    assert code == 2
-    assert out == ""
-    assert "write -- before an expression that starts with '-'" in err
+    # argparse takes -dth for an option, before the expression or after
+    # it: the usage error and the help say to write -- before it, and after
+    # -- it reduces and reads back
+    for argv in (["-dth", "--presentation", "h-calculus"],
+                 ["x", "--presentation", "h-calculus", "-dth"]):
+        code, out, err = run_cli(capsys, "reduce", *argv)
+        assert code == 2
+        assert out == ""
+        assert "write -- before an expression that starts with '-'" in err
     code, out, _ = run_cli(capsys, "reduce", "--help")
     assert code == 0
     assert "write -- before an expression that starts with '-'" in out
@@ -341,17 +341,14 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
-def test_verify_fuel_error_names_the_suite(capsys, monkeypatch):
-    # a fresh catalog, since memo hits cost no fuel: the contraction suite
-    # passes on 10 steps and the differential suite runs out
-    from superplane import build_catalog
-
-    monkeypatch.setattr(cli, "build_catalog", build_catalog.__wrapped__)
-    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--fuel", "10")
+def test_verify_fuel_error_names_the_suite(capsys):
+    # each suite has a budget of its own: the contraction and differential
+    # suites pass on 200 steps (63 and 35) and the covariance suite runs out
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--fuel", "200")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: suite differential: fuel of 10 steps "
-                          "exhausted in h-calculus while reducing")
+    assert err.startswith("error: suite covariance: fuel of 200 steps "
+                          "exhausted in covariance while reducing")
     assert err.count("\n") == 1, err
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from superplane.algebra import Expression
+from superplane.algebra import Expression, FuelExhausted
 from superplane.parsing import render_expression
 from superplane.scalars import Scalar
 from superplane.verify import (
@@ -15,6 +15,7 @@ from superplane.verify import (
     overall_ok,
     render_structured,
     render_text,
+    run_all,
     run_differential_structure_suite,
     run_forms_suite,
 )
@@ -250,3 +251,22 @@ def test_structured_report_does_not_depend_on_scalar_memos():
     warm = render_structured(run_all(build_catalog.__wrapped__()))
     assert _sum.cache_info().hits > hits
     assert warm == cold
+
+
+@pytest.mark.parametrize("fuel", [10, 200, 3000])
+def test_fuel_outcome_does_not_depend_on_earlier_runs(catalog, reports, fuel):
+    # a fresh catalog and the session's, on which every suite has run, give
+    # the same outcome: at 10 and 200 steps a suite runs out (the
+    # contraction suite needs 63 and the covariance suite 2,803), and at
+    # 3,000 every suite passes
+    from superplane.presentations import build_catalog
+
+    def outcome(cat):
+        try:
+            return render_structured(run_all(cat, fuel))
+        except FuelExhausted as exc:
+            return f"FuelExhausted: {exc}"
+
+    fresh = outcome(build_catalog.__wrapped__())
+    assert fresh.startswith("FuelExhausted") == (fuel < 3000)
+    assert outcome(catalog) == fresh
