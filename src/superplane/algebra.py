@@ -34,7 +34,7 @@ their rules fix.  So the fuel a call needs depends only on its inputs.
 
 The leftmost redex is found with a cursor, the stack-based reduction of
 Book and Otto (String-Rewriting Systems, 1993, ch. 2): every left-hand side
-has one or two letters, so after a rewrite at pos the letters before pos-1
+has two letters, so after a rewrite at pos the letters before pos-1
 still hold no redex, and the scan of each word it makes resumes at pos-1; a
 letter appended to a normal word can make a redex only at the junction.  The
 cursor changes no rewrite and costs no fuel.
@@ -209,11 +209,6 @@ class Expression:
                 out[w] = s
         return _expr_raw(out)
 
-    def __radd__(self, other):
-        if other == 0:
-            return self
-        return NotImplemented
-
     def __neg__(self):
         return _expr_raw({w: -v for w, v in self._t.items()})
 
@@ -223,12 +218,9 @@ class Expression:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Expression):
-            return _expr_raw(_times(self._t, other._t))
-        try:
-            return self.scale(other)
-        except TypeError:
+        if not isinstance(other, Expression):
             return NotImplemented
+        return _expr_raw(_times(self._t, other._t))
 
     def __rmul__(self, other):
         try:
@@ -292,7 +284,7 @@ _E_ONE = Expression({(): 1})
 
 
 class RewriteRule(namedtuple("RewriteRule", "lhs rhs")):
-    """lhs word (length 1 or 2) rewriting to an expression."""
+    """lhs word of two letters rewriting to an expression."""
 
     __slots__ = ()
 
@@ -348,12 +340,12 @@ def _order(word: Word, gens: Mapping[str, GeneratorDecl]) -> tuple:
 
 
 def _rule_error(r: RewriteRule, gens: Mapping[str, GeneratorDecl], name: str):
-    """None for a rule from one or two letters of gens to words over gens
-    below it in _order, else why not, naming its first failing word in
-    terms() order; a good rule is checked on its words as stored."""
+    """None for a rule from two letters of gens to words over gens below
+    it in _order, else why not, naming its first failing word in terms()
+    order; a good rule is checked on its words as stored."""
     lhs = r.lhs
-    if not 0 < len(lhs) < 3:
-        return f"rule lhs must have length 1 or 2, got {lhs}"
+    if len(lhs) != 2:
+        return f"rule lhs must have length 2, got {lhs}"
     try:
         top = _order(lhs, gens)
     except KeyError as exc:
@@ -445,7 +437,6 @@ class Presentation:
         # odd, and the mask of the parts after it
         self._letters = {gid: (b, self._parity[gid] << b, -2 << b)
                          for gid, b in part.items()}
-        self._singles = any(len(lhs) == 1 for lhs in self._idx)
         self._terms = {}  # (P, rule lhs) -> see _rule_terms
         self._merged = {}  # (P, F) -> (sign, P and F sorted), see _rule_terms
         self._fingerprint = None  # see parsing.fingerprint
@@ -464,7 +455,7 @@ class Presentation:
         Elsewhere, as for m*n -> n*m*m*n, fuel is the only such argument."""
         params = {g for g, d in self.gens.items() if d.klass is GenClass.PARAMETER}
         return (self._front == params and all(map(self._parity.__getitem__, params))
-                and all(len(w) <= len(r.lhs) or not params.isdisjoint(w)
+                and all(len(w) <= 2 or not params.isdisjoint(w)
                         for r in self.rules if params.isdisjoint(r.lhs) for w in r.rhs._t))
 
     # ---------------------------------------------------------- validation
@@ -482,12 +473,12 @@ class Presentation:
         missing = []
         decls = sorted(self.gens.values(), key=lambda g: g.sort_key)
         for a in decls:
-            if a.parity == 1 and (a.id, a.id) not in self._idx and (a.id,) not in self._idx:
+            if a.parity == 1 and (a.id, a.id) not in self._idx:
                 missing.append((a.id, a.id))
             for b in decls:
                 if a.sort_key <= b.sort_key:
                     continue
-                if (a.id, b.id) not in self._idx and (a.id,) not in self._idx:
+                if (a.id, b.id) not in self._idx:
                     missing.append((a.id, b.id))
         if missing:
             raise IncompletePresentation(
@@ -508,8 +499,6 @@ class Presentation:
 
     def _is_swap(self, r: RewriteRule) -> bool:
         """Whether r is v*u -> u*v with the Koszul sign of its two letters."""
-        if len(r.lhs) != 2:
-            return False
         v, u = r.lhs
         t = r.rhs._t
         return t.keys() == {(u, v)} and t[u, v].const == _koszul_sign(
@@ -589,13 +578,11 @@ class Presentation:
 
     def _find_redex(self, w: Word, start: int):
         """The leftmost redex (pos, rule) of w, or None, for a w with none
-        before start.  One-letter left-hand sides are looked up only when
-        some rule has one."""
-        idx, singles = self._idx, self._singles
-        for pos in range(start, len(w) - (not singles)):
+        before start: the first two letters from start on that are a
+        left-hand side."""
+        idx = self._idx
+        for pos in range(start, len(w) - 1):
             r = idx.get(w[pos:pos + 2])
-            if r is None and singles:
-                r = idx.get(w[pos:pos + 1])
             if r is not None:
                 return pos, r
         return None
@@ -727,8 +714,9 @@ class Presentation:
             got = memo[key] = {key: 1}
             return got
         # frame = (key, iterator over the rule terms that make its children,
-        # its block word and the bounds of the redex in it, accumulator, its
-        # coefficient in the parent frame, where its children's scans start);
+        # its block word and the position of the redex in it, accumulator,
+        # its coefficient in the parent frame, where its children's scans
+        # start);
         # each child is cut from the word when it is reached, so that no
         # frame holds a copy of the letters around its redex
         stack = []
@@ -748,11 +736,11 @@ class Presentation:
                     even, odd_terms = terms
                     if odd_terms is not even and self._odd(w[:pos], odd):
                         even = odd_terms
-                    stack.append((key, iter(even), w, pos, pos + len(rule.lhs),
-                                  {}, c, pos - 1 if pos else 0))
-                parent, kids, w, pos, end, acc, coef, start = stack[-1]
+                    stack.append((key, iter(even), w, pos, {}, c,
+                                  pos - 1 if pos else 0))
+                parent, kids, w, pos, acc, coef, start = stack[-1]
                 for c, front, mid in kids:
-                    key = (front, w[:pos] + mid + w[end:])
+                    key = (front, w[:pos] + mid + w[pos + 2:])
                     got = memo.get(key)
                     if got is None:
                         red = find(key[1], start)
@@ -776,7 +764,7 @@ class Presentation:
                     if not stack:
                         return acc
                     if acc:
-                        _accumulate(stack[-1][5], acc, coef)
+                        _accumulate(stack[-1][4], acc, coef)
         finally:
             budget.left = left
 
@@ -852,40 +840,24 @@ class CriticalPair(namedtuple("CriticalPair", "word pos_a rule_a pos_b rule_b "
 def critical_pairs(pres: Presentation, max_len: int = 4) -> list[CriticalPair]:
     """All words up to max_len admitting two overlapping rule applications.
 
-    Overlap words are built from the rules themselves: a suffix of one
-    left-hand side equal to a prefix of another, or one left-hand side
-    contained in another.  Disjoint applications commute and are not
-    critical.  Each overlap is emitted once with both one-step results.
+    Every left-hand side has two letters, so the overlaps are the words
+    u*v*w with a rule for u*v and one for v*w, rewritten at positions 0
+    and 1 (Bergman 1978): each such pair of rules gives one word, of length
+    3.  Disjoint applications commute and are not critical.  Each overlap
+    is emitted once with both one-step results, in the order of its word.
     """
-
-    rules = sorted(pres.rules, key=lambda r: (len(r.lhs), r.lhs))
+    if max_len < 3:
+        return []
     out = []
-    seen = set()
-    for ra in rules:
-        a = ra.lhs
-        for rb in rules:
-            b = rb.lhs
-            for d in range(len(a)):
-                k = len(a) - d
-                if k >= len(b):
-                    if a[d : d + len(b)] != b:
-                        continue
-                    if d == 0 and len(b) == len(a):
-                        continue
-                    word = a
-                else:
-                    if a[d:] != b[:k]:
-                        continue
-                    word = a + b[k:]
-                key = (word, b, d)
-                if len(word) > max_len or key in seen:
-                    continue
-                seen.add(key)
-                branches = (Expression.from_word(word[:pos]) * r.rhs
-                            * Expression.from_word(word[pos + len(r.lhs):])
-                            for pos, r in ((0, ra), (d, rb)))
-                out.append(CriticalPair(word, 0, ra, d, rb, *branches))
-    out.sort(key=lambda cp: (len(cp.word), cp.word, cp.pos_b, cp.rule_b.lhs))
+    for ra in pres.rules:
+        for rb in pres.rules:
+            if ra.lhs[1] != rb.lhs[0]:
+                continue
+            out.append(CriticalPair(
+                ra.lhs + rb.lhs[1:], 0, ra, 1, rb,
+                ra.rhs * Expression.from_word(rb.lhs[1:]),
+                Expression.from_word(ra.lhs[:1]) * rb.rhs))
+    out.sort(key=attrgetter("word"))
     return out
 
 
@@ -912,14 +884,13 @@ class ConfluenceReport(namedtuple("ConfluenceReport", "presentation max_len "
 def check_local_confluence(
     pres: Presentation, max_len: int = 4, fuel: int | Budget = DEFAULT_FUEL
 ) -> ConfluenceReport:
-    """Reduce both branches of every critical pair on one budget; compare."""
+    """Reduce both branches of every critical pair on one budget; compare.
+    Each pair has a word of its own, so words_scanned counts the pairs."""
 
     budget = Budget.of(fuel)
-    words = set()
     failures = []
     pairs = critical_pairs(pres, max_len)
     for cp in pairs:
-        words.add(cp.word)
         na = pres.normal_form(cp.branch_a, budget)
         nb = pres.normal_form(cp.branch_b, budget)
         if na != nb:
@@ -928,7 +899,7 @@ def check_local_confluence(
                     cp.word, cp.pos_a, cp.rule_a.lhs, cp.pos_b, cp.rule_b.lhs, na, nb
                 )
             )
-    return ConfluenceReport(pres.name, max_len, len(words), len(pairs), tuple(failures))
+    return ConfluenceReport(pres.name, max_len, len(pairs), len(pairs), tuple(failures))
 
 
 class Morphism:
@@ -1017,13 +988,12 @@ class Involution:
 
 def _checked_images(source: Presentation, target: Presentation,
                     images: Mapping[str, Expression]) -> dict[str, Expression]:
-    """images as Expressions over target, keyed by generators of source."""
+    """images as a dict, checked to be Expressions over target keyed by
+    generators of source."""
     out: dict[str, Expression] = {}
     for gid, e in images.items():
         if gid not in source.gens:
             raise RuleError(f"image given for unknown generator {gid}")
-        if not isinstance(e, Expression):
-            e = Expression(e)
         target._validate_expr(e)
         out[gid] = e
     return out
@@ -1067,7 +1037,7 @@ def adjoin_inverse(
         raise RuleError(f"cannot invert odd generator {gen_id}")
     if inverse_decl.id in pres.gens:
         raise RuleError(f"generator {inverse_decl.id} already present")
-    if inverse_decl.weight is None or inverse_decl.weight >= 0:
+    if inverse_decl.weight >= 0:
         raise RuleError("inverse generators need negative weight")
     return Presentation(
         name or f"{pres.name}[{inverse_decl.id}]",

@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("critical-pairs",
                         help="scan for non-joinable critical pairs")
     cp.add_argument("--presentation", required=True, metavar="NAME")
-    cp.add_argument("--max-len", type=int, default=4)
+    cp.add_argument("--max-len", type=int, default=4,
+                    help="longest overlap word to scan, at least 3")
     cp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     # leftover words get the verb's usage, with its hint on a leading '-'
     for verb in sub.choices.values():
@@ -77,8 +78,8 @@ def _check_limits(ns) -> None:
     """Reject limits under which a verb could only do vacuous work."""
     if getattr(ns, "fuel", 0) < 0:
         raise UsageError(f"--fuel must not be negative, got {ns.fuel}")
-    if getattr(ns, "max_len", 2) < 2:
-        raise UsageError(f"--max-len must be at least 2, got {ns.max_len}")
+    if getattr(ns, "max_len", 3) < 3:
+        raise UsageError(f"--max-len must be at least 3, got {ns.max_len}")
 
 
 def _named_presentation(name: str):

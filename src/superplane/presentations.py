@@ -145,7 +145,7 @@ def _table_rules(decls, table) -> list[RewriteRule]:
 def _build(name, decls, rules) -> Presentation:
     try:
         return Presentation(name, decls, rules)
-    except (RuleError, AlgebraError) as exc:
+    except AlgebraError as exc:
         raise ConstructionFailure(f"{name}: {exc}") from exc
 
 
@@ -188,10 +188,8 @@ COORD_DIFF_VARIANTS = {
     "cross": ("th dx", "-p*dth*x"),
 }
 
-DEFAULT_VARIANT = "diagonal"
 
-
-def build_primed_calculus(variant: str = DEFAULT_VARIANT) -> Presentation:
+def build_primed_calculus(variant: str) -> Presentation:
     if variant not in COORD_DIFF_VARIANTS:
         raise ConstructionFailure(f"unknown coordinate-differential variant {variant!r}")
     table = _PQ_TABLE + [COORD_DIFF_VARIANTS[variant]]

@@ -124,8 +124,6 @@ class GaussianRational:
         return _gauss(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
                       d1 * d2)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _gauss_raw(-self.a, -self.b, self.d)
 
@@ -137,20 +135,12 @@ class GaussianRational:
         return _gauss(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1,
                       d1 * d2)
 
-    def __rsub__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = _as_gauss(other)
         if other is None:
             return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _as_gauss(other)
@@ -164,12 +154,6 @@ class GaussianRational:
         d2 = other.d
         return _gauss((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
                       self.d * n)
-
-    def __rtruediv__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -327,8 +311,6 @@ class Poly:
                 out[m] = s
         return _poly_raw(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _poly_raw({m: -v for m, v in self._c.items()})
 
@@ -337,12 +319,6 @@ class Poly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

@@ -9,6 +9,7 @@ it.
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,7 +203,7 @@ class TestRuleValidation:
 
     def test_rejects_bad_lhs_length(self):
         with pytest.raises(RuleError, match=re.escape(
-                "rule lhs must have length 1 or 2, got ('x', 'x', 'x')")):
+                "rule lhs must have length 2, got ('x', 'x', 'x')")):
             Presentation(
                 "bad",
                 [gen("x", 0, 2)],
@@ -210,8 +211,11 @@ class TestRuleValidation:
                 require_complete=False,
             )
         with pytest.raises(RuleError, match=re.escape(
-                "rule lhs must have length 1 or 2, got ()")):
+                "rule lhs must have length 2, got ()")):
             Presentation("bad", [gen("x", 0, 2)], [((), E({}))], require_complete=False)
+        with pytest.raises(RuleError, match=re.escape(
+                "rule lhs must have length 2, got ('x',)")):
+            Presentation("bad", [gen("x", 0, 2)], [(("x",), E({}))], require_complete=False)
 
     def test_rejects_duplicate_lhs_and_unknown_gens(self):
         with pytest.raises(RuleError, match=re.escape(
@@ -343,22 +347,6 @@ class TestNormalForm:
         rng = random.Random(20260815)
         for _ in range(60):
             word = tuple(rng.choice(["x", "e"]) for _ in range(rng.randint(0, 6)))
-            expr = E({word: 1})
-            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
-
-    def test_one_letter_rules_match_random_strategy(self):
-        # c rewrites on its own, so the scan for a redex must also look at
-        # single letters, the last one included
-        pres = Presentation(
-            "one-letter",
-            [gen("a", 0, 1), gen("b", 0, 2), gen("c", 0, 3)],
-            [(("c",), E({("a",): 2, ("b",): -1})),
-             (("b", "a"), E({("a", "b"): 3}))],
-            require_complete=False,
-        )
-        rng = random.Random(20261018)
-        for _ in range(60):
-            word = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
             expr = E({word: 1})
             assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
 
@@ -661,6 +649,20 @@ class TestCriticalPairs:
         assert ("e", "x", "e", "x") not in {cp.word for cp in pairs}
         for cp in pairs:
             assert cp.pos_b < cp.pos_a + len(cp.rule_a.lhs)
+
+    @pytest.mark.parametrize("name, count", [
+        ("pq-calculus", 96), ("h-calculus", 96), ("supergroup", 104),
+        ("covariance", 490), ("one-forms", 70), ("oscillator", 44)])
+    def test_overlaps_match_brute_force(self, catalog, name, count):
+        # oracle: the three-letter words over the generators whose letters
+        # 0-1 and 1-2 both have rules, each once
+        pres = catalog_presentations(catalog)[name]
+        pairs = critical_pairs(pres, 4)
+        found = {(cp.word, cp.rule_a.lhs, cp.rule_b.lhs) for cp in pairs}
+        brute = {(w, w[:2], w[1:]) for w in product(pres.gens, repeat=3)
+                 if pres.rule_for(w[:2]) and pres.rule_for(w[1:])}
+        assert found == brute
+        assert len(pairs) == len(found) == count
 
 
 def one_step(word, pos, rule):

@@ -274,6 +274,7 @@ def test_reduce_syntax_error(capsys):
     ("critical-pairs", "--presentation", "pq-calculus", "--fuel", "-5"),
     ("reduce", "x", "--presentation", "h-calculus", "--fuel", "-5"),
     ("verify", "--suite", "differential", "--fuel", "-1"),
+    ("critical-pairs", "--presentation", "pq-calculus", "--max-len", "2"),
 ])
 def test_vacuous_limits_rejected(capsys, argv):
     # a scan that cannot hold an overlap or a negative fuel budget would
