@@ -746,14 +746,9 @@ class Presentation:
                         red = find(key[1], start)
                         if red is not None:
                             break
-                        # irreducible: memoized, and c added to acc directly
+                        # irreducible, so memoized; no acc holds it yet,
+                        # since a word enters an acc only once memoized
                         memo[key] = {key: 1}
-                        s = acc.get(key)
-                        if s is not None:
-                            c = s + c
-                            if not c:
-                                del acc[key]
-                                continue
                         acc[key] = c
                     elif got:
                         _accumulate(acc, got, c)

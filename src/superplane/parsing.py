@@ -291,7 +291,7 @@ def render_presentation(pres: Presentation) -> str:
             f"key={g.sort_key} weight={g.weight}"
         )
     def lhs_key(r):
-        return (len(r.lhs), tuple(pres.gens[x].sort_key for x in r.lhs))
+        return tuple(pres.gens[x].sort_key for x in r.lhs)
 
     for r in sorted(pres.rules, key=lhs_key):
         lines.append(f"rule {' '.join(r.lhs)} -> {render_expression(r.rhs)}")

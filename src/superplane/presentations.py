@@ -134,17 +134,15 @@ def param_scratch(name: str, decls, rules=()) -> Presentation:
                         require_complete=False)
 
 
-def _table_rules(decls, table) -> list[RewriteRule]:
-    ctx = scaffold("table", decls)
-    return [
-        RewriteRule(tuple(lhs.split()), parse_expression(rhs, ctx))
-        for lhs, rhs in table
-    ]
-
-
-def _build(name, decls, rules) -> Presentation:
+def _build(name, decls, rules=(), table=()) -> Presentation:
+    """The presentation of rules, or of the (lhs, rhs) text rows of table,
+    followed by the parameter swap rules."""
+    if table:
+        ctx = scaffold("table", decls)
+        rules = [RewriteRule(tuple(lhs.split()), parse_expression(rhs, ctx))
+                 for lhs, rhs in table]
     try:
-        return Presentation(name, decls, rules)
+        return Presentation(name, decls, list(rules) + param_swap_rules(decls))
     except AlgebraError as exc:
         raise ConstructionFailure(f"{name}: {exc}") from exc
 
@@ -192,12 +190,8 @@ COORD_DIFF_VARIANTS = {
 def build_primed_calculus(variant: str) -> Presentation:
     if variant not in COORD_DIFF_VARIANTS:
         raise ConstructionFailure(f"unknown coordinate-differential variant {variant!r}")
-    table = _PQ_TABLE + [COORD_DIFF_VARIANTS[variant]]
-    return _build(
-        "pq-calculus",
-        PQ_DECLS,
-        _table_rules(PQ_DECLS, table) + param_swap_rules(PQ_DECLS),
-    )
+    return _build("pq-calculus", PQ_DECLS,
+                  table=_PQ_TABLE + [COORD_DIFF_VARIANTS[variant]])
 
 
 # -------------------------------------------------------- contraction
@@ -380,7 +374,7 @@ def build_h_calculus(derived) -> Presentation:
                 f"pair {w} has no regular value at p=q=1 ({rel.pole_note})"
             )
         rules.append(RewriteRule(w, rel.specialized))
-    return _build("h-calculus", H_DECLS, rules + param_swap_rules(H_DECLS))
+    return _build("h-calculus", H_DECLS, rules)
 
 
 # expected h-limit block for the coordinate-differential family, used to
@@ -442,12 +436,7 @@ GROUP_DETERMINANT_RIGHT = "inv(d)*a - inv(d)*be*inv(d)*ga"
 
 
 def build_supergroup() -> Presentation:
-    return _build(
-        "supergroup",
-        SUPERGROUP_DECLS,
-        _table_rules(SUPERGROUP_DECLS, SUPERGROUP_TABLE)
-        + param_swap_rules(SUPERGROUP_DECLS),
-    )
+    return _build("supergroup", SUPERGROUP_DECLS, table=SUPERGROUP_TABLE)
 
 
 # ------------------------------------------------------- localization
@@ -553,12 +542,8 @@ def build_covariance_tensor(
 ) -> Presentation:
     gens = {d.id: d for d in COVARIANCE_DECLS}
     cross = [koszul_swap(gens[v], gens[u]) for v in _PLANE_IDS for u in _GROUP_IDS]
-    rules = (
-        non_param_rules(localized_supergroup)
-        + non_param_rules(h_calculus)
-        + cross
-        + param_swap_rules(COVARIANCE_DECLS)
-    )
+    rules = (non_param_rules(localized_supergroup)
+             + non_param_rules(h_calculus) + cross)
     return _build("covariance", COVARIANCE_DECLS, rules)
 
 
@@ -588,9 +573,7 @@ def build_coaction(h_calculus: Presentation, covariance: Presentation) -> Morphi
 def build_one_forms(h_calculus: Presentation) -> Presentation:
     keep = {d.id for d in FORMS_DECLS}
     rules = [r for r in non_param_rules(h_calculus) if set(r.lhs) <= keep]
-    base = _build(
-        "one-forms-base", FORMS_DECLS, rules + param_swap_rules(FORMS_DECLS)
-    )
+    base = _build("one-forms-base", FORMS_DECLS, rules)
     return localize(
         base, "x", GeneratorDecl("xinv", 0, GenClass.INVERSE, 22), name="one-forms"
     )
@@ -615,12 +598,7 @@ LADDER = {"x": "Ap", "th": "Bp", "px": "A", "pth": "B"}
 
 
 def build_oscillator() -> Presentation:
-    return _build(
-        "oscillator",
-        OSCILLATOR_DECLS,
-        _table_rules(OSCILLATOR_DECLS, OSCILLATOR_TABLE)
-        + param_swap_rules(OSCILLATOR_DECLS),
-    )
+    return _build("oscillator", OSCILLATOR_DECLS, table=OSCILLATOR_TABLE)
 
 
 def build_oscillator_dictionary(oscillator: Presentation,

@@ -8,6 +8,10 @@ source text disagrees with the frame-change derivation: the derived rule is
 the oracle of record, the printed variant is reduced as written, and a
 nonzero residual is recorded rather than reconciled.
 
+Every suite is a body registered with `_suite`, and one runner does the
+rest: it gives the body its budget and its clock, rejects duplicate check
+ids, sorts the checks by id, fingerprints the presentations the body used,
+and prefixes a FuelExhausted raised inside the body with the suite's name.
 Reports are deterministic: checks are assembled in id order and the
 structured rendering carries no timing data.
 """
@@ -17,7 +21,8 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 
-from .algebra import DEFAULT_FUEL, Budget, Expression, Morphism, Presentation
+from .algebra import (DEFAULT_FUEL, Budget, Expression, FuelExhausted,
+                      Morphism, Presentation)
 from .parsing import fingerprint, parse_expression, render_expression
 from .presentations import (COORD_DIFF_TARGETS, H_REDUCIBLE_PAIRS, LADDER,
                             PLANE_DECLS, AlgebraCatalog, has_param,
@@ -68,18 +73,34 @@ def _check(cid: str, pres: Presentation, expr: Expression,
     return CheckResult(cid, FAIL, nf, notes)
 
 
-def _report(suite: str, rows: list[CheckResult], t0: float,
-            presentations: list[Presentation]) -> SuiteReport:
-    ids = [r.id for r in rows]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate check ids in suite {suite}")
-    prints = tuple(sorted((p.name, fingerprint(p)) for p in presentations))
-    return SuiteReport(
-        suite,
-        tuple(sorted(rows, key=lambda r: r.id)),
-        time.perf_counter() - t0,
-        prints,
-    )
+# suite name -> its public run_*_suite, in the order the suites are defined
+SUITES = {}
+
+
+def _suite(name: str):
+    """Register body(cat, budget) -> (rows, presentations used) in SUITES
+    as run(cat, fuel=DEFAULT_FUEL) -> SuiteReport, and return run.  fuel
+    is an int or a Budget to share, as everywhere."""
+    def register(body):
+        def run(cat: AlgebraCatalog,
+                fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
+            t0 = time.perf_counter()
+            try:
+                rows, used = body(cat, Budget.of(fuel))
+            except FuelExhausted as exc:
+                raise FuelExhausted(f"suite {name}: {exc}") from exc
+            ids = [r.id for r in rows]
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"duplicate check ids in suite {name}")
+            prints = tuple(sorted((p.name, fingerprint(p)) for p in used))
+            return SuiteReport(name, tuple(sorted(rows, key=lambda r: r.id)),
+                               time.perf_counter() - t0, prints)
+
+        run.__name__, run.__qualname__, run.__doc__ = (
+            body.__name__, body.__qualname__, body.__doc__)
+        SUITES[name] = run
+        return run
+    return register
 
 
 # ------------------------------------------------- printed relation rows
@@ -152,13 +173,11 @@ _ORIENTATION_NOTE = ("odd-square rules orient onto the mixed product with "
                      "the even derivative rightmost")
 
 
-def run_contraction_suite(cat: AlgebraCatalog,
-                          fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
+@_suite("contraction")
+def run_contraction_suite(cat: AlgebraCatalog, budget: Budget):
     """Push each printed general relation through the frame change and
     reduce; then confirm the derived family is regular at p = q = 1 and
     that its specialization matches the printed limit table."""
-    t0 = time.perf_counter()
-    budget = Budget.of(fuel)
     fwd = cat.contraction.forward
     rows = []
     for cid, lhs, rhs in PRINTED_GENERAL:
@@ -184,15 +203,12 @@ def run_contraction_suite(cat: AlgebraCatalog,
         note = _ORIENTATION_NOTE if cid == "h-deriv-deriv-odd-sq" else ""
         rows.append(_check(cid, cat.h_calculus, expr, budget,
                            printed=True, notes=note))
-    return _report("contraction", rows, t0,
-                   [cat.primed_calculus, cat.h_calculus])
+    return rows, [cat.primed_calculus, cat.h_calculus]
 
 
-def run_differential_structure_suite(cat: AlgebraCatalog,
-                                     fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
+@_suite("differential")
+def run_differential_structure_suite(cat: AlgebraCatalog, budget: Budget):
     """Nilpotency and pass-through behaviour of the exterior composite."""
-    t0 = time.perf_counter()
-    budget = Budget.of(fuel)
     h = cat.h_calculus
     pq = cat.primed_calculus
     D = cat.composites.exterior
@@ -213,7 +229,7 @@ def run_differential_structure_suite(cat: AlgebraCatalog,
         _check("generate-x", h, D * gen("x") - gen("x") * D - gen("dx"), budget),
         _check("generate-th", h, D * gen("th") + gen("th") * D - gen("dth"), budget),
     ]
-    return _report("differential", rows, t0, [h, pq])
+    return rows, [h, pq]
 
 
 def _identity_coaction(cat: AlgebraCatalog) -> Morphism:
@@ -231,11 +247,9 @@ def _identity_coaction(cat: AlgebraCatalog) -> Morphism:
     return Morphism(cov, cat.h_calculus, images, name="identity-coaction")
 
 
-def run_covariance_suite(cat: AlgebraCatalog,
-                         fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
+@_suite("covariance")
+def run_covariance_suite(cat: AlgebraCatalog, budget: Budget):
     """Every calculus relation is preserved by the group coaction."""
-    t0 = time.perf_counter()
-    budget = Budget.of(fuel)
     cov = cat.covariance_tensor
     delta = cat.coaction
     rows = []
@@ -265,15 +279,13 @@ def run_covariance_suite(cat: AlgebraCatalog,
         "coefficient-reading", PASS, None,
         f"selected coordinate-differential reading: {cat.coord_diff_variant};"
         f" rejected alternative matches {loser_hits} of 4 derived targets"))
-    return _report("covariance", rows, t0, [cov, cat.h_calculus])
+    return rows, [cov, cat.h_calculus]
 
 
-def run_forms_suite(cat: AlgebraCatalog,
-                    fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
+@_suite("forms")
+def run_forms_suite(cat: AlgebraCatalog, budget: Budget):
     """Frame one-forms against coordinates, and the scaling and shift
     operators built from the derivative sector."""
-    t0 = time.perf_counter()
-    budget = Budget.of(fuel)
     forms = cat.one_forms
     h = cat.h_calculus
     w = cat.composites.frame_form_x
@@ -303,7 +315,7 @@ def run_forms_suite(cat: AlgebraCatalog,
         _check("operator-shift-th", h,
                N * th - x + th * N - h1 * (th * T), budget, printed=True),
     ]
-    return _report("forms", rows, t0, [forms, h])
+    return rows, [forms, h]
 
 
 # hatted-operator tables: ep and op are the even and odd hermitian
@@ -357,13 +369,11 @@ _PLANE_PAIRS = tuple(w for w in H_REDUCIBLE_PAIRS
                      if set(w) <= {d.id for d in PLANE_DECLS})
 
 
-def run_phase_space_suite(cat: AlgebraCatalog,
-                          fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
+@_suite("phase-space")
+def run_phase_space_suite(cat: AlgebraCatalog, budget: Budget):
     """Hermitian conjugation fixes the hatted operators, preserves the
     non-differential relations, and the hatted operators close on the two
     printed deformed tables."""
-    t0 = time.perf_counter()
-    budget = Budget.of(fuel)
     h = cat.h_calculus
     dag = cat.plane_dagger
     c = cat.composites
@@ -374,13 +384,13 @@ def run_phase_space_suite(cat: AlgebraCatalog,
                    ("hermitian-momentum-odd", c.momentum_odd)):
         rows.append(_check(cid, h, dag.apply(e, budget) - e, budget))
     for word in _PLANE_PAIRS:
-        rule = next(r for r in h.rules if r.lhs == word)
+        rule = h.rule_for(word)
         expr = Expression.from_word(rule.lhs) - rule.rhs
         rows.append(_check("dagger-" + "-".join(word), h,
                            dag.apply(expr, budget), budget))
     for cid, expr in _phase_rows(cat):
         rows.append(_check(cid, h, expr, budget, printed=True))
-    return _report("phase-space", rows, t0, [h])
+    return rows, [h]
 
 
 _UNDEFORMED = {
@@ -395,12 +405,10 @@ _UNDEFORMED = {
 }
 
 
-def run_oscillator_suite(cat: AlgebraCatalog,
-                         fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
+@_suite("oscillator")
+def run_oscillator_suite(cat: AlgebraCatalog, budget: Budget):
     """The ladder dictionary carries the plane relations into the deformed
     oscillator algebra with every deformation-parameter term cancelling."""
-    t0 = time.perf_counter()
-    budget = Budget.of(fuel)
     osc = cat.oscillator
     dic = cat.oscillator_dictionary
     rows = []
@@ -438,7 +446,7 @@ def run_oscillator_suite(cat: AlgebraCatalog,
     bad = []
     zero = GaussianRational(0, 0)
     for word, want in _UNDEFORMED.items():
-        rule = next(r for r in osc.rules if r.lhs == word)
+        rule = osc.rule_for(word)
         got = {w: v for w, c in rule.rhs.terms()
                if (v := c.eval(1, 1)) != zero}
         target = {w: parse_expression(s, osc).coefficient(()).eval(1, 1)
@@ -461,7 +469,7 @@ def run_oscillator_suite(cat: AlgebraCatalog,
         "conjugation with the parameters swapped preserves every ladder "
         "relation" if not broken
         else "not preserved: " + ", ".join(broken)))
-    return _report("oscillator", rows, t0, [osc])
+    return rows, [osc]
 
 
 def _flip(img: Expression, word) -> Expression:
@@ -488,12 +496,10 @@ def _wrong_convention_maps(cat: AlgebraCatalog) -> tuple[Morphism, Morphism]:
     )
 
 
-def run_appendix_suite(cat: AlgebraCatalog,
-                       fuel: int | Budget = DEFAULT_FUEL) -> SuiteReport:
+@_suite("appendix")
+def run_appendix_suite(cat: AlgebraCatalog, budget: Budget):
     """Left-convention round trips are exact; the right-acting candidates
     miss by the documented cross-parameter multiples, no more, no less."""
-    t0 = time.perf_counter()
-    budget = Budget.of(fuel)
     cm = cat.contraction
     E = Expression
     rows = [CheckResult("round-trip-" + key, PASS if res.is_zero() else FAIL,
@@ -528,18 +534,7 @@ def run_appendix_suite(cat: AlgebraCatalog,
             res = drift - expected
             rows.append(CheckResult(cid, PASS if res.is_zero() else FAIL,
                                     None if res.is_zero() else res, note))
-    return _report("appendix", rows, t0, [cat.primed_calculus])
-
-
-SUITES = {
-    "contraction": run_contraction_suite,
-    "differential": run_differential_structure_suite,
-    "covariance": run_covariance_suite,
-    "forms": run_forms_suite,
-    "phase-space": run_phase_space_suite,
-    "oscillator": run_oscillator_suite,
-    "appendix": run_appendix_suite,
-}
+    return rows, [cat.primed_calculus]
 
 
 def run_all(cat: AlgebraCatalog,

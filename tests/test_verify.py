@@ -16,8 +16,13 @@ from superplane.verify import (
     render_structured,
     render_text,
     run_all,
+    run_appendix_suite,
+    run_contraction_suite,
+    run_covariance_suite,
     run_differential_structure_suite,
     run_forms_suite,
+    run_oscillator_suite,
+    run_phase_space_suite,
 )
 
 # every printed row that does not reduce to zero against the derived
@@ -184,9 +189,16 @@ def test_fingerprint_records_are_frozen(reports):
         assert digest == FROZEN_FINGERPRINTS[name], (suite, name)
 
 
-def test_single_suite_matches_shared_run(catalog, reports):
-    rep = run_differential_structure_suite(catalog)
-    shared = by_suite(reports)["differential"]
+@pytest.mark.parametrize("run", [
+    run_contraction_suite, run_differential_structure_suite,
+    run_covariance_suite, run_forms_suite, run_phase_space_suite,
+    run_oscillator_suite, run_appendix_suite,
+], ids=lambda run: run.__name__)
+def test_single_suite_matches_shared_run(catalog, reports, run):
+    # each public runner is the one registered under its suite's name
+    rep = run(catalog)
+    assert SUITES[rep.suite] is run
+    shared = by_suite(reports)[rep.suite]
     assert rep.results == shared.results
     assert rep.presentation_fingerprints == shared.presentation_fingerprints
 
@@ -257,8 +269,8 @@ def test_structured_report_does_not_depend_on_scalar_memos():
 def test_fuel_outcome_does_not_depend_on_earlier_runs(catalog, reports, fuel):
     # a fresh catalog and the session's, on which every suite has run, give
     # the same outcome: at 10 and 200 steps a suite runs out (the
-    # contraction suite needs 63 and the covariance suite 2,803), and at
-    # 3,000 every suite passes
+    # contraction suite needs 63 and the covariance suite 2,803), its error
+    # names it, and at 3,000 every suite passes
     from superplane.presentations import build_catalog
 
     def outcome(cat):
@@ -267,6 +279,10 @@ def test_fuel_outcome_does_not_depend_on_earlier_runs(catalog, reports, fuel):
         except FuelExhausted as exc:
             return f"FuelExhausted: {exc}"
 
+    ran_out = {10: "contraction", 200: "covariance"}.get(fuel)
     fresh = outcome(build_catalog.__wrapped__())
-    assert fresh.startswith("FuelExhausted") == (fuel < 3000)
+    if ran_out:
+        assert fresh.startswith(f"FuelExhausted: suite {ran_out}: "), fresh
+    else:
+        assert not fresh.startswith("FuelExhausted"), fresh
     assert outcome(catalog) == fresh
