@@ -23,7 +23,6 @@ from superplane.algebra import (
     Presentation,
     RewriteRule,
     RuleError,
-    adjoin_inverse,
     check_local_confluence,
     critical_pairs,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "Scalar",
     "SuiteReport",
     "UnknownGenerator",
-    "adjoin_inverse",
     "build_catalog",
     "catalog_presentations",
     "check_local_confluence",

@@ -864,8 +864,8 @@ class ConfluenceFailure(namedtuple("ConfluenceFailure", "word pos_a lhs_a "
     __slots__ = ()
 
 
-class ConfluenceReport(namedtuple("ConfluenceReport", "presentation max_len "
-                                  "words_scanned pairs_checked failures")):
+class ConfluenceReport(namedtuple("ConfluenceReport",
+                                  "presentation pairs_checked failures")):
     """Outcome of a scan: counts, and the non-joinable pairs as a tuple of
     ConfluenceFailure."""
 
@@ -880,7 +880,8 @@ def check_local_confluence(
     pres: Presentation, max_len: int = 4, fuel: int | Budget = DEFAULT_FUEL
 ) -> ConfluenceReport:
     """Reduce both branches of every critical pair on one budget; compare.
-    Each pair has a word of its own, so words_scanned counts the pairs."""
+    Every overlap word has three letters, so any max_len of at least 3
+    scans them all."""
 
     budget = Budget.of(fuel)
     failures = []
@@ -894,7 +895,7 @@ def check_local_confluence(
                     cp.word, cp.pos_a, cp.rule_a.lhs, cp.pos_b, cp.rule_b.lhs, na, nb
                 )
             )
-    return ConfluenceReport(pres.name, max_len, len(pairs), len(pairs), tuple(failures))
+    return ConfluenceReport(pres.name, len(pairs), tuple(failures))
 
 
 class Morphism:
@@ -1010,32 +1011,3 @@ def _fold(memo: dict, word: Word, image, mul) -> Expression:
         memo[word[:j + 1]] = prod
     return prod
 
-
-def adjoin_inverse(
-    pres: Presentation,
-    gen_id: str,
-    inverse_decl: GeneratorDecl,
-    swap_rules,
-    name: str | None = None,
-) -> Presentation:
-    """Extend a presentation by a two-sided inverse of an even generator.
-
-    The unit rules are added here; the caller supplies the derived swap
-    rules that move the inverse past the other generators.  The inverse must
-    carry negative weight so the unit rules descend at equal weighted degree.
-    """
-
-    g = pres.gens.get(gen_id)
-    if g is None:
-        raise RuleError(f"cannot invert unknown generator {gen_id}")
-    if g.parity != 0:
-        raise RuleError(f"cannot invert odd generator {gen_id}")
-    if inverse_decl.id in pres.gens:
-        raise RuleError(f"generator {inverse_decl.id} already present")
-    if inverse_decl.weight >= 0:
-        raise RuleError("inverse generators need negative weight")
-    return Presentation(
-        name or f"{pres.name}[{inverse_decl.id}]",
-        list(pres.gens.values()) + [inverse_decl],
-        list(pres.rules) + unit_rules(gen_id, inverse_decl.id) + list(swap_rules),
-    )

@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("critical-pairs",
                         help="scan for non-joinable critical pairs")
     cp.add_argument("--presentation", required=True, metavar="NAME")
-    cp.add_argument("--max-len", type=int, default=4,
-                    help="longest overlap word to scan, at least 3")
     cp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     # leftover words get the verb's usage, with its hint on a leading '-'
     for verb in sub.choices.values():
@@ -78,8 +76,6 @@ def _check_limits(ns) -> None:
     """Reject limits under which a verb could only do vacuous work."""
     if getattr(ns, "fuel", 0) < 0:
         raise UsageError(f"--fuel must not be negative, got {ns.fuel}")
-    if getattr(ns, "max_len", 3) < 3:
-        raise UsageError(f"--max-len must be at least 3, got {ns.max_len}")
 
 
 def _named_presentation(name: str):
@@ -140,10 +136,8 @@ def _cmd_rules(ns) -> int:
 
 def _cmd_critical_pairs(ns) -> int:
     pres = _named_presentation(ns.presentation)
-    report = check_local_confluence(pres, ns.max_len, ns.fuel)
+    report = check_local_confluence(pres, fuel=ns.fuel)
     print(f"presentation: {report.presentation}")
-    print(f"max word length: {report.max_len}")
-    print(f"words scanned: {report.words_scanned}")
     print(f"pairs checked: {report.pairs_checked}")
     print(f"non-joinable: {len(report.failures)}")
     for f in report.failures:

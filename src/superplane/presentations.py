@@ -21,6 +21,10 @@ Two sort-key conventions matter everywhere:
 * an adjoined inverse sits immediately above its base generator.  Anything
   keyed between the two would let sorted words hide unit cancellations
   from adjacent-pair rewriting and break confluence.
+
+Every presentation here is built by _build, which appends the parameter
+swaps and reports a bad rule as a ConstructionFailure; localize, the one
+place that adjoins an inverse, builds through it too.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from superplane.algebra import (
     Presentation,
     RewriteRule,
     RuleError,
-    adjoin_inverse,
     koszul_swap,
     param_swap_rules,
     unit_rules,
@@ -441,41 +444,46 @@ def build_supergroup() -> Presentation:
 
 # ------------------------------------------------------- localization
 
-def derive_localized_rules(pres: Presentation, gen_id: str,
-                           inverse_decl: GeneratorDecl) -> list[RewriteRule]:
-    """Swap rules for an adjoined inverse, by sandwiching the base rules.
+def localize(pres: Presentation, gen_id: str, inverse_decl: GeneratorDecl,
+             name: str) -> Presentation:
+    """pres with a two-sided inverse of its even generator gen_id adjoined.
 
-    For a generator v below g, multiplying the rule for g*v by the inverse
+    The inverse must be new, carry negative weight so the unit rules
+    descend at equal weighted degree, and take the sort key immediately
+    above gen_id.  Its swap rules come from sandwiching the base rules:
+    for a generator v below g, multiplying the rule for g*v by the inverse
     on both sides yields an identity whose head term is (ginv, v); solving
     for that head gives the new rule.  For v above the inverse the mirror
-    image applies.  Parameters commute with g, hence with its inverse, and
-    are emitted directly.  The sandwich is reduced in a scratch presentation
-    of the parameter swaps and the two unit rules, so one normal form moves
-    the parameters to the front and cancels every unit pair.  All the
-    sandwiches are reduced on one budget of DEFAULT_FUEL steps.
+    image applies.  The sandwich is reduced in a scratch presentation of
+    the parameter swaps and the two unit rules, so one normal form moves
+    the parameters to the front and cancels every unit pair, all on one
+    budget of DEFAULT_FUEL steps.  The rules of pres on a parameter are
+    taken to be its swaps, as _build makes them; _build appends the swaps
+    of the result, the inverse's among them.
     """
-
     g = pres.gens.get(gen_id)
+    ginv = inverse_decl.id
     if g is None:
         raise RuleError(f"cannot invert unknown generator {gen_id}")
     if g.parity:
         raise RuleError(f"cannot invert odd generator {gen_id}")
+    if ginv in pres.gens:
+        raise RuleError(f"generator {ginv} already present")
+    if inverse_decl.weight >= 0:
+        raise RuleError("inverse generators need negative weight")
     if inverse_decl.sort_key != g.sort_key + 1:
         raise RuleError(
-            f"inverse {inverse_decl.id} must take sort key {g.sort_key + 1}, "
+            f"inverse {ginv} must take sort key {g.sort_key + 1}, "
             f"immediately above {gen_id}"
         )
-    ginv = inverse_decl.id
     decls = list(pres.gens.values()) + [inverse_decl]
-    scratch = param_scratch(f"{pres.name}-params", decls, unit_rules(gen_id, ginv))
+    units = unit_rules(gen_id, ginv)
+    scratch = param_scratch(f"{pres.name}-params", decls, units)
     budget = Budget(DEFAULT_FUEL)
     sandwich = Expression.from_gen(ginv)
-    rules = []
+    rules = non_param_rules(pres) + units
     for v in sorted(pres.gens.values(), key=lambda dcl: dcl.sort_key):
-        if v.id == gen_id:
-            continue
-        if v.klass is GenClass.PARAMETER:
-            rules.append(RewriteRule((ginv, v.id), Expression({(v.id, ginv): 1})))
+        if v.id == gen_id or v.klass is GenClass.PARAMETER:
             continue
         if v.sort_key < g.sort_key:
             base = pres.rule_for((gen_id, v.id))
@@ -496,13 +504,7 @@ def derive_localized_rules(pres: Presentation, gen_id: str,
         rest = sandwiched - Expression.from_word(lhs, head)
         rhs = (Expression.from_word(ordered) - rest).scale(head.inv())
         rules.append(RewriteRule(lhs, scratch.normal_form(rhs, budget)))
-    return rules
-
-
-def localize(pres: Presentation, gen_id: str, inverse_decl: GeneratorDecl,
-             name: str | None = None) -> Presentation:
-    rules = derive_localized_rules(pres, gen_id, inverse_decl)
-    return adjoin_inverse(pres, gen_id, inverse_decl, rules, name=name)
+    return _build(name, decls, rules)
 
 
 def build_localized_supergroup(base: Presentation) -> Presentation:

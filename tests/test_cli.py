@@ -10,9 +10,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superplane import cli, verify
+from superplane import build_catalog, catalog_presentations, cli, verify
 from superplane.algebra import GenClass
+from superplane.parsing import parse_expression
 from superplane.verify import CheckResult, SuiteReport
+
+from reference import reference_nf
 
 
 def run_cli(capsys, *argv):
@@ -219,12 +222,12 @@ def test_reduce_expression_that_starts_with_minus(capsys):
 def test_reduce_fuzz(data):
     # random tokens over one presentation and a small fuel: a status of 0,
     # 1 or 2 and never a traceback, one line on stderr on 1 or 2, and on 0
-    # a normal form that reads back after -- unchanged
-    from superplane import build_catalog, catalog_presentations
-
+    # the reference reducer's normal form, which reads back after --
+    # unchanged
     table = catalog_presentations(build_catalog())
     name = data.draw(st.sampled_from(sorted(table)))
-    gens = table[name].gens
+    pres = table[name]
+    gens = pres.gens
     tokens = sorted(gens) + [f"inv({g[:-len('inv')]})" for g, d in gens.items()
                              if d.klass is GenClass.INVERSE]
     tokens += ["p", "q", "i", "0", "1", "2", "3", *"+-*/^()"]
@@ -238,7 +241,32 @@ def test_reduce_fuzz(data):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == ""
+        # reduce reduces each product as the parser forms it, so that a
+        # divisor such as x*inv(x) is a scalar; the reference does the same
+        want = reference_nf(pres, parse_expression(
+            text, pres, lambda a, b: reference_nf(pres, a * b)))
+        assert parse_expression(out, pres) == want, text
         assert run_quiet(argv + [out.strip()]) == (0, out, "")
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.data())
+def test_reduce_values_match_the_reference(data):
+    # sums of up to three products of letters, with coefficients that are
+    # not integers: non-integer rationals, a Gaussian constant and a
+    # quotient in p and q; the output is the reference reducer's normal
+    # form of the plain parse
+    table = catalog_presentations(build_catalog())
+    name = data.draw(st.sampled_from(sorted(table)))
+    pres = table[name]
+    word = st.lists(st.sampled_from(sorted(pres.gens)), min_size=1, max_size=3)
+    coeff = st.sampled_from(("1/2", "-2/3", "i/2", "(p - q)/(p*q)"))
+    terms = data.draw(st.lists(st.tuples(coeff, word), min_size=1, max_size=3))
+    text = " + ".join(f"({c})*{'*'.join(w)}" for c, w in terms)
+    code, out, err = run_quiet(["reduce", "--presentation", name, "--", text])
+    assert (code, err) == (0, "")
+    want = reference_nf(pres, parse_expression(text, pres))
+    assert parse_expression(out, pres) == want, text
 
 
 def test_reduce_unknown_presentation(capsys):
@@ -269,16 +297,13 @@ def test_reduce_syntax_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("critical-pairs", "--presentation", "pq-calculus", "--max-len", "1"),
-    ("critical-pairs", "--presentation", "pq-calculus", "--max-len", "-3"),
     ("critical-pairs", "--presentation", "pq-calculus", "--fuel", "-5"),
     ("reduce", "x", "--presentation", "h-calculus", "--fuel", "-5"),
     ("verify", "--suite", "differential", "--fuel", "-1"),
-    ("critical-pairs", "--presentation", "pq-calculus", "--max-len", "2"),
 ])
 def test_vacuous_limits_rejected(capsys, argv):
-    # a scan that cannot hold an overlap or a negative fuel budget would
-    # only report vacuous work, so both are usage errors
+    # a negative fuel budget would only report vacuous work, so it is a
+    # usage error
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -307,11 +332,9 @@ def test_rules_flags_are_exclusive(capsys):
 
 def test_critical_pairs_clean(capsys):
     code, out, _ = run_cli(
-        capsys, "critical-pairs", "--presentation", "pq-calculus",
-        "--max-len", "3")
+        capsys, "critical-pairs", "--presentation", "pq-calculus")
     assert code == 0
     assert "non-joinable: 0" in out
-    assert "max word length: 3" in out
 
 
 def test_verify_single_suite_text(capsys):

@@ -25,7 +25,6 @@ from superplane.presentations import (
     catalog_presentations,
     choose_variant,
     derive_h_relations,
-    derive_localized_rules,
     expression_parity,
     localize,
     param_scratch,
@@ -215,13 +214,13 @@ def test_supergroup_localization_oracle(cat):
 def test_localization_rejects_bad_inverse_key(cat):
     bad = GeneratorDecl("dinv", 0, GenClass.INVERSE, 99)
     with pytest.raises(RuleError):
-        derive_localized_rules(cat.supergroup, "d", bad)
+        localize(cat.supergroup, "d", bad, "supergroup-dinv")
 
 
 def test_localization_rejects_odd_generator(cat):
     decl = GeneratorDecl("beinv", 1, GenClass.INVERSE, 12)
     with pytest.raises(RuleError):
-        derive_localized_rules(cat.supergroup, "be", decl)
+        localize(cat.supergroup, "be", decl, "supergroup-beinv")
 
 
 def test_group_determinant_forms_agree(cat):
