@@ -31,7 +31,6 @@ from superplane.parsing import (
     UnknownGenerator,
     fingerprint,
     parse_expression,
-    parse_presentation,
     render_expression,
     render_presentation,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "localize",
     "overall_ok",
     "parse_expression",
-    "parse_presentation",
     "poly_gcd",
     "render_expression",
     "render_presentation",

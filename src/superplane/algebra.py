@@ -824,10 +824,10 @@ def _accumulate(acc: dict, terms: dict, c) -> None:
         acc[k] = v
 
 
-class CriticalPair(namedtuple("CriticalPair", "word pos_a rule_a pos_b rule_b "
-                                             "branch_a branch_b")):
-    """An overlap word with the two rules applied at pos_a and pos_b and
-    the one-step result of each."""
+class CriticalPair(namedtuple("CriticalPair",
+                               "word rule_a rule_b branch_a branch_b")):
+    """An overlap word with rule_a applied at position 0 and rule_b at
+    position 1, and the one-step result of each."""
 
     __slots__ = ()
 
@@ -849,17 +849,16 @@ def critical_pairs(pres: Presentation, max_len: int = 4) -> list[CriticalPair]:
             if ra.lhs[1] != rb.lhs[0]:
                 continue
             out.append(CriticalPair(
-                ra.lhs + rb.lhs[1:], 0, ra, 1, rb,
+                ra.lhs + rb.lhs[1:], ra, rb,
                 ra.rhs * Expression.from_word(rb.lhs[1:]),
                 Expression.from_word(ra.lhs[:1]) * rb.rhs))
     out.sort(key=attrgetter("word"))
     return out
 
 
-class ConfluenceFailure(namedtuple("ConfluenceFailure", "word pos_a lhs_a "
-                                                       "pos_b lhs_b nf_a nf_b")):
-    """A critical pair whose two branches reduce to different normal
-    forms nf_a and nf_b."""
+class ConfluenceFailure(namedtuple("ConfluenceFailure", "word nf_a nf_b")):
+    """A critical pair whose two branches, the rewrites of its word at
+    positions 0 and 1, reduce to different normal forms nf_a and nf_b."""
 
     __slots__ = ()
 
@@ -890,11 +889,7 @@ def check_local_confluence(
         na = pres.normal_form(cp.branch_a, budget)
         nb = pres.normal_form(cp.branch_b, budget)
         if na != nb:
-            failures.append(
-                ConfluenceFailure(
-                    cp.word, cp.pos_a, cp.rule_a.lhs, cp.pos_b, cp.rule_b.lhs, na, nb
-                )
-            )
+            failures.append(ConfluenceFailure(cp.word, na, nb))
     return ConfluenceReport(pres.name, len(pairs), tuple(failures))
 
 
@@ -913,8 +908,9 @@ class Morphism:
         self.images = _checked_images(source, target, images)
 
     def apply(self, expr: Expression, fuel: int | Budget = DEFAULT_FUEL) -> Expression:
-        """The normal form of expr's image.  Each word's letter images are
-        folded through one target multiplier on a budget of fuel steps.
+        """The normal form of expr's image.  Each term's word is folded,
+        letter image by letter image, through one target multiplier on a
+        budget of fuel steps; _term says which word, image and coefficient.
 
         The budget keeps the normal form of the image of every word prefix
         this map has folded on it, using image(w*l) = mul(image(w),
@@ -928,21 +924,28 @@ class Morphism:
         prefixes = budget.memo(self, "prefixes")
         total = _E_ZERO
         for word, c in expr.terms():
-            prod = _fold(prefixes, word, self.images.__getitem__, mul)
-            total = total + prod.scale(c)
+            word, image, c = self._term(word, c)
+            total = total + _fold(prefixes, word, image, mul).scale(c)
         return total
 
+    def _term(self, word: Word, c: Scalar):
+        """The word to fold, its letters' image lookup, and the coefficient
+        of the fold for the term c*word."""
+        return word, self.images.__getitem__, c
 
-class Involution:
-    """Antilinear antihomomorphism with dagger(u*v) = dagger(v)*dagger(u).
 
-    Scalars are conjugated (i -> -i), optionally with p and q swapped.
+class Involution(Morphism):
+    """Antilinear antihomomorphism with dagger(u*v) = dagger(v)*dagger(u):
+    a map of a presentation to itself that folds the letter images last
+    first and conjugates the coefficient (i -> -i, optionally with p and q
+    swapped).
+
     Images may be partial; applying to an uncovered generator raises
     MissingImage.  Involutivity is checked on the covered generators.
     """
 
     def __init__(self, presentation: Presentation, images: Mapping[str, Expression], swap_pq: bool = False, name: str = ""):
-        self.presentation = presentation
+        self.presentation = self.source = self.target = presentation
         self.swap_pq = swap_pq
         self.name = name
         self.images = _checked_images(presentation, presentation, images)
@@ -955,23 +958,11 @@ class Involution:
                     f"{name or 'involution'} fails to square to the identity on {gid}"
                 )
 
-    def apply(self, expr: Expression, fuel: int | Budget = DEFAULT_FUEL) -> Expression:
-        """The normal form of expr's image.  Each word's letter images, last
-        first, are folded through one multiplier on a budget of fuel steps.
+    # its own entry, so that a wrapper of Morphism.apply leaves it alone
+    apply = Morphism.apply
 
-        As in Morphism.apply, the budget keeps the normal forms of folded
-        prefixes, here keyed on the reversed word, and memory grows with
-        the words it met.  The coefficient is conjugated afterwards.
-        """
-        self.presentation._validate_expr(expr)
-        budget = Budget.of(fuel)
-        mul = self.presentation.multiplier(budget)
-        prefixes = budget.memo(self, "prefixes")
-        total = _E_ZERO
-        for word, c in expr.terms():
-            prod = _fold(prefixes, word[::-1], self._image, mul)
-            total = total + prod.scale(c.conj(self.swap_pq))
-        return total
+    def _term(self, word: Word, c: Scalar):
+        return word[::-1], self._image, c.conj(self.swap_pq)
 
     def _image(self, gid: str) -> Expression:
         img = self.images.get(gid)

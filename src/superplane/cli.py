@@ -9,9 +9,10 @@ failed, 2 for usage and parse errors.  A reduction that runs out of fuel
 or of memory is a failed reduction: `reduce` then prints a one-line error
 and exits 1.  `--fuel` bounds one budget of rewrite steps: the parse and
 reduction of `reduce`, each suite of `verify`, the whole `critical-pairs`
-scan.  Reports go to stdout, diagnostics to stderr.  A reader that closes
-the pipe early (`| head`) gets what it read, and the verb exits 1 with
-nothing on stderr.
+scan; a `verify` fuel error names the suite and, for a row reduced in its
+check, the check.  Reports go to stdout, diagnostics to stderr.  A reader
+that closes the pipe early (`| head`) gets what it read, and the verb exits
+1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ def _cmd_critical_pairs(ns) -> int:
     print(f"pairs checked: {report.pairs_checked}")
     print(f"non-joinable: {len(report.failures)}")
     for f in report.failures:
-        print(f"  word {'*'.join(f.word)}: rule at {f.pos_a} gives "
-              f"{render_expression(f.nf_a)}; rule at {f.pos_b} gives "
+        print(f"  word {'*'.join(f.word)}: rule at 0 gives "
+              f"{render_expression(f.nf_a)}; rule at 1 gives "
               f"{render_expression(f.nf_b)}")
     return OK if report.ok else FAILED
 

@@ -28,14 +28,7 @@ import operator
 import re
 from itertools import groupby
 
-from superplane.algebra import (
-    Expression,
-    GenClass,
-    GeneratorDecl,
-    Presentation,
-    RewriteRule,
-    RuleError,
-)
+from superplane.algebra import Expression, Presentation
 from superplane.scalars import DivisionByZero, Scalar, power
 
 
@@ -279,7 +272,7 @@ def render_expression(expr: Expression) -> str:
     return out
 
 
-# ---------------------------------------------------- presentation files
+# ---------------------------------------------------- presentation dumps
 
 
 def render_presentation(pres: Presentation) -> str:
@@ -298,56 +291,10 @@ def render_presentation(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-_GEN_LINE = re.compile(
-    r"^gen (?P<id>\S+) parity=(?P<parity>[01]) class=(?P<klass>\S+) "
-    r"key=(?P<key>-?\d+) weight=(?P<weight>-?\d+)$"
-)
-
-
-def parse_presentation(text: str) -> Presentation:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("presentation "):
-        raise RuleError("presentation file must start with a presentation line")
-    head = lines[0].split()
-    if len(head) != 3 or not head[2].startswith("complete="):
-        raise RuleError(f"bad presentation header: {lines[0]!r}")
-    name = head[1]
-    complete = head[2] == "complete=1"
-    decls = []
-    rule_lines = []
-    for line in lines[1:]:
-        if line.startswith("gen "):
-            m = _GEN_LINE.match(line)
-            if m is None:
-                raise RuleError(f"bad generator line: {line!r}")
-            decls.append(
-                GeneratorDecl(
-                    m["id"],
-                    int(m["parity"]),
-                    GenClass(m["klass"]),
-                    int(m["key"]),
-                    int(m["weight"]),
-                )
-            )
-        elif line.startswith("rule "):
-            rule_lines.append(line)
-        else:
-            raise RuleError(f"unrecognized line: {line!r}")
-    scaffold = Presentation(name, decls, [], require_complete=False)
-    rules = []
-    for line in rule_lines:
-        body = line[len("rule "):]
-        if "->" not in body:
-            raise RuleError(f"rule line lacks an arrow: {line!r}")
-        lhs_text, rhs_text = body.split("->", 1)
-        lhs = tuple(lhs_text.split())
-        rules.append(RewriteRule(lhs, parse_expression(rhs_text, scaffold)))
-    return Presentation(name, decls, rules, require_complete=complete)
-
-
 def fingerprint(pres: Presentation) -> str:
-    """sha256 of the rendered presentation file, computed once per
-    presentation: its generators and rules do not change."""
+    """sha256 of the rendered presentation dump, computed once per
+    presentation: its generators and rules do not change.  The dump is
+    output only; nothing reads it back."""
     if pres._fingerprint is None:
         # hashlib loads OpenSSL, which no command but verify needs
         import hashlib

@@ -206,16 +206,15 @@ _C2 = Scalar.one() / _Q1          # coefficient of h2
 _CH = _C1 * _C2                   # coefficient of h1*h2
 
 
-class ContractionMap(namedtuple("ContractionMap",
-                                 "forward backward g_matrix h_scratch")):
+class ContractionMap(namedtuple("ContractionMap", "forward backward")):
     """Invertible change of generators between the h frame and (p,q) frame.
 
     forward sends each h-frame generator to its (p,q)-frame expression and
     reduces there; backward sends each (p,q)-frame generator to its h-frame
-    expression and reduces in a parameters-only scratch presentation, so its
-    outputs are always parameter-normalized free expressions.  Both are
-    Morphisms; g_matrix is the 2x2 tuple of Expressions of the frame change
-    and h_scratch the scratch Presentation.
+    expression and reduces in backward.target, a parameters-only scratch
+    presentation, so its outputs are always parameter-normalized free
+    expressions.  Both are Morphisms; the x and th images of backward are
+    the frame change of the coordinates.
     """
 
     __slots__ = ()
@@ -224,7 +223,6 @@ class ContractionMap(namedtuple("ContractionMap",
 def build_contraction(pq: Presentation) -> ContractionMap:
     E = Expression
     h_scaffold = scaffold("h-frame", H_DECLS)
-    h_scratch = param_scratch("h-frame-params", H_DECLS)
     forward = Morphism(
         h_scaffold,
         pq,
@@ -242,7 +240,7 @@ def build_contraction(pq: Presentation) -> ContractionMap:
     )
     backward = Morphism(
         pq,
-        h_scratch,
+        param_scratch("h-frame-params", H_DECLS),
         {
             "x": E({("x",): 1, ("h1", "h2", "x"): _CH, ("h1", "th"): _C1}),
             "th": E({("h2", "x"): _C2, ("th",): 1}),
@@ -255,11 +253,7 @@ def build_contraction(pq: Presentation) -> ContractionMap:
         },
         name="pq-to-h",
     )
-    g_matrix = (
-        (E({(): 1, ("h1", "h2"): _CH}), E({("h1",): _C1})),
-        (E({("h2",): _C2}), E.one()),
-    )
-    cmap = ContractionMap(forward, backward, g_matrix, h_scratch)
+    cmap = ContractionMap(forward, backward)
     for key, res in round_trip_residuals(cmap).items():
         if not res.is_zero():
             raise RoundTripFailure(f"round trip {key} leaves {res}")
@@ -329,7 +323,7 @@ def derive_h_relations(cmap: ContractionMap, pairs=H_REDUCIBLE_PAIRS) -> dict:
             cmap.forward.apply(Expression.from_word(word), budget), budget
         )
 
-    scratch = cmap.h_scratch
+    scratch = cmap.backward.target
     general: dict = {}
     for w in pairs:
         raw = pull(w)

@@ -11,7 +11,8 @@ nonzero residual is recorded rather than reconciled.
 Every suite is a body registered with `_suite`, and one runner does the
 rest: it gives the body its budget and its clock, rejects duplicate check
 ids, sorts the checks by id, fingerprints the presentations the body used,
-and prefixes a FuelExhausted raised inside the body with the suite's name.
+and prefixes a FuelExhausted raised inside the body with the suite's name;
+one raised in `_check`, which reduces its row, also ends with the check.
 Reports are deterministic: checks are assembled in id order and the
 structured rendering carries no timing data.
 """
@@ -60,10 +61,17 @@ class SuiteReport(namedtuple("SuiteReport", "suite results elapsed "
         return self.counts[FAIL] == 0
 
 
-def _check(cid: str, pres: Presentation, expr: Expression,
+def _check(cid: str, into: Presentation | Morphism, expr: Expression,
            budget: Budget, printed: bool = False, notes: str = "") -> CheckResult:
-    """Reduce expr; zero is a Pass.  printed rows downgrade to Discrepancy."""
-    nf = pres.normal_form(expr, budget)
+    """Reduce expr into a normal form: with into.normal_form when into is
+    a Presentation, and with into.apply when it is a map.  Zero is a Pass;
+    printed rows downgrade to Discrepancy.  A FuelExhausted raised by the
+    reduction gets " (check <cid>)" appended."""
+    reduce = into.normal_form if isinstance(into, Presentation) else into.apply
+    try:
+        nf = reduce(expr, budget)
+    except FuelExhausted as exc:
+        raise FuelExhausted(f"{exc} (check {cid})") from exc
     if nf.is_zero():
         return CheckResult(cid, PASS, None, notes)
     if printed:
@@ -183,9 +191,8 @@ def run_contraction_suite(cat: AlgebraCatalog, budget: Budget):
     for cid, lhs, rhs in PRINTED_GENERAL:
         expr = parse_expression(lhs, fwd.source) - parse_expression(rhs, fwd.source)
         note = _ORIENTATION_NOTE if cid == "deriv-deriv-odd-sq" else ""
-        rows.append(_check("sigma-" + cid, cat.primed_calculus,
-                           fwd.apply(expr, budget),
-                           budget, printed=True, notes=note))
+        rows.append(_check("sigma-" + cid, fwd, expr, budget, printed=True,
+                           notes=note))
 
     poles = [f"{'*'.join(word)}: {rel.pole_note}"
              for word, rel in sorted(cat.derived.items())
@@ -256,8 +263,8 @@ def run_covariance_suite(cat: AlgebraCatalog, budget: Budget):
     # parameter bookkeeping rules are shared plumbing, not claims
     for rule in non_param_rules(cat.h_calculus):
         expr = Expression.from_word(rule.lhs) - rule.rhs
-        rows.append(_check("coact-" + "-".join(rule.lhs), cov,
-                           delta.apply(expr, budget), budget))
+        rows.append(_check("coact-" + "-".join(rule.lhs), delta, expr,
+                           budget))
 
     eps = _identity_coaction(cat)
     worst = Expression.zero()
@@ -386,8 +393,7 @@ def run_phase_space_suite(cat: AlgebraCatalog, budget: Budget):
     for word in _PLANE_PAIRS:
         rule = h.rule_for(word)
         expr = Expression.from_word(rule.lhs) - rule.rhs
-        rows.append(_check("dagger-" + "-".join(word), h,
-                           dag.apply(expr, budget), budget))
+        rows.append(_check("dagger-" + "-".join(word), dag, expr, budget))
     for cid, expr in _phase_rows(cat):
         rows.append(_check(cid, h, expr, budget, printed=True))
     return rows, [h]
@@ -417,9 +423,7 @@ def run_oscillator_suite(cat: AlgebraCatalog, budget: Budget):
             continue
         expr = (parse_expression(lhs, dic.source)
                 - parse_expression(rhs, dic.source))
-        rows.append(_check("osc-" + cid, osc,
-                           dic.apply(expr, budget),
-                           budget, printed=True))
+        rows.append(_check("osc-" + cid, dic, expr, budget, printed=True))
 
     # the derived plane relations themselves must map to identities of
     # the bare ladder rules, with every parameter term cancelling
@@ -428,8 +432,7 @@ def run_oscillator_suite(cat: AlgebraCatalog, budget: Budget):
         if not letters <= set(dic.images):
             continue
         expr = Expression.from_word(word) - rel.general
-        rows.append(_check("ladder-" + "-".join(word), osc,
-                           dic.apply(expr, budget), budget))
+        rows.append(_check("ladder-" + "-".join(word), dic, expr, budget))
 
     stray = []
     for gid, ladder in sorted(LADDER.items()):

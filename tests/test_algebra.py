@@ -606,16 +606,16 @@ class TestCriticalPairs:
         assert ("e", "e", "e") in words
         for cp in pairs:
             assert len(cp.word) <= 3
-            assert cp.branch_a == one_step(cp.word, cp.pos_a, cp.rule_a)
-            assert cp.branch_b == one_step(cp.word, cp.pos_b, cp.rule_b)
-            assert (cp.pos_a, cp.rule_a.lhs) != (cp.pos_b, cp.rule_b.lhs)
+            assert cp.word == cp.rule_a.lhs + cp.rule_b.lhs[1:]
+            assert cp.branch_a == one_step(cp.word, 0, cp.rule_a)
+            assert cp.branch_b == one_step(cp.word, 1, cp.rule_b)
 
     def test_disjoint_applications_not_emitted(self):
         # disjoint redexes commute, so only overlapping ones are critical
         pairs = critical_pairs(qmix(), max_len=4)
         assert ("e", "x", "e", "x") not in {cp.word for cp in pairs}
         for cp in pairs:
-            assert cp.pos_b < cp.pos_a + len(cp.rule_a.lhs)
+            assert cp.word == cp.rule_a.lhs + cp.rule_b.lhs[1:]
 
     @pytest.mark.parametrize("name, count", [
         ("pq-calculus", 96), ("h-calculus", 96), ("supergroup", 104),
@@ -811,7 +811,7 @@ def test_run_all_leaves_no_word_keyed_state():
 
     cat = build_catalog.__wrapped__()
     objs = list(catalog_presentations(cat).values()) + [
-        cat.primed_calculus, cat.supergroup, cat.contraction.h_scratch,
+        cat.primed_calculus, cat.supergroup, cat.contraction.backward.target,
         cat.contraction.forward.source,
         *(get(cat) for get in CATALOG_MAPS.values())]
     before = [dict(vars(o)) for o in objs]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superplane import build_catalog, catalog_presentations, cli, verify
-from superplane.algebra import GenClass
+from superplane.algebra import GenClass, Presentation, RewriteRule
 from superplane.parsing import parse_expression
 from superplane.verify import CheckResult, SuiteReport
 
@@ -335,6 +335,30 @@ def test_critical_pairs_clean(capsys):
         capsys, "critical-pairs", "--presentation", "pq-calculus")
     assert code == 0
     assert "non-joinable: 0" in out
+
+
+def test_critical_pairs_failure_lines(capsys, monkeypatch):
+    # the pq calculus with the sign of its (x, th) rule flipped: two
+    # overlaps stop joining, and each gets one line naming both rewrites
+    pq = build_catalog().primed_calculus
+    rules = [RewriteRule(r.lhs, -r.rhs) if r.lhs == ("x", "th") else r
+             for r in pq.rules]
+    flipped = Presentation("flipped", pq.gens.values(), rules)
+    table = cli.catalog_presentations
+    monkeypatch.setattr(cli, "catalog_presentations",
+                        lambda cat: {**table(cat), "flipped": flipped})
+    code, out, _ = run_cli(
+        capsys, "critical-pairs", "--presentation", "flipped")
+    assert code == 1
+    assert out.splitlines() == [
+        "presentation: flipped",
+        "pairs checked: 96",
+        "non-joinable: 2",
+        "  word pth*x*th: rule at 0 gives q*x + q^2*th*x*pth; "
+        "rule at 1 gives -q*x + q^2*th*x*pth",
+        "  word px*x*th: rule at 0 gives p*q*th - p^2*q^2*th*x*px; "
+        "rule at 1 gives -p*q*th - p^2*q^2*th*x*px",
+    ]
 
 
 def test_verify_single_suite_text(capsys):

@@ -1,4 +1,4 @@
-"""Tests for expression parsing, canonical rendering, and presentation files."""
+"""Tests for expression parsing, canonical rendering, and presentation dumps."""
 
 from fractions import Fraction
 
@@ -17,7 +17,6 @@ from superplane.parsing import (
     UnknownGenerator,
     fingerprint,
     parse_expression,
-    parse_presentation,
     render_expression,
     render_presentation,
 )
@@ -173,26 +172,16 @@ class TestPresentationFiles:
         table = catalog_presentations(catalog)
         assert len(table) == 6
         for name, pres in table.items():
-            back = parse_presentation(render_presentation(pres))
-            assert fingerprint(back) == fingerprint(pres), name
+            fp = fingerprint(pres)
             # one digest per presentation, computed on first use
-            assert fingerprint(pres) is fingerprint(pres)
-
-    def test_render_parse_round_trip(self):
-        pres = toy()
-        text = render_presentation(pres)
-        back = parse_presentation(text)
-        assert render_presentation(back) == text
-        assert back.name == pres.name
-        assert set(back.gens) == set(pres.gens)
-        for r in pres.rules:
-            other = back.rule_for(r.lhs)
-            assert other is not None and other.rhs == r.rhs
+            assert fingerprint(pres) is fp, name
+            assert len(fp) == 64, name
+        assert len({fingerprint(p) for p in table.values()}) == len(table)
 
     def test_fingerprint_stability(self):
         pres = toy()
         fp = fingerprint(pres)
-        assert fp == fingerprint(parse_presentation(render_presentation(pres)))
+        assert fingerprint(pres) is fp
         assert len(fp) == 64
         other = Presentation(
             "toy2",

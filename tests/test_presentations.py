@@ -73,8 +73,15 @@ def test_round_trips_both_ways(cat):
 
 
 def test_frame_matrix_nilpotent_part(cat):
-    scratch = cat.contraction.h_scratch
-    g = cat.contraction.g_matrix
+    # the frame change of the coordinates, read off the x and th images of
+    # backward: g[i][j] is the coefficient of letter j ending image i
+    scratch = cat.contraction.backward.target
+    images = cat.contraction.backward.images
+    g = tuple(
+        tuple(Expression({w[:-1]: c for w, c in images[a].terms() if w[-1] == b})
+              for b in ("x", "th"))
+        for a in ("x", "th")
+    )
     one, zero = Expression.one(), Expression.zero()
     ident = ((one, zero), (zero, one))
 
@@ -115,7 +122,7 @@ def test_derived_relations_all_regular(cat):
 
 
 def test_derived_relation_oracles(cat):
-    ctx = cat.contraction.h_scratch
+    ctx = cat.contraction.backward.target
 
     def expect(word, text, general=False):
         rel = cat.derived[word]
@@ -141,7 +148,7 @@ def test_derived_relation_oracles(cat):
 
 
 def test_coordinate_differential_block_matches_targets(cat):
-    ctx = cat.contraction.h_scratch
+    ctx = cat.contraction.backward.target
     for word, text in COORD_DIFF_TARGETS.items():
         rule = cat.h_calculus.rule_for(word)
         assert rule is not None

@@ -1,12 +1,13 @@
 """Suite reports: frozen outcome sets, exact recorded residuals, rendering."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from superplane.algebra import Expression, FuelExhausted
 from superplane.parsing import render_expression
-from superplane.scalars import Scalar
+from superplane.scalars import GaussianRational, Scalar
 from superplane.verify import (
     DISCREPANCY,
     FAIL,
@@ -89,6 +90,24 @@ def test_discrepancy_sets_are_exactly_the_documented_ones(reports):
     for rep in reports:
         found = {c.id for c in rep.results if c.status == DISCREPANCY}
         assert found == EXPECTED_DISCREPANCIES[rep.suite], rep.suite
+
+
+def test_discrepancy_residuals_have_a_nonzero_witness(reports):
+    # one nonzero coefficient value at an exact point proves a residual
+    # nonzero in Q(i)(p,q) without trusting poly_gcd or the canonical
+    # form; a coefficient with a pole there raises and fails the test
+    zero = GaussianRational(0, 0)
+    witnessed = set()
+    for rep in reports:
+        for c in rep.results:
+            if c.status != DISCREPANCY:
+                continue
+            values = [k.eval(Fraction(3, 7), Fraction(5, 11))
+                      for _, k in c.residual.terms()]
+            assert any(v != zero for v in values), (rep.suite, c.id)
+            witnessed.add(c.id)
+    assert witnessed == set().union(*EXPECTED_DISCREPANCIES.values())
+    assert len(witnessed) == 14
 
 
 def test_overall_verdict(reports):
@@ -270,7 +289,7 @@ def test_fuel_outcome_does_not_depend_on_earlier_runs(catalog, reports, fuel):
     # a fresh catalog and the session's, on which every suite has run, give
     # the same outcome: at 10 and 200 steps a suite runs out (the
     # contraction suite needs 63 and the covariance suite 2,803), its error
-    # names it, and at 3,000 every suite passes
+    # names it and the check that ran out, and at 3,000 every suite passes
     from superplane.presentations import build_catalog
 
     def outcome(cat):
@@ -279,10 +298,13 @@ def test_fuel_outcome_does_not_depend_on_earlier_runs(catalog, reports, fuel):
         except FuelExhausted as exc:
             return f"FuelExhausted: {exc}"
 
-    ran_out = {10: "contraction", 200: "covariance"}.get(fuel)
+    ran_out = {10: ("contraction", "sigma-diff-dx-dx"),
+               200: ("covariance", "coact-px-x")}.get(fuel)
     fresh = outcome(build_catalog.__wrapped__())
     if ran_out:
-        assert fresh.startswith(f"FuelExhausted: suite {ran_out}: "), fresh
+        suite, check = ran_out
+        assert fresh.startswith(f"FuelExhausted: suite {suite}: "), fresh
+        assert fresh.endswith(f" (check {check})"), fresh
     else:
         assert not fresh.startswith("FuelExhausted"), fresh
     assert outcome(catalog) == fresh
