@@ -109,20 +109,20 @@ class GeneratorDecl(namedtuple("GeneratorDecl",
                                "id parity klass sort_key weight")):
     """One generator: id string, parity (0 even, 1 odd), class, order key.
 
-    weight defaults by class: parameters 0, inverses -1, everything else 1.
+    weight follows from the class: parameters 0, inverses -1, everything
+    else 1, so a unit rule g*ginv -> 1 descends at equal weighted degree.
     """
 
     __slots__ = ()
 
     def __new__(cls, id: str, parity: int, klass: GenClass = GenClass.STANDARD,
-                sort_key: int = 0, weight: int | None = None):
+                sort_key: int = 0):
         if not id or not isinstance(id, str):
             raise RuleError(f"bad generator id {id!r}")
         if parity not in (0, 1):
             raise RuleError(f"parity of {id} must be 0 or 1")
-        if weight is None:
-            weight = _CLASS_WEIGHT[klass]
-        return super().__new__(cls, id, parity, klass, sort_key, weight)
+        return super().__new__(cls, id, parity, klass, sort_key,
+                               _CLASS_WEIGHT[klass])
 
 
 def _scalarize(c) -> Scalar:
@@ -401,13 +401,14 @@ class Presentation:
     def __init__(self, name: str, gens: Iterable[GeneratorDecl], rules, require_complete: bool = True):
         self.name = name
         self.gens: dict[str, GeneratorDecl] = {}
+        keyed: dict[int, str] = {}
         for g in gens:
             if g.id in self.gens:
                 raise RuleError(f"duplicate generator {g.id}")
+            if (other := keyed.setdefault(g.sort_key, g.id)) != g.id:
+                raise RuleError(f"sort keys must be distinct in {name}: "
+                                f"{other} and {g.id} both have {g.sort_key}")
             self.gens[g.id] = g
-        keys = [g.sort_key for g in self.gens.values()]
-        if len(set(keys)) != len(keys):
-            raise RuleError(f"sort keys must be distinct in {name}")
         self._idx: dict[Word, RewriteRule] = {}
         out = []
         for r in rules:

@@ -126,6 +126,12 @@ def non_param_rules(pres: Presentation) -> list[RewriteRule]:
     return [r for r in pres.rules if not has_param(pres, r.lhs)]
 
 
+def non_param_gens(pres: Presentation) -> list[GeneratorDecl]:
+    """The generators of pres other than its parameters, in sort-key order."""
+    return sorted((g for g in pres.gens.values()
+                   if g.klass is not GenClass.PARAMETER), key=lambda g: g.sort_key)
+
+
 def scaffold(name: str, decls) -> Presentation:
     """Rule-free presentation: a naming context for parsing and morphisms."""
     return Presentation(name, decls, [], require_complete=False)
@@ -438,46 +444,42 @@ def build_supergroup() -> Presentation:
 
 # ------------------------------------------------------- localization
 
-def localize(pres: Presentation, gen_id: str, inverse_decl: GeneratorDecl,
-             name: str) -> Presentation:
+def localize(pres: Presentation, gen_id: str, name: str) -> Presentation:
     """pres with a two-sided inverse of its even generator gen_id adjoined.
 
-    The inverse must be new, carry negative weight so the unit rules
-    descend at equal weighted degree, and take the sort key immediately
-    above gen_id.  Its swap rules come from sandwiching the base rules:
-    for a generator v below g, multiplying the rule for g*v by the inverse
-    on both sides yields an identity whose head term is (ginv, v); solving
-    for that head gives the new rule.  For v above the inverse the mirror
-    image applies.  The sandwich is reduced in a scratch presentation of
-    the parameter swaps and the two unit rules, so one normal form moves
-    the parameters to the front and cancels every unit pair, all on one
-    budget of DEFAULT_FUEL steps.  The rules of pres on a parameter are
-    taken to be its swaps, as _build makes them; _build appends the swaps
-    of the result, the inverse's among them.
+    The inverse is derived from its base: the even INVERSE-class generator
+    gen_id + "inv", the id that inv(gen_id) parses to, whose class gives it
+    weight -1 so the unit rules descend at equal weighted degree, with the
+    sort key immediately above gen_id's (a generator of pres already keyed
+    there is a RuleError naming both).  Its swap rules come from
+    sandwiching the base rules: for a generator v below g, multiplying the
+    rule for g*v by the inverse on both sides yields an identity whose head
+    term is (ginv, v); solving for that head gives the new rule.  For v
+    above the inverse the mirror image applies.  The sandwich is reduced
+    in a scratch presentation of the parameter swaps and the two unit
+    rules, so one normal form moves the parameters to the front and
+    cancels every unit pair, all on one budget of DEFAULT_FUEL steps.  The
+    rules of pres on a parameter are taken to be its swaps, as _build
+    makes them; _build appends the swaps of the result, the inverse's
+    among them.
     """
     g = pres.gens.get(gen_id)
-    ginv = inverse_decl.id
+    ginv = gen_id + "inv"
     if g is None:
         raise RuleError(f"cannot invert unknown generator {gen_id}")
     if g.parity:
         raise RuleError(f"cannot invert odd generator {gen_id}")
     if ginv in pres.gens:
         raise RuleError(f"generator {ginv} already present")
-    if inverse_decl.weight >= 0:
-        raise RuleError("inverse generators need negative weight")
-    if inverse_decl.sort_key != g.sort_key + 1:
-        raise RuleError(
-            f"inverse {ginv} must take sort key {g.sort_key + 1}, "
-            f"immediately above {gen_id}"
-        )
-    decls = list(pres.gens.values()) + [inverse_decl]
+    decls = [*pres.gens.values(),
+             GeneratorDecl(ginv, 0, GenClass.INVERSE, g.sort_key + 1)]
     units = unit_rules(gen_id, ginv)
     scratch = param_scratch(f"{pres.name}-params", decls, units)
     budget = Budget(DEFAULT_FUEL)
     sandwich = Expression.from_gen(ginv)
     rules = non_param_rules(pres) + units
-    for v in sorted(pres.gens.values(), key=lambda dcl: dcl.sort_key):
-        if v.id == gen_id or v.klass is GenClass.PARAMETER:
+    for v in non_param_gens(pres):
+        if v.id == gen_id:
             continue
         if v.sort_key < g.sort_key:
             base = pres.rule_for((gen_id, v.id))
@@ -502,45 +504,26 @@ def localize(pres: Presentation, gen_id: str, inverse_decl: GeneratorDecl,
 
 
 def build_localized_supergroup(base: Presentation) -> Presentation:
-    step = localize(
-        base, "d", GeneratorDecl("dinv", 0, GenClass.INVERSE, 13), name="supergroup-dinv"
-    )
-    return localize(
-        step, "a", GeneratorDecl("ainv", 0, GenClass.INVERSE, 15), name="supergroup-loc"
-    )
+    return localize(localize(base, "d", "supergroup-dinv"), "a", "supergroup-loc")
 
 
 # ------------------------------------------------- covariance tensor
 
-# plane block sits above the group block so normal forms read
-# parameters, then group letters, then plane letters
-COVARIANCE_DECLS = _PARAMS + (
-    GeneratorDecl("ga", 1, GenClass.STANDARD, 10),
-    GeneratorDecl("be", 1, GenClass.STANDARD, 11),
-    GeneratorDecl("d", 0, GenClass.STANDARD, 12),
-    GeneratorDecl("dinv", 0, GenClass.INVERSE, 13),
-    GeneratorDecl("a", 0, GenClass.STANDARD, 14),
-    GeneratorDecl("ainv", 0, GenClass.INVERSE, 15),
-    GeneratorDecl("dth", 0, GenClass.STANDARD, 20),
-    GeneratorDecl("dx", 1, GenClass.STANDARD, 21),
-    GeneratorDecl("th", 1, GenClass.STANDARD, 22),
-    GeneratorDecl("x", 0, GenClass.STANDARD, 23),
-    GeneratorDecl("pth", 1, GenClass.STANDARD, 24),
-    GeneratorDecl("px", 0, GenClass.STANDARD, 25),
-)
-
-_GROUP_IDS = ("ga", "be", "d", "dinv", "a", "ainv")
-_PLANE_IDS = ("dth", "dx", "th", "x", "pth", "px")
-
-
 def build_covariance_tensor(
     localized_supergroup: Presentation, h_calculus: Presentation
 ) -> Presentation:
-    gens = {d.id: d for d in COVARIANCE_DECLS}
-    cross = [koszul_swap(gens[v], gens[u]) for v in _PLANE_IDS for u in _GROUP_IDS]
+    """The group and the plane joined: the letters of localized_supergroup
+    with their keys, then those of h_calculus in their order with keys from
+    20, so normal forms read parameters, then group letters, then plane
+    letters.  The rules are both factors' and the Koszul swap of each plane
+    letter past each group letter."""
+    group = non_param_gens(localized_supergroup)
+    plane = [GeneratorDecl(g.id, g.parity, g.klass, 20 + k)
+             for k, g in enumerate(non_param_gens(h_calculus))]
+    cross = [koszul_swap(v, u) for v in plane for u in group]
     rules = (non_param_rules(localized_supergroup)
              + non_param_rules(h_calculus) + cross)
-    return _build("covariance", COVARIANCE_DECLS, rules)
+    return _build("covariance", _PARAMS + tuple(group + plane), rules)
 
 
 def build_coaction(h_calculus: Presentation, covariance: Presentation) -> Morphism:
@@ -570,9 +553,7 @@ def build_one_forms(h_calculus: Presentation) -> Presentation:
     keep = {d.id for d in FORMS_DECLS}
     rules = [r for r in non_param_rules(h_calculus) if set(r.lhs) <= keep]
     base = _build("one-forms-base", FORMS_DECLS, rules)
-    return localize(
-        base, "x", GeneratorDecl("xinv", 0, GenClass.INVERSE, 22), name="one-forms"
-    )
+    return localize(base, "x", "one-forms")
 
 
 # --------------------------------------------------------- oscillator

@@ -27,7 +27,8 @@ from .algebra import (DEFAULT_FUEL, Budget, Expression, FuelExhausted,
 from .parsing import fingerprint, parse_expression, render_expression
 from .presentations import (COORD_DIFF_TARGETS, H_REDUCIBLE_PAIRS, LADDER,
                             PLANE_DECLS, AlgebraCatalog, has_param,
-                            non_param_rules, round_trip_residuals)
+                            non_param_gens, non_param_rules,
+                            round_trip_residuals)
 from .scalars import GaussianRational, Scalar
 
 PASS = "Pass"
@@ -240,17 +241,14 @@ def run_differential_structure_suite(cat: AlgebraCatalog, budget: Budget):
 
 
 def _identity_coaction(cat: AlgebraCatalog) -> Morphism:
-    """Evaluate group generators at the identity matrix."""
-    E = Expression
+    """The covariance tensor onto the h calculus with the group at the
+    identity matrix: each group letter, a letter of the localized
+    supergroup, goes to 1 when even and to 0 when odd; the parameters and
+    the plane letters go to themselves."""
     cov = cat.covariance_tensor
-    images = {}
-    for gid in cov.gens:
-        if gid in ("a", "d", "ainv", "dinv"):
-            images[gid] = E.one()
-        elif gid in ("be", "ga"):
-            images[gid] = E.zero()
-        else:
-            images[gid] = E.from_gen(gid)
+    images = {gid: Expression.from_gen(gid) for gid in cov.gens}
+    for g in non_param_gens(cat.localized_supergroup):
+        images[g.id] = Expression.zero() if g.parity else Expression.one()
     return Morphism(cov, cat.h_calculus, images, name="identity-coaction")
 
 

@@ -1,8 +1,19 @@
-"""A plain reference reducer that the engine's normal forms are checked
-against."""
+"""Two oracles that the engine's normal forms are checked against: a plain
+reference reducer, and reduction at an exact point (p, q)."""
 
-from superplane.algebra import Expression
-from superplane.scalars import Scalar
+from fractions import Fraction
+from functools import lru_cache
+
+from superplane.algebra import Expression, Presentation, RewriteRule
+from superplane.parsing import parse_expression
+from superplane.scalars import (DivisionByZero, IndeterminateAtPoint,
+                                PoleAtPoint, Scalar)
+
+# no coefficient of a catalog rule has a pole at this point
+POINT = (Fraction(3, 7), Fraction(5, 11))
+
+# what evaluating at POINT, or dividing there, raises where a value is missing
+NO_VALUE = (PoleAtPoint, IndeterminateAtPoint, DivisionByZero)
 
 
 def reference_nf(pres, expr, max_steps=200_000):
@@ -38,3 +49,34 @@ def reference_nf(pres, expr, max_steps=200_000):
                 else:
                     into.pop(w, None)
     return Expression(out)
+
+
+def at_point(expr):
+    """expr with each coefficient evaluated by Scalar.eval at POINT; raises
+    PoleAtPoint or IndeterminateAtPoint where one has no value there."""
+    return Expression({w: c.eval(*POINT) for w, c in expr.terms()})
+
+
+@lru_cache(maxsize=None)
+def point_copy(pres):
+    """pres with the same generators and rules, each rule coefficient
+    evaluated at POINT.  A normal form is a polynomial in the rule and input
+    coefficients, so where none has a pole, reduction commutes with
+    evaluation: at_point(nf(e)) is the point copy's normal form of
+    at_point(e), exactly, whatever the gcd and the canonical form do."""
+    rules = [RewriteRule(r.lhs, at_point(r.rhs)) for r in pres.rules]
+    return Presentation(pres.name + "@point", pres.gens.values(), rules,
+                        pres.require_complete)
+
+
+def point_nf(pres, text):
+    """The normal form in point_copy(pres) of text with p and q at POINT,
+    each product reduced as it is formed, as reduce forms it; None when the
+    text has no value at POINT."""
+    copy = point_copy(pres)
+    mul = copy.multiplier()
+    try:
+        return mul(at_point(parse_expression(
+            text, copy, lambda a, b: mul(at_point(a), at_point(b)))))
+    except NO_VALUE:
+        return None

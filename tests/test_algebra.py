@@ -39,7 +39,7 @@ from superplane.parsing import parse_expression
 from superplane.presentations import catalog_presentations, localize
 from superplane.scalars import Scalar
 
-from reference import reference_nf
+from reference import NO_VALUE, at_point, point_copy, reference_nf
 
 E = Expression
 ONE = Scalar.one()
@@ -303,7 +303,6 @@ class TestRecords:
         weights = {k: GeneratorDecl("g", 0, k).weight for k in GenClass}
         assert weights == {GenClass.PARAMETER: 0, GenClass.STANDARD: 1,
                            GenClass.INVERSE: -1}
-        assert GeneratorDecl("g", 0, GenClass.INVERSE, 3, -2).weight == -2
         assert GeneratorDecl("g", 1, sort_key=4) == gen("g", 1, 4)
 
     def test_rule_coerces_its_parts(self):
@@ -572,7 +571,8 @@ def test_every_catalog_product_matches_the_reference(monkeypatch):
     # a fresh catalog (the session's is built already) and every suite on
     # it: each product the build and the suites form, through normal forms,
     # maps and parsing alike, is checked against reference_nf (892 of them;
-    # a cache that kept products out of the multiplier would show here)
+    # a cache that kept products out of the multiplier would show here) and
+    # at the exact point against the presentation's point copy
     from superplane.presentations import build_catalog
     from superplane.verify import run_all
 
@@ -583,9 +583,16 @@ def test_every_catalog_product_matches_the_reference(monkeypatch):
 
         def replay(a, b=None):
             got = mul(a, b)
+            ab = a if b is None else a * b
             checked.append(self.name)
-            if got != reference_nf(self, a if b is None else a * b):
+            if got != reference_nf(self, ab):
                 wrong.append((self.name, a, b))
+            try:
+                want = multiplier(point_copy(self))(at_point(ab))
+            except NO_VALUE:  # the product or a rule has a pole there
+                return got
+            if at_point(got) != want:
+                wrong.append(("at the point", self.name, a, b))
             return got
 
         return replay
@@ -864,8 +871,7 @@ class TestLocalize:
         # swap rule derived by hand: from y*x = q*x*y one gets
         # xinv*y = q*y*xinv, hence the disordered pair (y, xinv) rewrites to
         # (1/q)*xinv*y.  xinv must sit directly above x in the order.
-        loc = localize(qplane(), "x", gen("xinv", 0, 3, GenClass.INVERSE),
-                       "qplane-xinv")
+        loc = localize(qplane(), "x", "qplane-xinv")
         assert loc.rule_for(("y", "xinv")).rhs == E({("xinv", "y"): ONE / Q})
         return loc
 
@@ -884,28 +890,24 @@ class TestLocalize:
     def test_misplaced_inverse_key_breaks_confluence(self):
         # regression for the order design: if the inverse is keyed above an
         # unrelated generator, words like x*y*xinv hide a cancellation and
-        # local confluence fails; localize refuses such a key
+        # local confluence fails; localize keys it directly above its base
         pres = qplane()
         xinv = gen("xinv", 0, 9, GenClass.INVERSE)
         swap = RewriteRule(("xinv", "y"), E({("y", "xinv"): Q}))
         loc = Presentation("misplaced", [*pres.gens.values(), xinv],
                            [*pres.rules, *unit_rules("x", "xinv"), swap])
         assert not check_local_confluence(loc, max_len=3).ok
-        with pytest.raises(RuleError, match="must take sort key 3"):
-            localize(pres, "x", xinv, "misplaced")
 
-    @pytest.mark.parametrize("base, gen_id, decl, message", [
-        (qplane, "nope", gen("ninv", 0, 3, GenClass.INVERSE),
-         "cannot invert unknown generator nope"),
-        (grassmann, "e1", gen("einv", 1, 2, GenClass.INVERSE),
-         "cannot invert odd generator e1"),
-        (qplane, "x", gen("y", 0, 3, GenClass.INVERSE),
-         "generator y already present"),
-        (qplane, "x", GeneratorDecl("xinv", 0, GenClass.INVERSE, 3, 0),
-         "inverse generators need negative weight"),
-        (qplane, "x", gen("xinv", 0, 5, GenClass.INVERSE),
-         "inverse xinv must take sort key 3, immediately above x"),
-    ], ids=["unknown", "odd", "present", "weight", "key"])
-    def test_validation(self, base, gen_id, decl, message):
+    @pytest.mark.parametrize("base, gen_id, message", [
+        (qplane, "nope", "cannot invert unknown generator nope"),
+        (grassmann, "e1", "cannot invert odd generator e1"),
+        (lambda: localize(qplane(), "x", "qplane-xinv"), "x",
+         "generator xinv already present"),
+        # y at x's key + 1, which the inverse of x takes
+        (lambda: Presentation("qplane", [gen("x", 0, 2), gen("y", 0, 3)],
+                              qplane().rules), "x",
+         "sort keys must be distinct in qplane-params: y and xinv both have 3"),
+    ], ids=["unknown", "odd", "present", "taken-key"])
+    def test_validation(self, base, gen_id, message):
         with pytest.raises(RuleError, match=f"^{re.escape(message)}$"):
-            localize(base(), gen_id, decl, "bad")
+            localize(base(), gen_id, "bad")

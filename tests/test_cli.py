@@ -15,7 +15,7 @@ from superplane.algebra import GenClass, Presentation, RewriteRule
 from superplane.parsing import parse_expression
 from superplane.verify import CheckResult, SuiteReport
 
-from reference import reference_nf
+from reference import at_point, point_nf, reference_nf
 
 
 def run_cli(capsys, *argv):
@@ -223,7 +223,8 @@ def test_reduce_fuzz(data):
     # random tokens over one presentation and a small fuel: a status of 0,
     # 1 or 2 and never a traceback, one line on stderr on 1 or 2, and on 0
     # the reference reducer's normal form, which reads back after --
-    # unchanged
+    # unchanged, and whose value at the exact point is the point copy's
+    # normal form of the input there
     table = catalog_presentations(build_catalog())
     name = data.draw(st.sampled_from(sorted(table)))
     pres = table[name]
@@ -245,8 +246,11 @@ def test_reduce_fuzz(data):
         # divisor such as x*inv(x) is a scalar; the reference does the same
         want = reference_nf(pres, parse_expression(
             text, pres, lambda a, b: reference_nf(pres, a * b)))
-        assert parse_expression(out, pres) == want, text
+        got = parse_expression(out, pres)
+        assert got == want, text
         assert run_quiet(argv + [out.strip()]) == (0, out, "")
+        if (point := point_nf(pres, text)) is not None:
+            assert at_point(got) == point, text
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -255,7 +259,7 @@ def test_reduce_values_match_the_reference(data):
     # sums of up to three products of letters, with coefficients that are
     # not integers: non-integer rationals, a Gaussian constant and a
     # quotient in p and q; the output is the reference reducer's normal
-    # form of the plain parse
+    # form of the plain parse, and at the exact point the point copy's
     table = catalog_presentations(build_catalog())
     name = data.draw(st.sampled_from(sorted(table)))
     pres = table[name]
@@ -265,8 +269,10 @@ def test_reduce_values_match_the_reference(data):
     text = " + ".join(f"({c})*{'*'.join(w)}" for c, w in terms)
     code, out, err = run_quiet(["reduce", "--presentation", name, "--", text])
     assert (code, err) == (0, "")
-    want = reference_nf(pres, parse_expression(text, pres))
-    assert parse_expression(out, pres) == want, text
+    got = parse_expression(out, pres)
+    assert got == reference_nf(pres, parse_expression(text, pres)), text
+    if (point := point_nf(pres, text)) is not None:
+        assert at_point(got) == point, text
 
 
 def test_reduce_unknown_presentation(capsys):

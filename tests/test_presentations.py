@@ -218,16 +218,9 @@ def test_supergroup_localization_oracle(cat):
         assert loc.rule_for(pair).rhs == Expression.one()
 
 
-def test_localization_rejects_bad_inverse_key(cat):
-    bad = GeneratorDecl("dinv", 0, GenClass.INVERSE, 99)
-    with pytest.raises(RuleError):
-        localize(cat.supergroup, "d", bad, "supergroup-dinv")
-
-
 def test_localization_rejects_odd_generator(cat):
-    decl = GeneratorDecl("beinv", 1, GenClass.INVERSE, 12)
     with pytest.raises(RuleError):
-        localize(cat.supergroup, "be", decl, "supergroup-beinv")
+        localize(cat.supergroup, "be", "supergroup-beinv")
 
 
 def test_group_determinant_forms_agree(cat):
