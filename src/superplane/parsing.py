@@ -1,4 +1,4 @@
-"""Expression text format: tokenizer, parser, canonical renderer.
+"""Expression text format: tokenizer, parser, the one writer of the text.
 
 Grammar (whitespace-insensitive):
 
@@ -20,6 +20,11 @@ before any arithmetic is done.  Evaluating the tree forms every product
 product, which keeps the text as written, as rule tables need; a
 presentation's multiplier reduces each product as it is formed, all on that
 multiplier's one fuel budget.
+
+The writer renders expressions and their Q(i)(p,q) coefficients alike:
+str() of GaussianRational, Poly and Scalar calls it, so all text the
+package prints reads back.  _join writes every sum, and _times every
+coefficient times i, p^i*q^j or a word, leaving out a factor 1 or -1.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import re
 from itertools import groupby
 
 from superplane.algebra import Expression, Presentation
-from superplane.scalars import DivisionByZero, Scalar, power
+from superplane.scalars import (DivisionByZero, GaussianRational, Poly,
+                                Scalar, power)
 
 
 class ExprSyntaxError(ValueError):
@@ -231,6 +237,68 @@ def parse_expression(text: str, pres: Presentation,
 # ------------------------------------------------------------- rendering
 
 
+def _join(terms: list[str]) -> str:
+    """The sum of the term texts, a term that starts with "-" subtracted."""
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
+def _times(factor: str, body: str) -> str:
+    """factor*body, or factor when body is empty; a factor 1 or -1 is
+    written as body or its negative."""
+    if not body:
+        return factor
+    if factor == "1":
+        return body
+    if factor == "-1":
+        return "-" + body
+    return f"{factor}*{body}"
+
+
+def render_gaussian(c: GaussianRational) -> str:
+    """str(c): re + im*i, a part 0 left out."""
+    if c.d == 1 and not c.b:
+        return str(c.a)
+    re, im = c.re, c.im
+    terms = [str(re)] if re else []
+    if im:
+        terms.append(_times(str(im), "i"))
+    return _join(terms)
+
+
+def _gauss_factor(c: GaussianRational) -> str:
+    # a factor or a term that still binds in a product or a sum
+    s = render_gaussian(c)
+    return f"({s})" if c.a and c.b else s
+
+
+def _mono_text(m: tuple[int, int]) -> str:
+    # p^i*q^j, a power 1 written as the letter and a power 0 left out
+    i, j = m
+    p = "" if not i else "p" if i == 1 else f"p^{i}"
+    q = "" if not j else "q" if j == 1 else f"q^{j}"
+    return f"{p}*{q}" if p and q else p or q
+
+
+def render_poly(f: Poly) -> str:
+    """str(f): its terms in descending graded-lex order."""
+    return _join([_times(_gauss_factor(c), _mono_text(m)) for m, c in f.items()])
+
+
+def render_scalar(c: Scalar) -> str:
+    """str(c): num, or (num)/(den) when den is not 1."""
+    k = c.const
+    if k is not None:  # what render_poly(c.num) writes, without its sort
+        return _gauss_factor(k)
+    if c.den == Poly.one():
+        return render_poly(c.num)
+    return f"({render_poly(c.num)})/({render_poly(c.den)})"
+
+
 def _word_text(word) -> str:
     bits = []
     for gid, run in groupby(word):
@@ -239,37 +307,17 @@ def _word_text(word) -> str:
     return "*".join(bits)
 
 
-def _scalar_factor(c: Scalar) -> str:
-    # a factor string that still binds correctly when "*word" is appended
-    s = str(c)
-    if c.den == 1 and len(c.num.items()) > 1:
-        return f"({s})"
-    return s
-
-
 def _term_text(word, c: Scalar) -> str:
-    if not word:
-        return str(c)
-    k = c.const
-    if k is not None and k.d == 1 and not k.b and abs(k.a) == 1:
-        # a coefficient 1 or -1 is written as the word or its negative
-        return ("-" if k.a < 0 else "") + _word_text(word)
-    return f"{_scalar_factor(c)}*{_word_text(word)}"
+    factor = render_scalar(c)
+    if word and len(c.num) > 1 and c.den == Poly.one():
+        # in parentheses a sum still binds when "*word" is appended
+        factor = f"({factor})"
+    return _times(factor, _word_text(word))
 
 
 def render_expression(expr: Expression) -> str:
     """Deterministic canonical text; parses back to an equal Expression."""
-    terms = expr.terms()
-    if not terms:
-        return "0"
-    out = _term_text(*terms[0])
-    for word, c in terms[1:]:
-        t = _term_text(word, c)
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
+    return _join([_term_text(word, c) for word, c in expr.terms()])
 
 
 # ---------------------------------------------------- presentation dumps

@@ -218,9 +218,9 @@ class ContractionMap(namedtuple("ContractionMap", "forward backward")):
     forward sends each h-frame generator to its (p,q)-frame expression and
     reduces there; backward sends each (p,q)-frame generator to its h-frame
     expression and reduces in backward.target, a parameters-only scratch
-    presentation, so its outputs are always parameter-normalized free
-    expressions.  Both are Morphisms; the x and th images of backward are
-    the frame change of the coordinates.
+    presentation that is forward.source as well, so its outputs are always
+    parameter-normalized free expressions.  Both are Morphisms; the x and
+    th images of backward are the frame change of the coordinates.
     """
 
     __slots__ = ()
@@ -228,9 +228,9 @@ class ContractionMap(namedtuple("ContractionMap", "forward backward")):
 
 def build_contraction(pq: Presentation) -> ContractionMap:
     E = Expression
-    h_scaffold = scaffold("h-frame", H_DECLS)
+    frame = param_scratch("h-frame-params", H_DECLS)
     forward = Morphism(
-        h_scaffold,
+        frame,
         pq,
         {
             "x": E({("x",): 1, ("h1", "th"): -_C1}),
@@ -246,7 +246,7 @@ def build_contraction(pq: Presentation) -> ContractionMap:
     )
     backward = Morphism(
         pq,
-        param_scratch("h-frame-params", H_DECLS),
+        frame,
         {
             "x": E({("x",): 1, ("h1", "h2", "x"): _CH, ("h1", "th"): _C1}),
             "th": E({("h2", "x"): _C2, ("th",): 1}),
@@ -401,15 +401,14 @@ def choose_variant():
     match on all four pairs; anything else is a construction failure.
     """
 
-    ctx = scaffold("targets", H_DECLS)
-    targets = {w: parse_expression(t, ctx) for w, t in COORD_DIFF_TARGETS.items()}
     matches = {}
     contractions = {}
     for variant in COORD_DIFF_VARIANTS:
         cmap = contractions[variant] = build_contraction(build_primed_calculus(variant))
         derived = derive_h_relations(cmap, pairs=COORD_DIFF_PAIRS)
         matches[variant] = {
-            w: derived[w].specialized == targets[w] for w in COORD_DIFF_PAIRS
+            w: derived[w].specialized == parse_expression(t, cmap.forward.source)
+            for w, t in COORD_DIFF_TARGETS.items()
         }
     winners = [v for v, m in matches.items() if all(m.values())]
     if len(winners) != 1:
@@ -474,7 +473,7 @@ def localize(pres: Presentation, gen_id: str, name: str) -> Presentation:
     decls = [*pres.gens.values(),
              GeneratorDecl(ginv, 0, GenClass.INVERSE, g.sort_key + 1)]
     units = unit_rules(gen_id, ginv)
-    scratch = param_scratch(f"{pres.name}-params", decls, units)
+    scratch = param_scratch(name, decls, units)
     budget = Budget(DEFAULT_FUEL)
     sandwich = Expression.from_gen(ginv)
     rules = non_param_rules(pres) + units

@@ -29,6 +29,9 @@ commute, so each takes its operands in hash order and a + b and b + a share
 an entry.  A sum over one denominator adds the numerators.  The memos and
 the interned constants outlive every catalog, and a hit costs no rewriting
 fuel (no scalar operation does).
+
+The module writes no text: str() of its values is written by
+superplane.parsing, beside the parser that reads it back.
 """
 
 from __future__ import annotations
@@ -176,26 +179,9 @@ class GaussianRational:
         return not self.is_zero()
 
     def __str__(self):
-        if self.d == 1 and not self.b:
-            return str(self.a)
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        if not re:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        if im == 1:
-            tail = "+ i"
-        elif im == -1:
-            tail = "- i"
-        elif im < 0:
-            tail = f"- {-im}*i"
-        else:
-            tail = f"+ {im}*i"
-        return f"{re} {tail}"
+        from superplane.parsing import render_gaussian
+
+        return render_gaussian(self)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -234,7 +220,7 @@ class Poly:
 
     Stored as a map from exponent pairs (i, j) to coefficients, meaning
     coeff * p^i * q^j.  Immutable by convention; zero coefficients are never
-    stored.
+    stored, so len() counts the terms and the zero polynomial is false.
     """
 
     __slots__ = ("_c", "_hash")
@@ -415,20 +401,13 @@ class Poly:
             self._hash = hash(frozenset(self._c.items()))
         return self._hash
 
-    def __bool__(self):
-        return bool(self._c)
+    def __len__(self):
+        return len(self._c)
 
     def __str__(self):
-        if not self._c:
-            return "0"
-        parts = [_term_str(m, c) for m, c in self.items()]
-        out = parts[0]
-        for t in parts[1:]:
-            if t.startswith("-"):
-                out += " - " + t[1:]
-            else:
-                out += " + " + t
-        return out
+        from superplane.parsing import render_poly
+
+        return render_poly(self)
 
     def __repr__(self):
         return f"Poly({str(self)!r})"
@@ -447,34 +426,6 @@ def _as_poly(x):
     if isinstance(x, (int, Fraction, GaussianRational)):
         return Poly({(0, 0): x})
     return None
-
-
-def _mono_str(m: tuple[int, int]) -> str:
-    i, j = m
-    bits = []
-    if i:
-        bits.append("p" if i == 1 else f"p^{i}")
-    if j:
-        bits.append("q" if j == 1 else f"q^{j}")
-    return "*".join(bits)
-
-
-def _coeff_str(c: GaussianRational) -> str:
-    s = str(c)
-    if c.a and c.b:
-        return f"({s})"
-    return s
-
-
-def _term_str(m: tuple[int, int], c: GaussianRational) -> str:
-    mono = _mono_str(m)
-    if not mono:
-        return _coeff_str(c)
-    if c == _G1:
-        return mono
-    if c == _GN1:
-        return "-" + mono
-    return f"{_coeff_str(c)}*{mono}"
 
 
 # ------------------------------------------------------------------ gcd
@@ -813,9 +764,9 @@ class Scalar:
         return self.num.eval(p0, q0) / dv
 
     def __str__(self):
-        if self.den == _POLY_ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        from superplane.parsing import render_scalar
+
+        return render_scalar(self)
 
     def __repr__(self):
         return f"Scalar({str(self)!r})"
@@ -914,7 +865,6 @@ def as_scalar(x):
 
 _G0 = GaussianRational(0)
 _G1 = GaussianRational(1)
-_GN1 = GaussianRational(-1)
 _POLY_ZERO = Poly({})
 _POLY_ONE = Poly({(0, 0): 1})
 _S_ZERO = Scalar(0)

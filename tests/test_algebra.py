@@ -906,7 +906,7 @@ class TestLocalize:
         # y at x's key + 1, which the inverse of x takes
         (lambda: Presentation("qplane", [gen("x", 0, 2), gen("y", 0, 3)],
                               qplane().rules), "x",
-         "sort keys must be distinct in qplane-params: y and xinv both have 3"),
+         "sort keys must be distinct in bad: y and xinv both have 3"),
     ], ids=["unknown", "odd", "present", "taken-key"])
     def test_validation(self, base, gen_id, message):
         with pytest.raises(RuleError, match=f"^{re.escape(message)}$"):

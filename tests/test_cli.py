@@ -129,16 +129,24 @@ def test_reduce_forms_reduced_products(capsys):
     # the free expansion of the first power has 4^6 words; the verb reduces
     # each product as it is formed and must agree with expanding first.
     # The second takes a gcd of two degree-30 polynomials, which must keep
-    # its coefficients small to finish.
+    # its coefficients small to finish.  The third writes every shape of
+    # coefficient: rational, imaginary and complex constants, and fractions
+    # of polynomials with such coefficients; its line is pinned.
     from superplane import build_catalog, parse_expression, render_expression
 
     h = build_catalog().h_calculus
-    for text in ("(x+th+px+pth)^6", "(p+q)^30/(p-q)^30*x"):
+    for text in ("(x+th+px+pth)^6", "(p+q)^30/(p-q)^30*x",
+                 "(1+i)/2*(p^2-q)/(p*q+1)*x - 3/4*i*th + (2-i)*px"
+                 " + (p+q)^3/(p-q)*dx*dth"):
         code, out, _ = run_cli(capsys, "reduce", text, "--presentation",
                                "h-calculus")
         assert code == 0
         expanded = h.normal_form(parse_expression(text, h), fuel=10**7)
         assert out.strip() == render_expression(expanded)
+    assert out == (
+        "(2 - i)*px - 3/4*i*th + ((1/2 + 1/2*i)*p^2 + (-1/2 - 1/2*i)*q)"
+        "/(p*q + 1)*x + (p^3 + 3*p^2*q + 3*p*q^2 + q^3)/(p - q)*dth*dx"
+        " + (p^3 + 3*p^2*q + 3*p*q^2 + q^3)/(p - q)*h1*dth^2\n")
 
 
 def test_reduce_large_power(capsys):

@@ -25,6 +25,22 @@ from superplane.scalars import DivisionByZero, GaussianRational, Poly, Scalar
 
 E = Expression
 
+# Gaussian rationals with rational, pure imaginary and complex values, either
+# part negative or not an integer; polynomials in them up to p^3*q^3; and the
+# coefficients of expressions: constants and fractions of such polynomials
+GAUSSIANS = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+def polys(min_size=0):
+    return st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           GAUSSIANS.filter(bool), min_size=min_size,
+                           max_size=3).map(Poly)
+
+
+COEFFICIENTS = st.one_of(GAUSSIANS.map(Scalar),
+                         st.builds(Scalar, polys(), polys(min_size=1)))
+
 
 def toy():
     return Presentation(
@@ -149,22 +165,17 @@ class TestRender:
     @given(
         st.dictionaries(
             st.lists(st.sampled_from(["x", "e", "xinv"]), max_size=4).map(tuple),
-            st.builds(
-                lambda a, b, num, den: Scalar(
-                    Poly({(1, 0): a, (0, 0): b}), Poly({(0, 1): den, (0, 0): 1})
-                )
-                * Scalar(num),
-                st.integers(-3, 3),
-                st.integers(-3, 3),
-                st.integers(-2, 2),
-                st.integers(0, 1),
-            ),
+            COEFFICIENTS,
             max_size=4,
         )
     )
     def test_round_trip(self, terms):
         expr = Expression(terms)
         assert parse_expression(render_expression(expr), toy()) == expr
+        # str() of a coefficient is written by the same writer and reads
+        # back as a constant term
+        for c in terms.values():
+            assert parse_expression(str(c), toy()) == E({(): c})
 
 
 class TestPresentationFiles:
