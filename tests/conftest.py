@@ -1,8 +1,14 @@
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
+# for the kept mutants (python -m pytest -q mutants): a mutant is caught by
+# the first failing example, so skip the shrinking, which takes most of
+# the time, and save no example for later runs to replay
+settings.register_profile("mutants", settings.get_profile("suite"),
+                          phases=[Phase.explicit, Phase.generate],
+                          database=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Two oracles that the engine's normal forms are checked against: a plain
-reference reducer, and reduction at an exact point (p, q)."""
+reference reducer, with the leftmost or a random strategy, and reduction at
+an exact point (p, q)."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -16,10 +17,11 @@ POINT = (Fraction(3, 7), Fraction(5, 11))
 NO_VALUE = (PoleAtPoint, IndeterminateAtPoint, DivisionByZero)
 
 
-def reference_nf(pres, expr, max_steps=200_000):
+def reference_nf(pres, expr, rng=None, max_steps=200_000):
     """The normal form of expr under pres.rules as declared, parameter swaps
-    and Koszul cross rules included, rewriting each word at its leftmost
-    redex, with no memo, sort, blocks, cursor or int kernel.  For confluent,
+    and Koszul cross rules included, with no memo, sort, blocks, cursor or
+    int kernel.  Each word is rewritten at its leftmost redex, or, given rng
+    (a random.Random), at a redex drawn from rng.  For confluent,
     terminating rules every strategy gives the engine's normal form
     (Bergman's diamond lemma)."""
     rules = {r.lhs: r.rhs.terms() for r in pres.rules}
@@ -28,20 +30,18 @@ def reference_nf(pres, expr, max_steps=200_000):
         # one round rewrites every word once; equal words met in a round merge
         now, work = work, {}
         for word, c in now.items():
-            redex = next(((pos, lhs) for pos in range(len(word))
-                          for lhs in (word[pos:pos + 2], word[pos:pos + 1])
-                          if lhs in rules), None)
-            if redex is None:
+            found = [pos for pos in range(len(word) - 1)
+                     if word[pos:pos + 2] in rules]
+            if not found:
                 into, terms = out, [(word, c)]
             else:
                 steps += 1
                 if steps > max_steps:
                     raise AssertionError(f"{pres.name}: no normal form in "
                                          f"{max_steps} steps")
-                pos, lhs = redex
+                pos = found[0] if rng is None else rng.choice(found)
                 into = work
-                terms = [(word[:pos] + m + word[pos + len(lhs):], c * cc)
-                         for m, cc in rules[lhs]]
+                terms = rewrite(word, pos, rules[word[pos:pos + 2]], c)
             for w, v in terms:
                 v = into.get(w, Scalar.zero()) + v
                 if v:
@@ -49,6 +49,12 @@ def reference_nf(pres, expr, max_steps=200_000):
                 else:
                     into.pop(w, None)
     return Expression(out)
+
+
+def rewrite(word, pos, rhs, c):
+    """The terms of c*word with its two letters at pos replaced by rhs, the
+    (word, coefficient) terms of a rule's right-hand side."""
+    return [(word[:pos] + m + word[pos + 2:], c * cc) for m, cc in rhs]
 
 
 def at_point(expr):

@@ -39,7 +39,8 @@ from superplane.parsing import parse_expression
 from superplane.presentations import catalog_presentations, localize
 from superplane.scalars import Scalar
 
-from reference import NO_VALUE, at_point, point_copy, reference_nf
+import reference
+from reference import NO_VALUE, at_point, point_copy, reference_nf, rewrite
 
 E = Expression
 ONE = Scalar.one()
@@ -111,6 +112,31 @@ def covariance_flipped(catalog):
     rules = [RewriteRule(r.lhs, -r.rhs) if r.lhs == ("th", "ga") else r
              for r in p.rules]
     return Presentation(p.name, p.gens.values(), rules, p.require_complete)
+
+
+def draw_words(seed, count, letters, lengths, params=(), inserts=(0, 0)):
+    """count words drawn from random.Random(seed): letters to a length in
+    the closed range lengths, then a number in inserts of params, each put
+    in at a random place."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        word = [rng.choice(letters) for _ in range(rng.randint(*lengths))]
+        for h in rng.choices(params, k=rng.randint(*inserts)):
+            word.insert(rng.randint(0, len(word)), h)
+        words.append(tuple(word))
+    return words
+
+
+def assert_strategy_independent(pres, words, rng, warm=None):
+    """pres.normal_form of each word, on a fresh budget and on warm when
+    given, equals reference_nf rewriting at redexes drawn from rng."""
+    for word in words:
+        expr = E({word: 1})
+        want = reference_nf(pres, expr, rng)
+        assert pres.normal_form(expr) == want, word
+        if warm is not None:
+            assert pres.normal_form(expr, warm) == want, word
 
 
 words_xe = st.lists(st.sampled_from(["x", "e"]), max_size=5).map(tuple)
@@ -344,12 +370,28 @@ class TestNormalForm:
     def test_strategy_independence(self):
         # oracle: a reducer that applies rules at randomly chosen positions
         # must agree with the engine's leftmost strategy on a confluent system
-        pres = qmix()
-        rng = random.Random(20260815)
-        for _ in range(60):
-            word = tuple(rng.choice(["x", "e"]) for _ in range(rng.randint(0, 6)))
-            expr = E({word: 1})
-            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+        words = draw_words(20260815, 60, "xe", (0, 6))
+        assert_strategy_independent(qmix(), words, random.Random(20260815))
+
+    def test_random_strategy_leaves_the_leftmost_redex(self, monkeypatch):
+        # a reducer that ignored its rng would rewrite as the leftmost one
+        # does, and every random-strategy test would pass by copying it
+        pres, expr = qmix(), E({("e", "x", "e", "x"): 1})  # redexes at 0, 2
+        seen = []
+
+        def spy(word, pos, rhs, c):
+            seen.append(pos)
+            return rewrite(word, pos, rhs, c)
+
+        monkeypatch.setattr(reference, "rewrite", spy)
+        for seed in range(20):
+            seen.clear()
+            got = reference_nf(pres, expr, random.Random(seed))
+            if seen[0] != 0:
+                break
+        else:
+            pytest.fail("every seed rewrote the leftmost redex first")
+        assert got == reference_nf(pres, expr) == pres.normal_form(expr)
 
     def test_parameter_sort_costs_no_fuel(self):
         # h reaches the front with the sign of passing e and without a rule
@@ -362,12 +404,9 @@ class TestNormalForm:
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_parameter_rules_match_random_strategy(self, flip):
-        pres = koszul_qmix(flip)
-        rng = random.Random(20261018)
-        for _ in range(60):
-            word = tuple(rng.choice("xeh") for _ in range(rng.randint(0, 7)))
-            expr = E({word: 1})
-            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+        words = draw_words(20261018, 60, "xeh", (0, 7))
+        assert_strategy_independent(koszul_qmix(flip), words,
+                                    random.Random(20261018))
 
     def test_rule_parameters_move_with_their_sign(self):
         # e*x -> x*e*h leaves h behind the odd e: the engine moves it to the
@@ -377,11 +416,8 @@ class TestNormalForm:
         pres = Presentation("tail-h", decls, param_swap_rules(decls) + rules)
         ex = E({("e", "x"): 1})
         assert pres.normal_form(ex, fuel=1) == E({("h", "x", "e"): -1})
-        rng = random.Random(20261018)
-        for _ in range(60):
-            word = tuple(rng.choice("xeh") for _ in range(rng.randint(0, 7)))
-            expr = E({word: 1})
-            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+        words = draw_words(20261018, 60, "xeh", (0, 7))
+        assert_strategy_independent(pres, words, random.Random(20261018))
 
     @pytest.mark.parametrize(
         "name", ["pq-calculus", "h-calculus", "one-forms", "oscillator"]
@@ -391,13 +427,9 @@ class TestNormalForm:
         # engine and one declared swap rule at a time by the random reducer
         pres = catalog_presentations(catalog)[name]
         letters = sorted(g.id for g in pres.gens.values() if g.klass is GenClass.STANDARD)
-        rng = random.Random(f"params-{name}")
-        for _ in range(30):
-            word = [rng.choice(letters) for _ in range(rng.randint(1, 4))]
-            for h in rng.choices(["h1", "h2"], k=rng.randint(1, 3)):
-                word.insert(rng.randint(0, len(word)), h)
-            expr = E({tuple(word): 1})
-            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+        words = draw_words(f"params-{name}", 30, letters, (1, 4),
+                           ["h1", "h2"], (1, 3))
+        assert_strategy_independent(pres, words, random.Random(f"params-{name}"))
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_covariance_matches_random_strategy(self, catalog, flip):
@@ -413,13 +445,8 @@ class TestNormalForm:
         else:
             assert pres.normal_form(cross, fuel=0) == E({("ga", "th"): -1})
         letters = ["ga", "be", "d", "a", "dth", "dx", "th", "x", "pth", "px"]
-        words, rng = random.Random("blocks"), random.Random(f"blocks-{flip}")
-        for _ in range(40):
-            word = [words.choice(letters) for _ in range(words.randint(1, 4))]
-            for h in words.choices(["h1", "h2"], k=words.randint(0, 2)):
-                word.insert(words.randint(0, len(word)), h)
-            expr = E({tuple(word): 1})
-            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+        words = draw_words("blocks", 40, letters, (1, 4), ["h1", "h2"], (0, 2))
+        assert_strategy_independent(pres, words, random.Random(f"blocks-{flip}"))
 
     def test_covariance_warm_memo_matches_random_strategy(self, catalog):
         # a budget the covariance suite has filled reduces the words on its
@@ -431,15 +458,8 @@ class TestNormalForm:
         assert warm.memo(pres, "words")
         # no inverse letters: the random reducer need not terminate on them
         letters = ["ga", "be", "d", "a", "dth", "dx", "th", "x", "pth", "px"]
-        rng = random.Random("warm-blocks")
-        for _ in range(30):
-            word = [rng.choice(letters) for _ in range(rng.randint(2, 4))]
-            for h in rng.choices(["h1", "h2"], k=rng.randint(0, 2)):
-                word.insert(rng.randint(0, len(word)), h)
-            expr = E({tuple(word): 1})
-            want = random_reduce(pres, expr, rng)
-            assert pres.normal_form(expr, warm) == want
-            assert pres.normal_form(expr) == want
+        words = draw_words("warm-blocks", 30, letters, (2, 4), ["h1", "h2"], (0, 2))
+        assert_strategy_independent(pres, words, random.Random("warm-blocks"), warm)
 
     @pytest.mark.parametrize("e_key", [2, 4])
     def test_blocks_are_intervals_of_the_order(self, e_key):
@@ -452,11 +472,8 @@ class TestNormalForm:
         else:
             with pytest.raises(FuelExhausted):
                 pres.normal_form(word, fuel=0)
-        rng = random.Random(f"xye-{e_key}")
-        for _ in range(60):
-            w = tuple(rng.choice("xye") for _ in range(rng.randint(0, 6)))
-            expr = E({w: 1})
-            assert pres.normal_form(expr) == random_reduce(pres, expr, rng)
+        words = draw_words(f"xye-{e_key}", 60, "xye", (0, 6))
+        assert_strategy_independent(pres, words, random.Random(f"xye-{e_key}"))
 
     def test_memo_reuse_matches_fresh_instance(self):
         p1 = qmix()
@@ -543,30 +560,6 @@ class TestNormalForm:
         check()
 
 
-def random_reduce(pres, expr, rng, max_steps=4000):
-    work = {w: c for w, c in expr.terms()}
-    for _ in range(max_steps):
-        redexes = []
-        for word in sorted(work):
-            for pos in range(len(word)):
-                for ln in (2, 1):
-                    rule = pres.rule_for(word[pos : pos + ln])
-                    if rule is not None:
-                        redexes.append((word, pos, rule))
-        if not redexes:
-            return Expression(work)
-        word, pos, rule = redexes[rng.randrange(len(redexes))]
-        c = work.pop(word)
-        for m, cc in rule.rhs.terms():
-            nw = word[:pos] + m + word[pos + len(rule.lhs) :]
-            s = work.get(nw, Scalar.zero()) + c * cc
-            if s.is_zero():
-                work.pop(nw, None)
-            else:
-                work[nw] = s
-    raise AssertionError("random reducer did not terminate")
-
-
 def test_every_catalog_product_matches_the_reference(monkeypatch):
     # a fresh catalog (the session's is built already) and every suite on
     # it: each product the build and the suites form, through normal forms,
@@ -614,8 +607,8 @@ class TestCriticalPairs:
         for cp in pairs:
             assert len(cp.word) <= 3
             assert cp.word == cp.rule_a.lhs + cp.rule_b.lhs[1:]
-            assert cp.branch_a == one_step(cp.word, 0, cp.rule_a)
-            assert cp.branch_b == one_step(cp.word, 1, cp.rule_b)
+            assert cp.branch_a == E(rewrite(cp.word, 0, cp.rule_a.rhs.terms(), ONE))
+            assert cp.branch_b == E(rewrite(cp.word, 1, cp.rule_b.rhs.terms(), ONE))
 
     def test_disjoint_applications_not_emitted(self):
         # disjoint redexes commute, so only overlapping ones are critical
@@ -637,14 +630,6 @@ class TestCriticalPairs:
                  if pres.rule_for(w[:2]) and pres.rule_for(w[1:])}
         assert found == brute
         assert len(pairs) == len(found) == count
-
-
-def one_step(word, pos, rule):
-    out = {}
-    for m, c in rule.rhs.terms():
-        nw = word[:pos] + m + word[pos + len(rule.lhs) :]
-        out[nw] = out.get(nw, Scalar.zero()) + c
-    return Expression(out)
 
 
 class TestLocalConfluence:
@@ -793,6 +778,20 @@ class TestPrefixMemo:
             assert m.apply(expr, warm) == plain
             # a second call reads every prefix from the memo
             assert m.apply(expr, warm) == plain
+
+    def test_words_sharing_prefixes_fold_on_one_budget(self):
+        # every word of up to three letters on one budget, so each prefix
+        # the memo holds is read back by the longer words that share it
+        pres = qmix()
+        x, e = E.from_gen("x"), E.from_gen("e")
+        m = Morphism(pres, pres, {"x": x.scale(Scalar.p()), "e": x * e + e})
+        budget = Budget(DEFAULT_FUEL)
+        for n in range(1, 4):
+            for word in product("xe", repeat=n):
+                plain = E.one()
+                for gid in word:
+                    plain = plain * m.images[gid]
+                assert m.apply(E({word: 1}), budget) == reference_nf(pres, plain), word
 
     def test_fuel_exhaustion_keeps_only_complete_prefixes(self, catalog):
         m = catalog.coaction
