@@ -181,7 +181,3 @@ def main(argv: list[str] | None = None) -> int:
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

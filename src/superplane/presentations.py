@@ -282,6 +282,14 @@ def round_trip_residuals(cmap: ContractionMap,
     return out
 
 
+def _solve(word: Word, zero: Expression) -> Expression | None:
+    """What word equals given zero == 0, or None when zero lacks word."""
+    k = zero.coefficient(word)
+    if k.is_zero():
+        return None
+    return (Expression.from_word(word, k) - zero).scale(k.inv())
+
+
 # ------------------------------------------- deriving the h-frame rules
 
 H_REDUCIBLE_PAIRS = (
@@ -332,23 +340,16 @@ def derive_h_relations(cmap: ContractionMap, pairs=H_REDUCIBLE_PAIRS) -> dict:
     scratch = cmap.backward.target
     general: dict = {}
     for w in pairs:
-        raw = pull(w)
-        c = raw.coefficient(w)
-        unit = Scalar.one() - c
-        if not unit.is_zero():
-            if not c.is_zero():
-                raw = (raw - Expression.from_word(w, c)).scale(unit.inv())
-            general[w] = raw
-            continue
-        rev = (w[1], w[0])
-        raw = pull(rev)
-        lam = raw.coefficient(w)
-        if lam.is_zero():
-            raise ConstructionFailure(
-                f"pair {w} maps onto itself and its reverse does not reach it"
-            )
-        solved = Expression.from_word(rev) - raw + Expression.from_word(w, lam)
-        general[w] = scratch.normal_form(solved.scale(lam.inv()), budget)
+        solved = _solve(w, pull(w) - Expression.from_word(w))
+        if solved is None:
+            rev = (w[1], w[0])
+            solved = _solve(w, pull(rev) - Expression.from_word(rev))
+            if solved is None:
+                raise ConstructionFailure(
+                    f"pair {w} maps onto itself and its reverse does not reach it"
+                )
+            solved = scratch.normal_form(solved, budget)
+        general[w] = solved
     closure = param_scratch(
         "h-frame-closure", H_DECLS, [RewriteRule(w, general[w]) for w in pairs]
     )
@@ -431,11 +432,6 @@ SUPERGROUP_TABLE = [
     ("a d", "d*a + h1*(a - d)*ga + h2*be*(a - d)"),
 ]
 
-# the group determinant, equal in both of its stated forms once d and a
-# are invertible (checked in the tests)
-GROUP_DETERMINANT_LEFT = "a*inv(d) - be*inv(d)*ga*inv(d)"
-GROUP_DETERMINANT_RIGHT = "inv(d)*a - inv(d)*be*inv(d)*ga"
-
 
 def build_supergroup() -> Presentation:
     return _build("supergroup", SUPERGROUP_DECLS, table=SUPERGROUP_TABLE)
@@ -491,13 +487,11 @@ def localize(pres: Presentation, gen_id: str, name: str) -> Presentation:
                 f"no rule joins {gen_id} and {v.id}; cannot derive {lhs}"
             )
         sandwiched = scratch.normal_form(sandwich * base.rhs * sandwich, budget)
-        head = sandwiched.coefficient(lhs)
-        if head.is_zero():
+        rhs = _solve(lhs, sandwiched - Expression.from_word(ordered))
+        if rhs is None:
             raise IncompleteLocalization(
                 f"sandwiched rule for {lhs} has no head term to solve for"
             )
-        rest = sandwiched - Expression.from_word(lhs, head)
-        rhs = (Expression.from_word(ordered) - rest).scale(head.inv())
         rules.append(RewriteRule(lhs, scratch.normal_form(rhs, budget)))
     return _build(name, decls, rules)
 

@@ -391,9 +391,7 @@ class Poly:
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction, GaussianRational)):
-                return NotImplemented
-            other = Poly({(0, 0): other})
+            return NotImplemented
         return self._c == other._c
 
     def __hash__(self):

@@ -6,6 +6,7 @@ derived by hand) and are asserted against the engine, never read back from
 it.
 """
 
+import operator
 import random
 import re
 from fractions import Fraction
@@ -170,6 +171,28 @@ class TestExpression:
         assert a.scale(2) == E({("x",): 1})
         assert (Scalar.i() * a).coefficient(("x",)) == Scalar.i() * Scalar.from_fraction(Fraction(1, 2))
         assert a.coefficient(("y",)) == Scalar.zero()
+        assert a.scale(0) == E.zero()
+        assert a and not E.zero()
+
+    @pytest.mark.parametrize("other", [None, 0.5])
+    def test_foreign_operands(self, other):
+        # an operand that is no Expression goes back to Python
+        # (NotImplemented), which raises TypeError, and so does a left
+        # factor that is no scalar; equality with it is false; a
+        # coefficient must be a scalar and a letter a str
+        a = E({("x",): 1})
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, other)
+        with pytest.raises(TypeError):
+            other * a
+        assert a != other
+        with pytest.raises(ValueError):
+            a ** other
+        with pytest.raises(TypeError):
+            E({("x",): other})
+        with pytest.raises(TypeError):
+            E({("x", other): 1})
 
     def test_power_and_sum(self):
         a = E({("x",): 1})
@@ -276,6 +299,8 @@ class TestRuleValidation:
     def test_rejects_duplicate_sort_keys(self):
         with pytest.raises(RuleError):
             Presentation("bad", [gen("x", 0, 2), gen("y", 0, 2)], [])
+        with pytest.raises(RuleError, match="duplicate generator x"):
+            Presentation("bad", [gen("x", 0, 2), gen("x", 0, 3)], [])
 
     def test_completeness_check(self):
         with pytest.raises(IncompletePresentation):
@@ -486,6 +511,8 @@ class TestNormalForm:
         pres = qplane()
         with pytest.raises(MixedPresentation):
             pres.normal_form(E({("e1",): 1}))
+        with pytest.raises(TypeError, match="expected an Expression"):
+            pres.normal_form("y*x")
 
     def test_fuel_exhaustion_on_legal_loop(self):
         # descends at equal weighted degree yet grows forever; the fuel is
@@ -713,6 +740,9 @@ class TestMorphism:
         g, p = grassmann(), qplane()
         with pytest.raises(MixedPresentation):
             Morphism(g, p, {"e1": E({("e1",): 1}), "e2": E({("x",): 1})})
+        with pytest.raises(RuleError, match="unknown generator zz"):
+            Morphism(g, g, {"e1": E({("e1",): 1}), "e2": E({("e2",): 1}),
+                            "zz": E({("e1",): 1})})
 
     def test_one_fuel_budget_per_apply(self):
         # y*x and w*z take one rewrite step each, whatever was applied before

@@ -298,16 +298,24 @@ def test_reduce_unknown_generator(capsys):
     assert "bogus" in err
 
 
-def test_reduce_syntax_error(capsys):
+def test_reduce_inverse_of_a_number(capsys):
+    code, out, err = run_cli(capsys, "reduce", "--presentation",
+                             "h-calculus", "--", "inv(2)")
+    assert (code, out) == (2, "")
+    assert err == "error: inv() wants a generator name (at position 4)\n"
+
+
+@pytest.mark.parametrize("text", [
+    "x*(th", "x/0", "(" * 3000 + "x" + ")" * 3000, "x^99999999999", "9" * 5000,
+], ids=["unclosed", "zero-divisor", "nesting", "exponent", "long-literal"])
+def test_reduce_syntax_error(capsys, text):
     # malformed input, a zero divisor, runaway nesting, an exponent too
     # large to build and a literal too long for int() are all usage errors,
     # reported on one line without a traceback
-    for text in ("x*(th", "x/0", "(" * 3000 + "x" + ")" * 3000,
-                 "x^99999999999", "9" * 5000):
-        code, _, err = run_cli(
-            capsys, "reduce", text, "--presentation", "h-calculus")
-        assert code == 2, text[:10]
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+    code, _, err = run_cli(
+        capsys, "reduce", text, "--presentation", "h-calculus")
+    assert code == 2, text[:10]
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -162,6 +162,17 @@ class TestRender:
         assert out == "(1 + 2*i)*x"
         assert parse_expression(out, toy()) == E({("x",): c})
 
+    @pytest.mark.parametrize("x", [
+        GaussianRational(Fraction(-1, 2), 3),
+        Poly({(2, 1): GaussianRational(0, -2), (0, 0): 1}),
+        Scalar(Poly({(1, 0): 1}), Poly({(0, 1): 1, (0, 0): -1})),
+    ])
+    def test_str_of_each_scalar_type_reads_back(self, x):
+        # str() is written here, beside the parser, and reads back as the
+        # constant term; repr() names the type
+        assert parse_expression(str(x), toy()) == E({(): x})
+        assert repr(x).startswith(f"{type(x).__name__}(")
+
     @given(
         st.dictionaries(
             st.lists(st.sampled_from(["x", "e", "xinv"]), max_size=4).map(tuple),

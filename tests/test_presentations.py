@@ -9,18 +9,27 @@ import hashlib
 
 import pytest
 
+from superplane import presentations
 from superplane.algebra import (
-    Expression, GenClass, GeneratorDecl, RuleError, unit_rules,
+    Expression, GenClass, GeneratorDecl, Morphism, Presentation, RuleError,
+    unit_rules,
 )
 from superplane.parsing import parse_expression, render_expression
 from superplane.presentations import (
     COORD_DIFF_PAIRS,
     COORD_DIFF_TARGETS,
     COORD_DIFF_VARIANTS,
+    H_DECLS,
     H_REDUCIBLE_PAIRS,
     ConstructionFailure,
+    ContractionMap,
+    DerivedRelation,
+    IncompleteLocalization,
+    RoundTripFailure,
+    _build,
     build_catalog,
     build_contraction,
+    build_h_calculus,
     build_primed_calculus,
     catalog_presentations,
     choose_variant,
@@ -29,11 +38,10 @@ from superplane.presentations import (
     localize,
     param_scratch,
     param_swap_rules,
-    GROUP_DETERMINANT_LEFT,
-    GROUP_DETERMINANT_RIGHT,
     PQ_DECLS,
     SUPERGROUP_DECLS,
 )
+from superplane.scalars import Scalar
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +70,43 @@ def test_variant_selection_is_decisive(cat):
 def test_unknown_variant_rejected():
     with pytest.raises(ConstructionFailure):
         build_primed_calculus("sideways")
+
+
+def test_bad_rule_is_a_construction_failure():
+    # one row of the pq-calculus table leaves the rest of its pairs
+    # without a rule
+    with pytest.raises(ConstructionFailure, match="^pq-table: pq-table lacks"):
+        _build("pq-table", PQ_DECLS, table=[("x th", "q*th*x")])
+
+
+def test_selection_needs_one_matching_reading(monkeypatch):
+    monkeypatch.setitem(COORD_DIFF_TARGETS, ("x", "dx"), "0")
+    with pytest.raises(ConstructionFailure, match="not decisive"):
+        choose_variant()
+
+
+def test_wrong_frame_coefficient_fails_the_round_trip(monkeypatch):
+    monkeypatch.setattr(presentations, "_C1", Scalar.p())
+    with pytest.raises(RoundTripFailure, match="^round trip h-dth leaves "):
+        build_contraction(build_primed_calculus("diagonal"))
+
+
+def test_derivation_needs_a_pair_that_moves():
+    # under the identity frame change x*th pulls back to itself, and the
+    # pull-back of th*x, itself too, holds no x*th
+    frame = param_scratch("frame", H_DECLS)
+    same = Morphism(frame, frame,
+                    {g: Expression.from_gen(g) for g in frame.gens})
+    with pytest.raises(ConstructionFailure, match="maps onto itself"):
+        derive_h_relations(ContractionMap(same, same), pairs=[("x", "th")])
+
+
+def test_h_calculus_needs_regular_relations():
+    derived = {w: DerivedRelation(w, Expression.zero(), None, "a pole")
+               for w in H_REDUCIBLE_PAIRS}
+    with pytest.raises(ConstructionFailure,
+                       match=r"no regular value at p=q=1 \(a pole\)"):
+        build_h_calculus(derived)
 
 
 def test_round_trips_both_ways(cat):
@@ -223,10 +268,25 @@ def test_localization_rejects_odd_generator(cat):
         localize(cat.supergroup, "be", "supergroup-beinv")
 
 
+@pytest.mark.parametrize("rules, message", [
+    ([], r"no rule joins a and b; cannot derive \('ainv', 'b'\)"),
+    ([(("a", "b"), Expression.zero())], "has no head term"),
+], ids=["no-rule", "zero-rule"])
+def test_localization_needs_a_base_rule_to_solve(rules, message):
+    # a*b -> 0 sandwiches to 0, which holds no ainv*b
+    decls = [GeneratorDecl("b", 0, GenClass.STANDARD, 1),
+             GeneratorDecl("a", 0, GenClass.STANDARD, 3)]
+    pres = Presentation("toy", decls, rules, require_complete=False)
+    with pytest.raises(IncompleteLocalization, match=message):
+        localize(pres, "a", "toy-ainv")
+
+
 def test_group_determinant_forms_agree(cat):
+    # the group determinant, equal in both of its stated forms once d and
+    # a are invertible
     loc = cat.localized_supergroup
-    left = parse_expression(GROUP_DETERMINANT_LEFT, loc)
-    right = parse_expression(GROUP_DETERMINANT_RIGHT, loc)
+    left = parse_expression("a*inv(d) - be*inv(d)*ga*inv(d)", loc)
+    right = parse_expression("inv(d)*a - inv(d)*be*inv(d)*ga", loc)
     assert loc.normal_form(left) == loc.normal_form(right)
     assert not loc.normal_form(left).is_zero()
 
@@ -252,8 +312,6 @@ def test_plane_dagger_images(cat):
 
 def test_oscillator_star_swaps_p_and_q(cat):
     star = cat.oscillator_star
-    from superplane.scalars import Scalar
-
     e = Expression.from_word(("A",), Scalar.p())
     assert star.apply(e) == Expression.from_word(("Ap",), Scalar.q())
 

@@ -84,10 +84,25 @@ class TestGaussianRational:
         assert G(3, 2) - G(1, 5) == G(2, -3)
         assert G(1) / G(0, 1) == G(0, -1)
         assert G(0, 1) ** 4 == G(1)
+        assert G(1, 1) ** -2 == G(0, F(-1, 2))
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             G(1) / G(0)
+
+    @pytest.mark.parametrize("other", ["1", 0.5])
+    def test_foreign_operands(self, other):
+        # each operator hands an operand that is no int, Fraction or
+        # GaussianRational back to Python (NotImplemented), which raises
+        # TypeError; equality with it is false
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(G(1), other)
+        assert G(1) != other
+        with pytest.raises(TypeError):
+            G(1) ** other
+        with pytest.raises(TypeError):
+            GaussianRational(other)
 
     @given(gaussians, gaussians, gaussians)
     def test_field_axioms(self, a, b, c):
@@ -144,6 +159,37 @@ class TestPoly:
         assert f * g == g * f
         assert f + g == g + f
         assert f - f == ZERO
+        assert f.scale(0) == ZERO
+
+    def test_equality_is_between_polys(self):
+        # a number is no Poly, so it equals none: equal values must hash
+        # equal, and hash(Poly.one()) is not hash(1)
+        assert Poly.one() != 1 and ZERO != 0 and Poly.one() != G(1)
+        assert P * Q + ONE == ONE + Q * P
+        assert hash(P * Q + ONE) == hash(ONE + Q * P)
+
+    @pytest.mark.parametrize("other", ["1", 0.5])
+    def test_foreign_operands(self, other):
+        # as for GaussianRational; the methods that take a number raise
+        # TypeError themselves
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(P, other)
+        for call in (Poly.scale, Poly.divrem):
+            with pytest.raises(TypeError):
+                call(P, other)
+        with pytest.raises(TypeError):
+            Poly({(0, 0): other})
+
+    def test_bad_exponents_and_divisors(self):
+        with pytest.raises(ValueError):
+            Poly({(-1, 0): 1})
+        with pytest.raises(ValueError):
+            P ** -1
+        with pytest.raises(ValueError):
+            ZERO.leading()
+        with pytest.raises(DivisionByZero):
+            P.divrem(ZERO)
 
     def test_divexact(self):
         f = (P - ONE) * (Q + 2 * ONE)
@@ -344,6 +390,19 @@ class TestScalar:
             Scalar.one() / Scalar.zero()
         with pytest.raises(DivisionByZero):
             Scalar.zero() ** (-1)
+
+    @pytest.mark.parametrize("other", ["1", 0.5])
+    def test_foreign_operands(self, other):
+        # as for GaussianRational, and the parts of a Scalar are Polys or
+        # numbers
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(Scalar.p(), other)
+        assert Scalar.one() != other
+        with pytest.raises(TypeError):
+            Scalar.p() ** other
+        with pytest.raises(TypeError):
+            Scalar(other)
 
     def test_powers_and_factories(self):
         assert Scalar.p() * Scalar.q() - Scalar.one() == Scalar(P * Q - ONE)
