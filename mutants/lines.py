@@ -28,27 +28,6 @@ SRC = ROOT / "src" / "superplane"
 # file under src/superplane/, enclosing function, an exact text inside it
 # (None: the whole body), why tier-1 runs none of its statements
 NEVER_RUN = [
-    ("verify.py", "_check", "return CheckResult(cid, FAIL, nf, notes)",
-     "a Fail verdict: no tier-1 test breaks a catalog expression that a "
-     "printed or derived row reduces (ROADMAP item 9)"),
-    ("verify.py", "_suite.register.run",
-     'raise ValueError(f"duplicate check ids in suite {name}")',
-     "every suite gives distinct check ids; a suite edited to repeat one "
-     "fails here (ROADMAP item 9)"),
-    ("verify.py", "run_contraction_suite",
-     'rows.append(CheckResult("limit-regularity", FAIL, None,',
-     "a Fail verdict: build_h_calculus refuses a singular limit first, so "
-     "only a catalog built around it reaches this (ROADMAP item 9)"),
-    ("verify.py", "run_covariance_suite", "worst = nf\n            break",
-     "a Fail verdict of identity-coaction (ROADMAP item 9)"),
-    ("verify.py", "run_oscillator_suite", "stray.append(gid)",
-     "a Fail verdict of bare-limit (ROADMAP item 9)"),
-    ("verify.py", "run_oscillator_suite", 'bad.append("*".join(word))',
-     "a Fail verdict of undeformed-limit (ROADMAP item 9)"),
-    ("verify.py", "run_oscillator_suite", 'broken.append("*".join(rule.lhs))',
-     "a Fail verdict of star-consistency (ROADMAP item 9)"),
-    ("verify.py", "run_appendix_suite", "rows.append(CheckResult(cid, FAIL, got,",
-     "a Fail verdict of the right-convention drifts (ROADMAP item 9)"),
     ("scalars.py", "Scalar.__rsub__", None,
      "number - Scalar; bench/spans.py wraps it, and it goes with that "
      "wrapper (ROADMAP item 3)"),

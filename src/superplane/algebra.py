@@ -218,15 +218,15 @@ class Expression:
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, Expression):
-            return NotImplemented
-        return _expr_raw(_times(self._t, other._t))
-
-    def __rmul__(self, other):
+        """The free product; a scalar on either side scales."""
+        if isinstance(other, Expression):
+            return _expr_raw(_times(self._t, other._t))
         try:
             return self.scale(other)
         except TypeError:
             return NotImplemented
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -9,10 +9,10 @@ failed, 2 for usage and parse errors.  A reduction that runs out of fuel
 or of memory is a failed reduction: `reduce` then prints a one-line error
 and exits 1.  `--fuel` bounds one budget of rewrite steps: the parse and
 reduction of `reduce`, each suite of `verify`, the whole `critical-pairs`
-scan; a `verify` fuel error names the suite and, for a row reduced in its
-check, the check.  Reports go to stdout, diagnostics to stderr.  A reader
-that closes the pipe early (`| head`) gets what it read, and the verb exits
-1 with nothing on stderr.
+scan; a `verify` fuel error names the suite and the check that ran out,
+since every row spends its fuel in its own check.  Reports go to stdout,
+diagnostics to stderr.  A reader that closes the pipe early (`| head`) gets
+what it read, and the verb exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations

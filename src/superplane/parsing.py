@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import operator
 import re
-from itertools import groupby
 
 from superplane.algebra import Expression, Presentation
 from superplane.scalars import (DivisionByZero, GaussianRational, Poly,
@@ -300,10 +299,14 @@ def render_scalar(c: Scalar) -> str:
 
 
 def _word_text(word) -> str:
+    """word's letters joined by "*", each run of one letter as its power."""
     bits = []
-    for gid, run in groupby(word):
-        n = len(list(run))
-        bits.append(gid if n == 1 else f"{gid}^{n}")
+    n = 0
+    for i, gid in enumerate(word, 1):
+        n += 1
+        if i == len(word) or word[i] != gid:
+            bits.append(gid if n == 1 else f"{gid}^{n}")
+            n = 0
     return "*".join(bits)
 
 

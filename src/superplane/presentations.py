@@ -260,26 +260,29 @@ def build_contraction(pq: Presentation) -> ContractionMap:
         name="pq-to-h",
     )
     cmap = ContractionMap(forward, backward)
-    for key, res in round_trip_residuals(cmap).items():
+    for key, trip in round_trip_residuals(cmap).items():
+        res = trip()
         if not res.is_zero():
             raise RoundTripFailure(f"round trip {key} leaves {res}")
     return cmap
 
 
 def round_trip_residuals(cmap: ContractionMap,
-                         fuel: int | Budget = DEFAULT_FUEL) -> dict[str, Expression]:
-    """backward(forward(g)) - g for each h-frame generator g, keyed h-<g>,
-    and forward(backward(g)) - g for each (p,q)-frame one, keyed pq-<g>;
-    all are zero for an exact frame change, reduced on one budget."""
+                         fuel: int | Budget = DEFAULT_FUEL) -> dict:
+    """For each generator g, a thunk that reduces its round trip on one
+    budget: backward(forward(g)) - g for an h-frame one, keyed h-<g>, and
+    forward(backward(g)) - g for a (p,q)-frame one, keyed pq-<g>.  All are
+    zero for an exact frame change."""
     budget = Budget.of(fuel)
-    out = {}
-    for tag, there, back in (("h", cmap.forward, cmap.backward),
-                             ("pq", cmap.backward, cmap.forward)):
-        for gid in there.source.gens:
-            g = Expression.from_gen(gid)
-            out[f"{tag}-{gid}"] = (back.apply(there.apply(g, budget), budget)
-                                   - back.target.normal_form(g, budget))
-    return out
+
+    def trip(there, back, g):
+        return lambda: (back.apply(there.apply(g, budget), budget)
+                        - back.target.normal_form(g, budget))
+
+    return {f"{tag}-{gid}": trip(there, back, Expression.from_gen(gid))
+            for tag, there, back in (("h", cmap.forward, cmap.backward),
+                                     ("pq", cmap.backward, cmap.forward))
+            for gid in there.source.gens}
 
 
 def _solve(word: Word, zero: Expression) -> Expression | None:

@@ -174,6 +174,11 @@ class TestExpression:
         assert a.scale(0) == E.zero()
         assert a and not E.zero()
 
+    def test_scalar_factor_on_either_side(self):
+        a = E({("x",): 1, ("y",): Fraction(1, 2)})
+        for k in (2, Fraction(-1, 3), Scalar.i(), Scalar.p()):
+            assert a * k == k * a == a.scale(k)
+
     @pytest.mark.parametrize("other", [None, 0.5])
     def test_foreign_operands(self, other):
         # an operand that is no Expression goes back to Python

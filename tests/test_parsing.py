@@ -156,6 +156,11 @@ class TestRender:
         assert render_expression(E({("e",): frac})) == "(1)/(q - 1)*e"
         assert render_expression(E({(): Scalar.i(), ("x",): -Scalar.i()})) == "i - i*x"
 
+    def test_runs_of_a_letter_are_powers(self):
+        # each run of one letter is its own power, however the runs fall
+        word = ("x", "x", "th", "x", "x", "x")
+        assert render_expression(E({word: 1})) == "x^2*th*x^3"
+
     def test_complex_coefficient_is_grouped(self):
         c = Scalar(Poly({(0, 0): GaussianRational(1, 2)}))
         out = render_expression(E({("x",): c}))

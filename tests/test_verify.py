@@ -1,10 +1,12 @@
 """Suite reports: frozen outcome sets, exact recorded residuals, rendering."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from superplane import verify
 from superplane.algebra import Expression, FuelExhausted
 from superplane.parsing import render_expression
 from superplane.scalars import GaussianRational, Scalar
@@ -13,6 +15,8 @@ from superplane.verify import (
     FAIL,
     PASS,
     SUITES,
+    CheckResult,
+    _check,
     overall_ok,
     render_structured,
     render_text,
@@ -308,3 +312,71 @@ def test_fuel_outcome_does_not_depend_on_earlier_runs(catalog, reports, fuel):
     else:
         assert not fresh.startswith("FuelExhausted"), fresh
     assert outcome(catalog) == fresh
+
+
+# the fuel each suite spends on a cold catalog; one step less runs out
+COLD_NEED = {"contraction": 63, "differential": 35, "covariance": 2803,
+             "forms": 130, "phase-space": 28, "oscillator": 26,
+             "appendix": 0}
+
+
+@pytest.mark.parametrize("suite", list(COLD_NEED))
+def test_every_fuel_error_names_its_check(catalog, reports, suite):
+    # every row spends its fuel inside the verdict, so at any fuel below
+    # the suite's need the error names the suite and one of its checks;
+    # covariance is probed at every 97th fuel to keep the sweep short
+    run = SUITES[suite]
+    report = by_suite(reports)[suite]
+    ids = {c.id for c in report.results}
+    for fuel in range(0, COLD_NEED[suite], 97 if suite == "covariance" else 1):
+        with pytest.raises(FuelExhausted) as err:
+            run(catalog, fuel)
+        found = re.fullmatch(rf"suite {suite}: fuel of {fuel} steps "
+                             r"exhausted .* \(check ([\w-]+)\)",
+                             str(err.value), re.DOTALL)
+        assert found and found[1] in ids, str(err.value)
+    assert run(catalog, COLD_NEED[suite]).results == report.results
+
+
+def test_verdict_outcomes():
+    x = Expression.from_gen("x")
+    assert _check("c", Expression.zero, notes="n") == CheckResult(
+        "c", PASS, None, "n")
+    assert _check("c", Expression.zero, printed=True).status == PASS
+    assert _check("c", lambda: x, printed=True) == CheckResult(
+        "c", DISCREPANCY, x, "printed text does not reduce to zero against "
+        "the derived rules; recorded, not reconciled")
+    assert _check("c", lambda: x, printed=True, notes="n").notes == "n"
+    assert _check("c", lambda: x, notes="n") == CheckResult("c", FAIL, x, "n")
+
+
+def test_a_pole_at_the_limit_fails_limit_regularity(catalog):
+    # build_h_calculus refuses a pole, so the catalog is changed after it
+    word = ("px", "x")
+    rel = catalog.derived[word]
+    broken = catalog._replace(derived={**catalog.derived, word: rel._replace(
+        specialized=None, pole_note="singular at p=q=1: a pole")})
+    rows = {c.id: c for c in run_contraction_suite(broken).results}
+    assert rows["limit-regularity"].status == FAIL
+    assert (rows["limit-regularity"].residual
+            == Expression.from_word(word) - rel.general)
+
+
+def test_an_exact_candidate_fails_the_drift_probes(catalog, monkeypatch):
+    # without their sign flips the right-acting candidates are the exact
+    # frame change, which does not drift at all: each probe fails and
+    # shows the generator it brought back
+    monkeypatch.setattr(verify, "_flip", lambda img, word: img)
+    rows = {c.id: c for c in run_appendix_suite(catalog).results}
+    for cid, gid in (("right-convention-diff", "dx"),
+                     ("right-convention-deriv", "pth")):
+        assert rows[cid].status == FAIL
+        assert rows[cid].residual == Expression.from_gen(gid)
+
+
+def test_duplicate_check_ids_are_refused(catalog, monkeypatch):
+    monkeypatch.setattr(verify, "SUITES", {})
+    run = verify._suite("twice")(
+        lambda cat, budget: ([_check("c", Expression.zero)] * 2, []))
+    with pytest.raises(ValueError, match="duplicate check ids in suite twice"):
+        run(catalog)
