@@ -4,6 +4,8 @@ The verification suites load on first use of one of their names here, so
 that a command which runs no suite does not compile them.
 """
 
+from types import ModuleType as _Module
+
 from superplane.algebra import (
     DEFAULT_FUEL,
     AlgebraError,
@@ -68,56 +70,7 @@ def __getattr__(name: str):
         return getattr(verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "DEFAULT_FUEL",
-    "AlgebraCatalog",
-    "AlgebraError",
-    "CheckResult",
-    "CompositeElements",
-    "ConfluenceFailure",
-    "ConfluenceReport",
-    "ConstructionFailure",
-    "ContractionMap",
-    "CriticalPair",
-    "DerivedRelation",
-    "DivisionByZero",
-    "ExprSyntaxError",
-    "Expression",
-    "FuelExhausted",
-    "GaussianRational",
-    "GenClass",
-    "GeneratorDecl",
-    "IncompleteLocalization",
-    "IncompletePresentation",
-    "IndeterminateAtPoint",
-    "Involution",
-    "MissingImage",
-    "MixedPresentation",
-    "Morphism",
-    "NotInvolutive",
-    "Poly",
-    "PoleAtPoint",
-    "Presentation",
-    "RewriteRule",
-    "RoundTripFailure",
-    "RuleError",
-    "SUITES",
-    "Scalar",
-    "SuiteReport",
-    "UnknownGenerator",
-    "build_catalog",
-    "catalog_presentations",
-    "check_local_confluence",
-    "critical_pairs",
-    "expression_parity",
-    "fingerprint",
-    "localize",
-    "overall_ok",
-    "parse_expression",
-    "poly_gcd",
-    "render_expression",
-    "render_presentation",
-    "render_structured",
-    "render_text",
-    "run_all",
-]
+
+__all__ = sorted(_VERIFY_NAMES.union(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)))

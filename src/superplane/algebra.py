@@ -140,7 +140,7 @@ class Expression:
     are dropped on construction, so equality is structural equality.
     """
 
-    __slots__ = ("_t", "_hash")
+    __slots__ = ("_t",)
 
     def __init__(self, terms=()):
         clean: dict[Word, Scalar] = {}
@@ -153,7 +153,6 @@ class Expression:
             if not s.is_zero():
                 clean[w] = s
         self._t = clean
-        self._hash = None
 
     @staticmethod
     def zero() -> "Expression":
@@ -239,9 +238,7 @@ class Expression:
         return self._t == other._t
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._t.items()))
-        return self._hash
+        return hash(frozenset(self._t.items()))
 
     def __bool__(self):
         return bool(self._t)
@@ -275,7 +272,6 @@ def _times(t1: dict, t2: dict) -> dict:
 def _expr_raw(t: dict) -> Expression:
     e = object.__new__(Expression)
     e._t = t
-    e._hash = None
     return e
 
 

@@ -12,7 +12,8 @@ reduction of `reduce`, each suite of `verify`, the whole `critical-pairs`
 scan; a `verify` fuel error names the suite and the check that ran out,
 since every row spends its fuel in its own check.  Reports go to stdout,
 diagnostics to stderr.  A reader that closes the pipe early (`| head`) gets
-what it read, and the verb exits 1 with nothing on stderr.
+what it read, and the verb exits 1 with nothing on stderr; any other failure
+to write the output, a closed stdout among them, exits 1 with one line.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("expression", help="write -- before it if it starts with '-'")
     red.add_argument("--presentation", required=True, metavar="NAME")
     red.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    red.set_defaults(run=_cmd_reduce)
 
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--suite", default="all",
@@ -52,17 +54,20 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=("text", "structured"),
                      default="text")
     ver.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    ver.set_defaults(run=_cmd_verify)
 
     rul = sub.add_parser("rules", help="dump a presentation")
     grp = rul.add_mutually_exclusive_group(required=True)
     grp.add_argument("--presentation", metavar="NAME")
     grp.add_argument("--list", action="store_true",
                      help="list catalog presentation names")
+    rul.set_defaults(run=_cmd_rules)
 
     cp = sub.add_parser("critical-pairs",
                         help="scan for non-joinable critical pairs")
     cp.add_argument("--presentation", required=True, metavar="NAME")
     cp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    cp.set_defaults(run=_cmd_critical_pairs)
     # leftover words get the verb's usage, with its hint on a leading '-'
     for verb in sub.choices.values():
         verb.set_defaults(parser=verb)
@@ -148,14 +153,6 @@ def _cmd_critical_pairs(ns) -> int:
     return OK if report.ok else FAILED
 
 
-_DISPATCH = {
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-    "rules": _cmd_rules,
-    "critical-pairs": _cmd_critical_pairs,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
@@ -167,13 +164,17 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
         _check_limits(ns)
-        rc = _DISPATCH[ns.verb](ns)
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        rc = ns.run(ns)
         sys.stdout.flush()
         return rc
-    except BrokenPipeError:
-        # the rest of the output has no reader; stdout now points at
+    except OSError as exc:
+        # the rest of the output cannot be written; fd 1 now points at
         # devnull, so the flush at interpreter exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return FAILED
     except (UsageError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -91,8 +91,9 @@ class GaussianRational:
     """Element (a + b*i)/d of Q(i), stored as three ints in lowest terms.
 
     Invariants: d > 0 and gcd(a, b, d) == 1, so equal values have equal
-    fields and equality and hashing compare fields.  re and im are Fraction
-    views of the two parts; the arithmetic itself never builds a Fraction.
+    fields and equality compares fields; a real value hashes as the int or
+    Fraction it equals.  re and im are Fraction views of the two parts; the
+    arithmetic itself never builds a Fraction.
     """
 
     __slots__ = ("a", "b", "d")
@@ -173,7 +174,8 @@ class GaussianRational:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b, self.d) if self.b
+                    else self.a if self.d == 1 else self.re)
 
     def __bool__(self):
         return not self.is_zero()
@@ -246,10 +248,6 @@ class Poly:
     @staticmethod
     def one() -> "Poly":
         return _POLY_ONE
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly({(0, 0): c})
 
     def is_zero(self) -> bool:
         return not self._c
@@ -644,10 +642,6 @@ class Scalar:
     def q() -> "Scalar":
         return _S_Q
 
-    @staticmethod
-    def from_fraction(x) -> "Scalar":
-        return Scalar(Poly({(0, 0): x}))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -739,8 +733,10 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes as its value, which hashes as the equal number
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            k = self.const
+            self._hash = hash((self.num, self.den) if k is None else k)
         return self._hash
 
     def __bool__(self):
@@ -844,9 +840,10 @@ def _interned(a: int, b: int, d: int) -> Scalar:
 
 
 def as_scalar(x):
-    """x as a Scalar, or None when x is no number, Poly or Scalar.
+    """x as a Scalar, or None when x is neither a number nor a Scalar.
 
-    A number is already a canonical constant, so it takes no gcd.
+    A number is already a canonical constant, so it takes no gcd; a Poly
+    becomes a Scalar only through the constructor, Scalar(poly).
     """
     if isinstance(x, Scalar):
         return x
@@ -856,8 +853,6 @@ def as_scalar(x):
         return _const_scalar(x.numerator, 0, x.denominator)
     if isinstance(x, GaussianRational):
         return _const_scalar(x.a, x.b, x.d)
-    if isinstance(x, Poly):
-        return Scalar(x)
     return None
 
 

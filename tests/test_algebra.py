@@ -169,7 +169,7 @@ class TestExpression:
     def test_scaling_and_coefficient(self):
         a = E({("x",): Fraction(1, 2)})
         assert a.scale(2) == E({("x",): 1})
-        assert (Scalar.i() * a).coefficient(("x",)) == Scalar.i() * Scalar.from_fraction(Fraction(1, 2))
+        assert (Scalar.i() * a).coefficient(("x",)) == Scalar.i() * Scalar(Fraction(1, 2))
         assert a.coefficient(("y",)) == Scalar.zero()
         assert a.scale(0) == E.zero()
         assert a and not E.zero()

@@ -75,6 +75,24 @@ def test_closed_pipe_exits_quietly(argv):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("redirect", [">/dev/full", ">&-"],
+                         ids=["full", "closed"])
+@pytest.mark.parametrize("argv", [
+    "rules --presentation covariance",
+    "reduce '(x+th+px+pth)^4' --presentation h-calculus",
+], ids=["rules", "reduce"])
+def test_unwritable_output_gives_one_line(argv, redirect):
+    # a full device fails the first write with ENOSPC, and a stdout closed
+    # at start leaves nothing to write to: one error line, exit status 1
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m superplane {argv} {redirect}',
+         sys.executable], stderr=subprocess.PIPE, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.returncode == 1
+
+
 def test_reduce_zero(capsys):
     code, out, _ = run_cli(
         capsys, "reduce", "dth*dx - p*dx*dth",

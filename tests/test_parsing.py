@@ -175,7 +175,8 @@ class TestRender:
     def test_str_of_each_scalar_type_reads_back(self, x):
         # str() is written here, beside the parser, and reads back as the
         # constant term; repr() names the type
-        assert parse_expression(str(x), toy()) == E({(): x})
+        want = Scalar(x) if isinstance(x, Poly) else x
+        assert parse_expression(str(x), toy()) == E({(): want})
         assert repr(x).startswith(f"{type(x).__name__}(")
 
     @given(
