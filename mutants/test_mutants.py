@@ -53,6 +53,9 @@ MUTANTS = [
     ("prefix-memo-shifted", "algebra.py",
      "memo[word[:j + 1]] = prod", "memo[word[:j]] = prod",
      "tests/test_algebra.py::TestPrefixMemo::test_words_sharing_prefixes_fold_on_one_budget"),
+    ("sum-keeps-zero", "scalars.py",
+     "if not v:", "if v is None:",
+     "tests/test_algebra.py::TestExpression::test_zero_terms_dropped"),
 ]
 
 

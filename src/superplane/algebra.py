@@ -56,7 +56,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping
 
-from superplane.scalars import Scalar, as_scalar, power
+from superplane.scalars import Scalar, _accumulate, as_scalar, power
 
 DEFAULT_FUEL = 10_000
 
@@ -199,13 +199,7 @@ class Expression:
         if not isinstance(other, Expression):
             return NotImplemented
         out = dict(self._t)
-        for w, v in other._t.items():
-            s = out.get(w)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+        _accumulate(out, other._t)
         return _expr_raw(out)
 
     def __neg__(self):
@@ -805,22 +799,6 @@ def _lower(c: Scalar):
     return c
 
 
-def _accumulate(acc: dict, terms: dict, c) -> None:
-    """acc += c * terms in place; a zero sum drops its key."""
-    if not acc:
-        acc.update(terms if c == 1 else {k: v * c for k, v in terms.items()})
-        return
-    for k, v in terms.items():
-        v = v * c
-        s = acc.get(k)
-        if s is not None:
-            v = s + v
-            if not v:
-                del acc[k]
-                continue
-        acc[k] = v
-
-
 class CriticalPair(namedtuple("CriticalPair",
                                "word rule_a rule_b branch_a branch_b")):
     """An overlap word with rule_a applied at position 0 and rule_b at
@@ -919,11 +897,11 @@ class Morphism:
         budget = Budget.of(fuel)
         mul = self.target.multiplier(budget)
         prefixes = budget.memo(self, "prefixes")
-        total = _E_ZERO
+        acc = {}
         for word, c in expr.terms():
             word, image, c = self._term(word, c)
-            total = total + _fold(prefixes, word, image, mul).scale(c)
-        return total
+            _accumulate(acc, _fold(prefixes, word, image, mul)._t, c)
+        return _expr_raw(acc)
 
     def _term(self, word: Word, c: Scalar):
         """The word to fold, its letters' image lookup, and the coefficient

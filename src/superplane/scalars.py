@@ -7,6 +7,8 @@ kept in lowest terms by one integer gcd per operation (Knuth, TAOCP vol. 2,
 4.5.1); a Scalar is a fraction of Polys over them, kept canonical by a
 polynomial gcd and a monic denominator.  The polynomial gcd reads a Poly in
 the recursive view (Q(i)[q])[p] and runs on Poly's own arithmetic.
+Numbers enter the field through the constructors and Scalar arithmetic;
+GaussianRational and Poly arithmetic take only their own type.
 
 Almost every scalar the rewriting engine multiplies is a constant, so a
 Scalar stores its Gaussian-rational value when it has one: products and
@@ -87,13 +89,34 @@ def power(base, n: int, one, mul=operator.mul):
     return one if out is None else out
 
 
+def _accumulate(acc: dict, terms: dict, c=None) -> None:
+    """acc += terms, each times c unless c is None, in place; a zero sum
+    drops its key.  The sparse sum of Poly, Expression and the rewriting
+    kernel, whose terms map monomials or words to coefficients."""
+    if not acc:
+        acc.update(terms if c is None or c == 1
+                   else {k: v * c for k, v in terms.items()})
+        return
+    for k, v in terms.items():
+        if c is not None:
+            v = v * c
+        s = acc.get(k)
+        if s is not None:
+            v = s + v
+            if not v:
+                del acc[k]
+                continue
+        acc[k] = v
+
+
 class GaussianRational:
     """Element (a + b*i)/d of Q(i), stored as three ints in lowest terms.
 
     Invariants: d > 0 and gcd(a, b, d) == 1, so equal values have equal
-    fields and equality compares fields; a real value hashes as the int or
-    Fraction it equals.  re and im are Fraction views of the two parts; the
-    arithmetic itself never builds a Fraction.
+    fields and equality compares fields; a real value equals and hashes as
+    the int or Fraction it equals, but arithmetic takes GaussianRationals
+    only.  re and im are Fraction views of the two parts; the arithmetic
+    itself never builds a Fraction.
     """
 
     __slots__ = ("a", "b", "d")
@@ -121,8 +144,7 @@ class GaussianRational:
         return _gauss_raw(self.a, -self.b, self.d)
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        if other is None:
+        if type(other) is not GaussianRational:
             return NotImplemented
         d1, d2 = self.d, other.d
         return _gauss(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
@@ -132,23 +154,20 @@ class GaussianRational:
         return _gauss_raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is None:
+        if type(other) is not GaussianRational:
             return NotImplemented
         d1, d2 = self.d, other.d
         return _gauss(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1,
                       d1 * d2)
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is None:
+        if type(other) is not GaussianRational:
             return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def __truediv__(self, other):
-        other = _as_gauss(other)
-        if other is None:
+        if type(other) is not GaussianRational:
             return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         n = a2 * a2 + b2 * b2
@@ -223,9 +242,11 @@ class Poly:
     Stored as a map from exponent pairs (i, j) to coefficients, meaning
     coeff * p^i * q^j.  Immutable by convention; zero coefficients are never
     stored, so len() counts the terms and the zero polynomial is false.
+    Arithmetic takes Polys, scale a GaussianRational; a Poly equals only
+    Polys, and hashes its terms on each call.
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
         clean: dict[tuple[int, int], GaussianRational] = {}
@@ -239,7 +260,6 @@ class Poly:
             if not g.is_zero():
                 clean[(i, j)] = g
         self._c = clean
-        self._hash = None
 
     @staticmethod
     def zero() -> "Poly":
@@ -273,41 +293,30 @@ class Poly:
             return self
         return self.scale(_G1 / lc)
 
-    def scale(self, c) -> "Poly":
-        g = _as_gauss(c)
-        if g is None:
+    def scale(self, c: GaussianRational) -> "Poly":
+        if type(c) is not GaussianRational:
             raise TypeError(f"bad scale factor {c!r}")
-        if g.is_zero():
+        if c.is_zero():
             return _POLY_ZERO
-        return _poly_raw({m: v * g for m, v in self._c.items()})
+        return _poly_raw({m: v * c for m, v in self._c.items()})
 
     def __add__(self, other):
-        other = _as_poly(other)
-        if other is None:
+        if type(other) is not Poly:
             return NotImplemented
         out = dict(self._c)
-        for m, v in other._c.items():
-            s = out.get(m)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+        _accumulate(out, other._c)
         return _poly_raw(out)
 
     def __neg__(self):
         return _poly_raw({m: -v for m, v in self._c.items()})
 
     def __sub__(self, other):
-        other = _as_poly(other)
-        if other is None:
+        if type(other) is not Poly:
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        if not isinstance(other, Poly):
+        if type(other) is not Poly:
             return NotImplemented
         out: dict[tuple[int, int], GaussianRational] = {}
         for (i1, j1), c1 in self._c.items():
@@ -322,22 +331,19 @@ class Poly:
                     out[m] = s
         return _poly_raw(out)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         return power(self, n, _POLY_ONE)
 
-    def divrem(self, d) -> tuple["Poly", "Poly"]:
+    def divrem(self, d: "Poly") -> tuple["Poly", "Poly"]:
         """Division with remainder under graded-lex order.
 
         Returns (quot, rem) with self == quot * d + rem, where no term of rem
         is divisible by the leading monomial of d.
         """
-        d = _as_poly(d)
-        if d is None:
-            raise TypeError("bad divisor")
+        if type(d) is not Poly:
+            raise TypeError(f"bad divisor {d!r}")
         if d.is_zero():
             raise DivisionByZero("polynomial division by zero")
         r = dict(self._c)
@@ -393,9 +399,7 @@ class Poly:
         return self._c == other._c
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
-        return self._hash
+        return hash(frozenset(self._c.items()))
 
     def __len__(self):
         return len(self._c)
@@ -412,16 +416,7 @@ class Poly:
 def _poly_raw(c: dict) -> Poly:
     f = object.__new__(Poly)
     f._c = c
-    f._hash = None
     return f
-
-
-def _as_poly(x):
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return Poly({(0, 0): x})
-    return None
 
 
 # ------------------------------------------------------------------ gcd
@@ -603,10 +598,9 @@ class Scalar:
     __slots__ = ("num", "den", "const", "_hash")
 
     def __init__(self, num=0, den=1):
-        n = _as_poly(num)
-        d = _as_poly(den)
-        if n is None or d is None:
-            raise TypeError("scalar parts must be polynomials or numbers")
+        # a part that is no Poly is a number, or the Poly raises TypeError
+        n = num if type(num) is Poly else Poly({(0, 0): num})
+        d = den if type(den) is Poly else Poly({(0, 0): den})
         if d.is_zero():
             raise DivisionByZero("zero denominator")
         if n.is_zero():

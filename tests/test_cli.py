@@ -437,6 +437,7 @@ def test_verify_fuel_error_names_the_suite(capsys):
     assert out == ""
     assert err.startswith("error: suite covariance: fuel of 200 steps "
                           "exhausted in covariance while reducing")
+    assert err.endswith(" (check coact-px-x)\n")
     assert err.count("\n") == 1, err
 
 

@@ -40,6 +40,11 @@ def G(re, im=0):
     return GaussianRational(F(re), F(im))
 
 
+def C(c):
+    """The constant Poly c, for a number or a GaussianRational c."""
+    return Poly({(0, 0): c})
+
+
 P = Poly({(1, 0): 1})
 Q = Poly({(0, 1): 1})
 ONE = Poly({(0, 0): 1})
@@ -90,11 +95,23 @@ class TestGaussianRational:
         with pytest.raises(DivisionByZero):
             G(1) / G(0)
 
+    @pytest.mark.parametrize("number", [2, F(1, 2)], ids=["int", "fraction"])
+    def test_arithmetic_takes_no_number(self, number):
+        # a number enters Q(i) through the constructor only: on either side
+        # of an operator it is foreign, yet a real value still compares and
+        # hashes as the number it equals
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(G(3), number)
+            with pytest.raises(TypeError):
+                op(number, G(3))
+        assert G(3) == 3 and hash(G(3)) == hash(3)
+
     @pytest.mark.parametrize("other", ["1", 0.5])
     def test_foreign_operands(self, other):
-        # each operator hands an operand that is no int, Fraction or
-        # GaussianRational back to Python (NotImplemented), which raises
-        # TypeError; equality with it is false
+        # each operator hands an operand that is no GaussianRational back
+        # to Python (NotImplemented), which raises TypeError; equality with
+        # it is false
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(TypeError):
                 op(G(1), other)
@@ -150,7 +167,7 @@ class TestPoly:
         )
 
     def test_eval(self):
-        f = P * P * Q - 3 * ONE
+        f = P * P * Q - C(3)
         assert f.eval(F(2), F(5)) == G(17)
         assert ZERO.eval(F(1), F(1)) == G(0)
 
@@ -159,7 +176,7 @@ class TestPoly:
         assert f * g == g * f
         assert f + g == g + f
         assert f - f == ZERO
-        assert f.scale(0) == ZERO
+        assert f.scale(G(0)) == ZERO
 
     def test_equality_is_between_polys(self):
         # a number is no Poly, so it equals none: equal values must hash
@@ -168,10 +185,26 @@ class TestPoly:
         assert P * Q + ONE == ONE + Q * P
         assert hash(P * Q + ONE) == hash(ONE + Q * P)
 
+    @pytest.mark.parametrize("number", [2, F(1, 2)], ids=["int", "fraction"])
+    def test_arithmetic_takes_no_number(self, number):
+        # a number enters Q(i)[p, q] through the constructor only, and a
+        # GaussianRational only as the factor of scale
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(P, number)
+            with pytest.raises(TypeError):
+                op(number, P)
+        for call in (Poly.scale, Poly.divrem):
+            with pytest.raises(TypeError):
+                call(P, number)
+        with pytest.raises(TypeError):
+            G(0, 1) * P
+        assert Poly({(0, 0): 5}) != 5
+
     @pytest.mark.parametrize("other", ["1", 0.5])
     def test_foreign_operands(self, other):
-        # as for GaussianRational; the methods that take a number raise
-        # TypeError themselves
+        # as for GaussianRational; scale and divrem raise TypeError
+        # themselves
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
                 op(P, other)
@@ -192,8 +225,8 @@ class TestPoly:
             P.divrem(ZERO)
 
     def test_divexact(self):
-        f = (P - ONE) * (Q + 2 * ONE)
-        assert f.divexact(P - ONE) == Q + 2 * ONE
+        f = (P - ONE) * (Q + C(2))
+        assert f.divexact(P - ONE) == Q + C(2)
         assert ZERO.divexact(P - ONE) == ZERO
         with pytest.raises(ValueError):
             (P + ONE).divexact(Q)
@@ -202,9 +235,9 @@ class TestPoly:
 
     def test_gcd_literal(self):
         # oracle: p^2 - 1 = (p - 1)(p + 1), so the common factor is p - 1
-        g = poly_gcd(2 * (P * P - ONE), 4 * (P - ONE))
+        g = poly_gcd(C(2) * (P * P - ONE), C(4) * (P - ONE))
         assert g == P - ONE
-        assert (2 * (P * P - ONE)).divexact(g) == 2 * (P + ONE)
+        assert (C(2) * (P * P - ONE)).divexact(g) == C(2) * (P + ONE)
         assert poly_gcd(P - ONE, Q - ONE) == ONE
 
     def test_gcd_with_a_constant(self):
@@ -253,7 +286,7 @@ class TestPoly:
 
     def test_certificate_answers_typical_pairs(self):
         for f, g in ((P * Q - ONE, P + Q), (P - Q, (P - ONE) * (Q + ONE)),
-                     (P * P - Q, G(0, 1) * P + ONE)):
+                     (P * P - Q, C(G(0, 1)) * P + ONE)):
             assert _coprime_mod_p(f, g) and _coprime_mod_p(g, f)
         assert not _coprime_mod_p((P + Q) * (P - ONE), (P + Q) * Q)
 
@@ -263,11 +296,11 @@ class TestPoly:
         assert not _coprime_mod_p(f, P - ONE)
         assert poly_gcd(f, P - ONE) == ONE
         # at q = 3 the image of f loses its p-degree
-        f = (Q - 3) * P + ONE
+        f = (Q - C(3)) * P + ONE
         assert not _coprime_mod_p(f, P)
         assert poly_gcd(f, P) == ONE
         # at q = 3 both images vanish at p = 0
-        f, g = P + Q - 3, P * (Q + ONE)
+        f, g = P + Q - C(3), P * (Q + ONE)
         assert not _coprime_mod_p(f, g)
         assert poly_gcd(f, g) == ONE
 
@@ -368,7 +401,7 @@ class TestScalar:
         assert s.den == ONE
 
     def test_monic_denominator(self):
-        s = Scalar(ONE, 2 * P - 2 * ONE)
+        s = Scalar(ONE, C(2) * P - C(2))
         assert s.den == P - ONE
         assert s.num == Poly({(0, 0): F(1, 2)})
         # 1/(i*(q - 1)) = -i/(q - 1)
@@ -498,8 +531,9 @@ class TestScalar:
         # PYTHONHASHSEED, or the memo contents would differ between runs
         code = ("from superplane.scalars import Poly, Scalar; "
                 "P, Q = Poly({(1, 0): 1}), Poly({(0, 1): 1}); "
-                "print([hash(s) for s in (Scalar(P, Q + 1), Scalar(Q, P * P), "
-                "Scalar(P * Q - 3, 1), Scalar(2) / Scalar(7))])")
+                "C = lambda c: Poly({(0, 0): c}); "
+                "print([hash(s) for s in (Scalar(P, Q + C(1)), Scalar(Q, P * P), "
+                "Scalar(P * Q - C(3), 1), Scalar(2) / Scalar(7))])")
         outs = set()
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -593,7 +627,7 @@ class TestScalar:
         def by_hand(f):
             tot = G(0)
             for (i, j), c in f.items():
-                tot = tot + c * (p0 ** i * q0 ** j)
+                tot = tot + c * G(p0 ** i * q0 ** j)
             return tot
 
         d = by_hand(s.den)
