@@ -3,7 +3,9 @@
 Each entry changes one exact text of a file under src/superplane/ in a copy
 of src/ and runs one tier-1 test against the copy, which must fail.  A text
 that no longer occurs exactly once fails its case, so a refactor cannot
-retire a mutant without editing this list.  Run from the repository root:
+retire a mutant without editing this list.  One more case checks the
+verdict of the line probe, lines.py, on a given set of lines run.  Run from
+the repository root:
 
     python -m pytest -q mutants
 """
@@ -15,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import lines
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,3 +95,14 @@ def test_mutant_is_caught(tmp_path, file, text, mutant, test_id):
 def test_unmutated_copy_passes(tmp_path):
     result = run_tests(copy_src(tmp_path), sorted({m[4] for m in MUTANTS}))
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+
+
+def test_line_probe_reports_each_statement_never_run():
+    # every statement run: no report; one left out: exactly its line
+    stmts = lines.statement_lines()
+    run = {file: set(found) for file, found in stmts.items()}
+    assert lines.check(run, stmts) == []
+    text = "MAX_NESTING = 100"
+    n = (lines.SRC / "parsing.py").read_text().splitlines().index(text) + 1
+    run["parsing.py"].discard(n)
+    assert lines.check(run, stmts) == [f"parsing.py:{n}: {text}"]

@@ -2,8 +2,7 @@
 
 While LINES_DUMP_DIR is set, `trace` records the lines of src/superplane/
 that run in this interpreter, and at exit they go to <pid>.json in that
-directory, with the tests after which the tracer was gone (see
-tracehook.py).  The probe puts this directory on PYTHONPATH, so every
+directory.  The probe puts this directory on PYTHONPATH, so every
 interpreter that the tests start loads this module at start-up.
 """
 
@@ -15,7 +14,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__)))), "src", "superplane", "")
 
 hits = {}  # file name under SRC -> line numbers run
-blind = []  # ids of the tests after which the tracer was gone
 _local = {}  # code file name -> its line recorder, None outside SRC
 
 
@@ -46,8 +44,7 @@ def _dump():
 
     path = os.path.join(os.environ["LINES_DUMP_DIR"], f"{os.getpid()}.json")
     with open(path, "w") as f:
-        json.dump({"lines": {k: sorted(v) for k, v in hits.items()},
-                   "blind": blind}, f)
+        json.dump({k: sorted(v) for k, v in hits.items()}, f)
 
 
 if os.environ.get("LINES_DUMP_DIR"):

@@ -46,7 +46,6 @@ from superplane.presentations import (
     RoundTripFailure,
     build_catalog,
     catalog_presentations,
-    expression_parity,
     localize,
 )
 from superplane.scalars import (

@@ -103,8 +103,6 @@ def _cmd_reduce(ns) -> int:
         return OK
     except DivisionByZero as exc:
         raise UsageError(str(exc)) from exc
-    except RecursionError:
-        raise UsageError("expression is nested too deeply") from None
     except MemoryError:
         pass
     # out of the handler the reduction's frames are gone; the budget's

@@ -8,10 +8,13 @@ Grammar (whitespace-insensitive):
     atom   := integer | identifier | "(" expr ")" | "inv" "(" identifier ")"
 
 Juxtaposition multiplies.  An exponent may not exceed MAX_EXPONENT = 1000,
-since x^N builds an N-letter word.  The identifiers i, p and q are reserved
-scalar atoms; every other identifier must name a generator of the
-presentation the text is parsed against.  Division is only defined by scalar
-values.
+since x^N builds an N-letter word.  Parentheses may not nest deeper than
+MAX_NESTING = 100: the parser and the evaluator recurse at each level, and
+deeper text would reach the interpreter's recursion limit instead of giving
+a syntax error.  The parentheses of inv(x) do not nest.  The identifiers i,
+p and q are reserved scalar atoms; every other identifier must name a
+generator of the presentation the text is parsed against.  Division is only
+defined by scalar values.
 
 The text is parsed into a small tree first, so that a syntax error, an
 exponent above the bound or an unknown generator anywhere in it is reported
@@ -58,6 +61,7 @@ class UnknownGenerator(ExprSyntaxError):
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()])|(\S))")
 
 MAX_EXPONENT = 1000
+MAX_NESTING = 100
 
 _RESERVED = {"i": Scalar.i, "p": Scalar.p, "q": Scalar.q}
 
@@ -89,6 +93,7 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.pres = pres
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.toks[self.i]
@@ -179,8 +184,13 @@ class _Parser:
                 raise UnknownGenerator(val, pos)
             return Expression.from_gen(val)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
             e = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return e
         raise ExprSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 

@@ -276,8 +276,7 @@ def round_trip_residuals(cmap: ContractionMap,
     budget = Budget.of(fuel)
 
     def trip(there, back, g):
-        return lambda: (back.apply(there.apply(g, budget), budget)
-                        - back.target.normal_form(g, budget))
+        return lambda: back.apply(there.apply(g, budget), budget) - g
 
     return {f"{tag}-{gid}": trip(there, back, Expression.from_gen(gid))
             for tag, there, back in (("h", cmap.forward, cmap.backward),
@@ -340,7 +339,6 @@ def derive_h_relations(cmap: ContractionMap, pairs=H_REDUCIBLE_PAIRS) -> dict:
             cmap.forward.apply(Expression.from_word(word), budget), budget
         )
 
-    scratch = cmap.backward.target
     general: dict = {}
     for w in pairs:
         solved = _solve(w, pull(w) - Expression.from_word(w))
@@ -351,7 +349,6 @@ def derive_h_relations(cmap: ContractionMap, pairs=H_REDUCIBLE_PAIRS) -> dict:
                 raise ConstructionFailure(
                     f"pair {w} maps onto itself and its reverse does not reach it"
                 )
-            solved = scratch.normal_form(solved, budget)
         general[w] = solved
     closure = param_scratch(
         "h-frame-closure", H_DECLS, [RewriteRule(w, general[w]) for w in pairs]
@@ -495,7 +492,8 @@ def localize(pres: Presentation, gen_id: str, name: str) -> Presentation:
             raise IncompleteLocalization(
                 f"sandwiched rule for {lhs} has no head term to solve for"
             )
-        rules.append(RewriteRule(lhs, scratch.normal_form(rhs, budget)))
+        # ordered and the words of sandwiched are irreducible in scratch
+        rules.append(RewriteRule(lhs, rhs))
     return _build(name, decls, rules)
 
 
@@ -666,14 +664,6 @@ def build_composites(h_calculus: Presentation, one_forms: Presentation) -> Compo
         momentum_even=hexpr("i*px + i*h1*h2*px - i*h2*pth"),
         momentum_odd=hexpr("pth - h1*h2*pth + h1*px"),
     )
-
-
-def expression_parity(pres: Presentation, expr: Expression) -> int | None:
-    """0 or 1 for homogeneous expressions, None for zero or mixed ones."""
-    parities = {
-        sum(pres.gens[l].parity for l in word) % 2 for word in expr.words()
-    }
-    return parities.pop() if len(parities) == 1 else None
 
 
 # -------------------------------------------------------------- catalog

@@ -1,6 +1,6 @@
 """Two oracles that the engine's normal forms are checked against: a plain
 reference reducer, with the leftmost or a random strategy, and reduction at
-an exact point (p, q)."""
+an exact point (p, q); and the parity of an expression."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -86,3 +86,11 @@ def point_nf(pres, text):
             text, copy, lambda a, b: mul(at_point(a), at_point(b)))))
     except NO_VALUE:
         return None
+
+
+def expression_parity(pres, expr):
+    """0 or 1 for homogeneous expressions, None for zero or mixed ones."""
+    parities = {
+        sum(pres.gens[l].parity for l in word) % 2 for word in expr.words()
+    }
+    return parities.pop() if len(parities) == 1 else None

@@ -13,11 +13,12 @@ from superplane import presentations
 from superplane.algebra import (Expression, Presentation, RewriteRule,
                                 check_local_confluence)
 from superplane.parsing import fingerprint, parse_expression
-from superplane.presentations import (build_catalog, catalog_presentations,
-                                      expression_parity)
+from superplane.presentations import build_catalog, catalog_presentations
 from superplane.scalars import Scalar
 from superplane.verify import (DISCREPANCY, FAIL, PASS, render_structured,
                                run_all)
+
+from reference import expression_parity
 
 # rows where the printed text disagrees with the independently derived
 # rules; each residual is recorded in the suite report

@@ -642,6 +642,9 @@ class TestCriticalPairs:
             assert cp.branch_a == E(rewrite(cp.word, 0, cp.rule_a.rhs.terms(), ONE))
             assert cp.branch_b == E(rewrite(cp.word, 1, cp.rule_b.rhs.terms(), ONE))
 
+    def test_no_overlap_is_shorter_than_three_letters(self):
+        assert critical_pairs(qmix(), 2) == []
+
     def test_disjoint_applications_not_emitted(self):
         # disjoint redexes commute, so only overlapping ones are critical
         pairs = critical_pairs(qmix(), max_len=4)

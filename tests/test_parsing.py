@@ -13,6 +13,7 @@ from superplane.algebra import (
     RewriteRule,
 )
 from superplane.parsing import (
+    MAX_NESTING,
     ExprSyntaxError,
     UnknownGenerator,
     fingerprint,
@@ -119,6 +120,8 @@ class TestParse:
         ("x e^e", "exponent must be a nonnegative integer (at position 4)"),
         ("x*e & e", "unexpected character '&' (at position 3)"),
         ("(x*e^2", "expected ')' (at position 6)"),
+        ("x*" + "(" * 101 + "e" + ")" * 101,
+         "parentheses nested deeper than 100 (at position 102)"),
     ])
     def test_syntax_is_checked_before_any_product(self, text, message):
         # every product of the text would come before the error; none may
@@ -129,6 +132,16 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as err:
             parse_expression(text, toy(), product)
         assert str(err.value) == message
+
+    def test_nesting_bound(self):
+        # MAX_NESTING levels of parentheses parse, sibling groups do not add
+        # up and the parentheses of inv() do not count; one level more is
+        # the syntax error of test_syntax_is_checked_before_any_product
+        pres = toy()
+        deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_expression(deep + deep, pres) == E({("x", "x"): 1})
+        signed = "-(" * MAX_NESTING + "inv(x)" + ")" * MAX_NESTING
+        assert parse_expression(signed, pres) == E({("xinv",): 1})
 
     def test_division_restrictions(self):
         pres = toy()

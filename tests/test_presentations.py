@@ -34,7 +34,6 @@ from superplane.presentations import (
     catalog_presentations,
     choose_variant,
     derive_h_relations,
-    expression_parity,
     localize,
     param_scratch,
     param_swap_rules,
@@ -42,6 +41,8 @@ from superplane.presentations import (
     SUPERGROUP_DECLS,
 )
 from superplane.scalars import Scalar
+
+from reference import expression_parity
 
 
 @pytest.fixture(scope="module")

@@ -433,11 +433,19 @@ class TestScalar:
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(TypeError):
                 op(Scalar.p(), other)
+            with pytest.raises(TypeError):
+                op(other, Scalar.p())
         assert Scalar.one() != other
         with pytest.raises(TypeError):
             Scalar.p() ** other
         with pytest.raises(TypeError):
             Scalar(other)
+
+    def test_reflected_operators(self):
+        # a number on the left of - or / is taken into the field
+        assert 2 - Scalar.p() == Scalar(C(2) - P)
+        assert 2 / Scalar.p() == Scalar(C(2), P)
+        assert F(1, 2) - Scalar.q() == Scalar(C(F(1, 2)) - Q)
 
     def test_powers_and_factories(self):
         assert Scalar.p() * Scalar.q() - Scalar.one() == Scalar(P * Q - ONE)
