@@ -39,12 +39,12 @@ still hold no redex, and the scan of each word it makes resumes at pos-1; a
 letter appended to a normal word can make a redex only at the junction.  The
 cursor changes no rewrite and costs no fuel.
 
-Inside the reduction each coefficient is a Python int where it is an
-integer and a Scalar otherwise: the unit is the int 1, rule and input
-coefficients are lowered one by one (_lower), and two ints combine as ints,
-so the h-calculus, the supergroup, the covariance tensor and the one-forms
-reduce on ints alone.  The multiplier turns each output coefficient into the
-interned Scalar, so every Expression holds Scalars.
+An Expression stores each coefficient as the reduction computes with it: a
+Python int where it is given an integer, else a Scalar, which stays one
+whatever arithmetic makes of it.  Two ints combine as ints, so the
+h-calculus, the supergroup, the covariance tensor and the one-forms reduce
+on ints alone, and the multiplier converts nothing.  Equal values compare
+and hash equal; terms() and coefficient() hand out Scalars.
 """
 
 from __future__ import annotations
@@ -125,11 +125,23 @@ class GeneratorDecl(namedtuple("GeneratorDecl",
                                _CLASS_WEIGHT[klass])
 
 
-def _scalarize(c) -> Scalar:
+def _stored(c) -> int | Scalar:
+    """c as an Expression stores it: an int when c is an integer constant,
+    else a Scalar.  TypeError when c is neither a number nor a Scalar."""
+    if type(c) is int:
+        return c
     s = as_scalar(c)
     if s is None:
         raise TypeError(f"cannot use {c!r} as a scalar coefficient")
+    k = s.const
+    if k is not None and k.d == 1 and not k.b:
+        return k.a
     return s
+
+
+def _by_length(t) -> list[Word]:
+    """The keys of t by length, then by word: the order of terms()."""
+    return sorted(sorted(t), key=len)
 
 
 class Expression:
@@ -137,20 +149,21 @@ class Expression:
 
     Presentation-agnostic: products concatenate words with no sign bookkeeping
     of their own; all graded signs live in rewrite rules.  Zero coefficients
-    are dropped on construction, so equality is structural equality.
+    are dropped on construction, and the others stored as ints or Scalars
+    (see the module docstring), so equality is structural on values.
     """
 
     __slots__ = ("_t",)
 
     def __init__(self, terms=()):
-        clean: dict[Word, Scalar] = {}
+        clean: dict[Word, int | Scalar] = {}
         for w, c in dict(terms).items():
             w = tuple(w)
             for gid in w:
                 if not isinstance(gid, str):
                     raise TypeError(f"bad generator id {gid!r} in word")
-            s = _scalarize(c)
-            if not s.is_zero():
+            s = _stored(c)
+            if s:
                 clean[w] = s
         self._t = clean
 
@@ -178,20 +191,19 @@ class Expression:
 
     def terms(self) -> list[tuple[Word, Scalar]]:
         """Term list in a deterministic order: by length, then by word."""
-        return sorted(self._t.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return [(w, as_scalar(self._t[w])) for w in self.words()]
 
     def words(self) -> list[Word]:
-        return [w for w, _ in self.terms()]
+        return _by_length(self._t)
 
     def coefficient(self, word) -> Scalar:
-        return self._t.get(tuple(word), Scalar.zero())
+        return as_scalar(self._t.get(tuple(word), 0))
 
     def scale(self, c) -> "Expression":
-        s = _scalarize(c)
-        if s.is_zero():
+        s = _stored(c)
+        if not s:
             return _E_ZERO
-        k = s.const
-        if k is not None and k.a == k.d and not k.b:
+        if s == 1:
             return self
         return _expr_raw({w: v * s for w, v in self._t.items()})
 
@@ -492,7 +504,7 @@ class Presentation:
         """Whether r is v*u -> u*v with the Koszul sign of its two letters."""
         v, u = r.lhs
         t = r.rhs._t
-        return t.keys() == {(u, v)} and t[u, v].const == _koszul_sign(
+        return t.keys() == {(u, v)} and t[u, v] == _koszul_sign(
             self._parity[v], self._parity[u])
 
     def _find_blocks(self) -> dict[str, int]:
@@ -612,16 +624,11 @@ class Presentation:
         memo, odd = budget.memo(self, "words"), budget.memo(self, "parity")
 
         def mul(a: Expression, b: Expression | None = None) -> Expression:
-            # the coefficients in, products formed and sums taken as ints
-            # where they are integers, and every output coefficient a Scalar
-            t = {w: _lower(c) for w, c in a._t.items()}
-            if b is not None:
-                t = _times(t, {w: _lower(c) for w, c in b._t.items()})
+            t = a._t if b is None else _times(a._t, b._t)
             acc = {}
-            # in the order of Expression.terms: by length, then by word
-            for word in sorted(sorted(t), key=len):
+            for word in _by_length(t):
                 _accumulate(acc, self._word_nf(word, budget, memo, odd), t[word])
-            return _expr_raw({p + w: as_scalar(c) for (p, w), c in acc.items()})
+            return _expr_raw({p + w: c for (p, w), c in acc.items()})
 
         return mul
 
@@ -770,10 +777,10 @@ class Presentation:
             terms = self._terms[(), rule.lhs][0]
         else:
             terms = []
-            for m, c in rule.rhs.terms():
+            for m in rule.rhs.words():
                 sign, front, blocks = self._split(m)
                 if sign:
-                    terms.append((_lower(c) * sign, front, sum(blocks, ())))
+                    terms.append((rule.rhs._t[m] * sign, front, sum(blocks, ())))
         even, odd = [], []
         for c, front, mid in terms:
             passes = sum(map(self._parity.__getitem__, front)) & 1
@@ -789,14 +796,6 @@ class Presentation:
             even.append(term)
             odd.append((-c, *term[1:]) if passes else term)
         return (even, even) if even == odd else (even, odd)
-
-
-def _lower(c: Scalar):
-    """c as an int when it is an integer constant, else c itself."""
-    k = c.const
-    if k is not None and k.d == 1 and not k.b:
-        return k.a
-    return c
 
 
 class CriticalPair(namedtuple("CriticalPair",
@@ -898,14 +897,14 @@ class Morphism:
         mul = self.target.multiplier(budget)
         prefixes = budget.memo(self, "prefixes")
         acc = {}
-        for word, c in expr.terms():
-            word, image, c = self._term(word, c)
+        for word in expr.words():
+            word, image, c = self._term(word, expr._t[word])
             _accumulate(acc, _fold(prefixes, word, image, mul)._t, c)
         return _expr_raw(acc)
 
-    def _term(self, word: Word, c: Scalar):
+    def _term(self, word: Word, c: int | Scalar):
         """The word to fold, its letters' image lookup, and the coefficient
-        of the fold for the term c*word."""
+        of the fold for the term c*word, c as stored."""
         return word, self.images.__getitem__, c
 
 
@@ -935,8 +934,8 @@ class Involution(Morphism):
     # its own entry, so that a wrapper of Morphism.apply leaves it alone
     apply = Morphism.apply
 
-    def _term(self, word: Word, c: Scalar):
-        return word[::-1], self._image, c.conj(self.swap_pq)
+    def _term(self, word: Word, c: int | Scalar):
+        return word[::-1], self._image, c if type(c) is int else c.conj(self.swap_pq)
 
     def _image(self, gid: str) -> Expression:
         img = self.images.get(gid)

@@ -38,7 +38,7 @@ from superplane.algebra import (
 )
 from superplane.parsing import parse_expression
 from superplane.presentations import catalog_presentations, localize
-from superplane.scalars import Scalar
+from superplane.scalars import GaussianRational, Scalar
 
 import reference
 from reference import NO_VALUE, at_point, point_copy, reference_nf, rewrite
@@ -204,6 +204,37 @@ class TestExpression:
         assert a ** 3 == E({("x", "x", "x"): 1})
         assert a ** 0 == E.one()
         assert sum([a, a], E.zero()) == a.scale(2)
+
+    def test_equal_values_whatever_is_stored(self):
+        # an integer is stored as an int, and a Scalar that arithmetic made
+        # stays one; equal values still make equal Expressions, with equal
+        # normal forms at equal fuel, and the read methods hand out Scalars.
+        # A toy presentation, so that a fault here fails this test rather
+        # than the catalog build
+        pres = xye(2)
+        word = ("e", "x")
+        inputs = [E({word: c}) for c in
+                  (2, Fraction(4, 2), GaussianRational(2), Scalar(2))]
+        inputs.append(parse_expression("2*p*e*x/p", pres))
+        assert type(inputs[0]._t[word]) is int
+        assert type(inputs[-1]._t[word]) is Scalar
+        for e in inputs:
+            assert e == inputs[0] and hash(e) == hash(inputs[0])
+        one = parse_expression("p*x/p", pres)
+        assert one == E({("x",): 1}) and hash(one) == hash(E({("x",): 1}))
+        assert one.coefficient(("x",)) == 1
+        forms, spent = set(), set()
+        for e in inputs:
+            budget = Budget(DEFAULT_FUEL)
+            forms.add(pres.normal_form(e, budget))
+            spent.add(budget.fuel - budget.left)
+        assert len(forms) == 1 and len(spent) == 1 and spent != {0}
+        for got in [*inputs, *forms, one]:
+            for w, c in got.terms():
+                assert type(c) is Scalar and type(got.coefficient(w)) is Scalar
+            assert type(got.coefficient(("th",))) is Scalar
+        assert inputs[0].scale(1) is inputs[0]
+        assert inputs[0].scale(0) == E.zero()
 
     def test_terms_deterministic_order(self):
         e = E({("y",): 1, ("x",): 1, (): 1, ("x", "y"): 1})

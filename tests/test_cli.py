@@ -56,6 +56,23 @@ def test_import_loads_only_what_every_command_needs():
     assert home == "superplane.verify"
 
 
+def test_reduce_loads_only_what_it_uses():
+    # a reduction runs no suite and takes no fingerprint: loading the
+    # suites, dataclasses or hashlib (which loads OpenSSL) would put their
+    # import time into every command's start-up
+    code = ("import sys; from superplane.cli import main; "
+            "rc = main(['reduce', 'x*th', '--presentation', 'h-calculus']); "
+            "print(rc); print(sorted(sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    _, rc, loaded = proc.stdout.splitlines()
+    assert rc == "0"
+    for name in ("superplane.verify", "dataclasses", "hashlib"):
+        assert repr(name) not in loaded
+    assert "'superplane.parsing'" in loaded
+
+
 @pytest.mark.parametrize("argv", [
     ["rules", "--presentation", "covariance"],
     ["reduce", "(x+th+px+pth)^4", "--presentation", "h-calculus"],

@@ -30,25 +30,7 @@ from superplane.verify import (
     run_phase_space_suite,
 )
 
-# every printed row that does not reduce to zero against the derived
-# rules, by suite; anything else must pass outright
-EXPECTED_DISCREPANCIES = {
-    "contraction": {
-        "sigma-deriv-x-x",
-        "sigma-deriv-th-th",
-        "sigma-deriv-diff-xx",
-        "sigma-deriv-diff-xth",
-        "sigma-deriv-diff-thx",
-        "sigma-deriv-diff-thth",
-        "h-deriv-diff-thth",
-    },
-    "differential": set(),
-    "covariance": set(),
-    "forms": {"one-form-th-u", "operator-shift-th"},
-    "phase-space": {"phase-em-ep", "clifford-em-ep", "clifford-om-op"},
-    "oscillator": {"osc-deriv-x-x", "osc-deriv-th-th"},
-    "appendix": set(),
-}
+from reference import EXPECTED_DISCREPANCIES
 
 # exact residuals for the hand-checked mismatches
 FROZEN_RESIDUALS = {
