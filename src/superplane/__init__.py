@@ -1,8 +1,4 @@
-"""Exact computer algebra for two-parameter deformed superplane calculi.
-
-The verification suites load on first use of one of their names here, so
-that a command which runs no suite does not compile them.
-"""
+"""Exact computer algebra for two-parameter deformed superplane calculi."""
 
 from types import ModuleType as _Module
 
@@ -58,18 +54,6 @@ from superplane.scalars import (
     poly_gcd,
 )
 
-_VERIFY_NAMES = frozenset({"CheckResult", "SuiteReport", "SUITES", "overall_ok",
-                           "render_structured", "render_text", "run_all"})
-
-
-def __getattr__(name: str):
-    if name in _VERIFY_NAMES:
-        from superplane import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = sorted(_VERIFY_NAMES.union(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _Module)))
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _Module))
