@@ -53,9 +53,9 @@ MUTANTS = [
     ("split-sign-dropped", "algebra.py",
      "                    sign = -sign", "                    sign = sign",
      "tests/test_algebra.py::TestNormalForm::test_rule_parameters_move_with_their_sign"),
-    ("certificate-skips-linear", "scalars.py",
-     "        if len(a) > 1:", "        if len(a) > 2:",
-     "tests/test_scalars.py::TestPoly::test_certificate_agrees_with_the_prs"),
+    ("degree-0-exit-takes-linear", "scalars.py",
+     "if deg == [0, 0]:", "if max(deg) <= 1:",
+     "tests/test_scalars.py::TestPoly::test_gcd_of_typical_pairs"),
     ("prefix-memo-shifted", "algebra.py",
      "memo[word[:j + 1]] = prod", "memo[word[:j]] = prod",
      "tests/test_algebra.py::TestPrefixMemo::test_words_sharing_prefixes_fold_on_one_budget"),

@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 import re
 
-from superplane.algebra import Expression, Presentation
+from superplane.algebra import AlgebraError, Expression, Presentation
 from superplane.scalars import (DivisionByZero, GaussianRational, Poly,
                                 Scalar, power)
 
@@ -269,14 +269,19 @@ def _times(factor: str, body: str) -> str:
 
 
 def render_gaussian(c: GaussianRational) -> str:
-    """str(c): re + im*i, a part 0 left out."""
-    if c.d == 1 and not c.b:
-        return str(c.a)
-    re, im = c.re, c.im
-    terms = [str(re)] if re else []
-    if im:
-        terms.append(_times(str(im), "i"))
-    return _join(terms)
+    """str(c): re + im*i, a part 0 left out.  An integer too long for the
+    parser to read back fails the reduction that made it: AlgebraError."""
+    try:
+        if c.d == 1 and not c.b:
+            return str(c.a)
+        re, im = c.re, c.im
+        terms = [str(re)] if re else []
+        if im:
+            terms.append(_times(str(im), "i"))
+        return _join(terms)
+    except ValueError:  # str() and int() share one limit on digits
+        raise AlgebraError(
+            "integer literal too long (in the result)") from None
 
 
 def _gauss_factor(c: GaussianRational) -> str:

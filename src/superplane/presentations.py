@@ -179,7 +179,9 @@ _PQ_TABLE = [
     # any other choice makes the overlap of a derivative-coordinate rule
     # with a coordinate-differential rule non-joinable, putting scalar
     # multiples of the differentials into the ideal and collapsing the
-    # algebra over the fraction field.  The confluence suite guards this.
+    # algebra over the fraction field.  The confluence_reports fixture of
+    # tests/conftest.py and the benchmark's confluence-scan workload check
+    # that every catalog presentation is confluent.
     ("px dx", "1/(p*q)*dx*px"),
     ("px dth", "1/q*dth*px"),
     ("pth dx", "-1/p*dx*pth"),

@@ -5,8 +5,7 @@ functions in two commuting indeterminates over the Gaussian rationals.  All
 arithmetic is exact.  A Gaussian rational is three Python ints (a + b*i)/d
 kept in lowest terms by one integer gcd per operation (Knuth, TAOCP vol. 2,
 4.5.1); a Scalar is a fraction of Polys over them, kept canonical by a
-polynomial gcd and a monic denominator.  The polynomial gcd reads a Poly in
-the recursive view (Q(i)[q])[p] and runs on Poly's own arithmetic.
+monic denominator and a polynomial gcd computed from images modulo a prime.
 Numbers enter the field through the constructors and Scalar arithmetic;
 GaussianRational and Poly arithmetic take only their own type.
 
@@ -40,7 +39,8 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import gcd, lcm
 
 # entries kept by each of the two memos of non-constant Scalar arithmetic,
@@ -420,153 +420,153 @@ def _poly_raw(c: dict) -> Poly:
 
 
 # ------------------------------------------------------------------ gcd
-# The gcd runs in the recursive view (Q(i)[q])[p]: a Poly read as a polynomial
-# in p with q-only Poly coefficients.  A primitive pseudo-remainder sequence
-# (Collins 1967, Brown 1971) runs on Poly arithmetic.  Dividing out the
-# content in Q(i)[q] leaves any nonzero constant factor in place, and each
-# pseudo-remainder would multiply it into the next, so the rationals grow
-# exponentially in digit length with the degree; each primitive part is made
-# monic instead, and the final monic gcd is the same.  A nonzero constant is a
-# unit, so poly_gcd answers 1 for it at once: most Scalar gcds are of these.
-#
-# Most of the other gcds are 1 as well, and a modular image certifies that
-# exactly (Brown, JACM 18, 1971).  _MOD_P is prime and 1 mod 4, so sending i
-# to _MOD_I, a square root of -1 mod _MOD_P, maps every Gaussian rational
-# whose denominator _MOD_P does not divide into Z/_MOD_P, as a ring
-# homomorphism.  Suppose f and g share a factor of positive degree in p.  By
-# Gauss's lemma they share one, h, whose coefficients map too, and f = h*f1
-# with f1 mapping as well.  Set q to _MOD_AT[0] in the images: if f's image
-# keeps its p-degree, so does h's, and h's image divides the images of f and
-# g, so their gcd over Z/_MOD_P has positive degree.  A constant image gcd
-# thus rules out a common factor in p; the same with p set to _MOD_AT[1]
-# rules one out in q.  A variable that f or g lacks cannot occur in a
-# common factor.  Where the certificate fails (a denominator divisible by
-# _MOD_P, an image that loses degree at the point, an image gcd that is not
-# constant) the pseudo-remainder sequence decides.
+# One algorithm computes every gcd: Brown's dense modular gcd (JACM 18,
+# 1971), over Q(i) as in Encarnacion (J. Symbolic Computation 20, 1995).
+# Scaled to Gaussian integers, f and g map to Z/l, for a prime l = 1 mod 4,
+# by i -> r and by i -> -r, where r*r = -1 (by one when they are real).
+# Read as polynomials in v over the other variable w, their images at a
+# point w = t have a gcd, by Euclid mod l, of at least the v-degree of the
+# gcd h, and of just that at all but a few points.  Times lc_v(f) at t,
+# these are the images of H, h times a factor in w, which Newton's
+# interpolation in w and the symmetric range mod l recover (one point does
+# when h has no w).  Then h is H over its content in v, times the gcd of
+# the contents of f and g: gcds in w alone.  The image gcds at one point in
+# each variable bound the degrees of h: (0, 0) proves f and g coprime, as
+# most are, and a candidate of those degrees that divides f and g is h.
+# A candidate that does not divide them exactly, or an image gcd of another
+# degree than the first, sends the gcd on to a prime of twice the bits.
 
-_MOD_P = 1_000_000_009
-_MOD_I = 569_522_298  # _MOD_I ** 2 % _MOD_P == _MOD_P - 1
-_MOD_AT = (3, 5)  # the value of q in the p-images, of p in the q-images
+_BITS = 30  # the first prime has this many bits: its residues fit a digit
 
 
-def _p_coeffs(f: Poly) -> dict[int, Poly]:
-    """Map each power of p in f to its coefficient, a q-only Poly."""
-    rows: dict[int, dict] = {}
-    for (i, j), c in f._c.items():
-        rows.setdefault(i, {})[(0, j)] = c
-    return {i: _poly_raw(row) for i, row in rows.items()}
+@lru_cache
+def _prime(bits: int) -> tuple[int, int]:
+    """A prime l = k*2**n + 1 of `bits` bits and a square root of -1 mod l.
+    Proth's theorem proves l prime, as k is odd and below 2**n, when
+    a**((l - 1)/2) = -1 for some a; then a**((l - 1)/4) squares to -1."""
+    n = (bits + 1) // 2
+    for k in range((1 << (bits - n - 1)) + 1, 1 << (bits - n), 2):
+        l = k << n | 1
+        for a in (3, 5, 7, 11, 13):
+            x = pow(a, l >> 1, l)
+            if x == l - 1:
+                return l, pow(a, l >> 2, l)
+            if x != 1:
+                break
 
 
-def _q_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of two q-only polynomials by Euclid."""
-    # each remainder is made monic; without this the rational coefficients
-    # of a Euclidean sequence grow exponentially in digit length
-    while b:
-        b = b.monic()
-        a, b = b, a.divrem(b)[1]
-    return a.monic()
+def _ints(f: Poly) -> tuple[list, tuple[int, int]]:
+    """f times the lcm of its denominators, as terms (m, a, b) for a + b*i
+    at the monomial m, and its degrees in p and in q."""
+    d = lcm(*[c.d for c in f._c.values()])
+    return ([(m, c.a * (d // c.d), c.b * (d // c.d)) for m, c in f._c.items()],
+            (max(f._c)[0], max(j for _, j in f._c)))
 
 
-def _primitive(f: Poly) -> tuple[Poly, Poly]:
-    """Content in Q(i)[q] and monic primitive part of f; zero maps to zero."""
-    c = _POLY_ZERO
-    for u in _p_coeffs(f).values():
-        c = _q_gcd(c, u)
-    if not (c.is_zero() or c == _POLY_ONE):
-        f = f.divexact(c)
-    return c, f.monic()
-
-
-def _pseudo_rem(f: Poly, g: Poly) -> Poly:
-    """Pseudo-remainder of f by g as polynomials in p."""
-    gc = _p_coeffs(g)
-    dg = max(gc)
-    lg = gc[dg]
-    while f:
-        fc = _p_coeffs(f)
-        df = max(fc)
-        if df < dg:
-            break
-        # lead_p(f) * p^(df - dg) cancels the leading p-term of f * lg
-        shift = {(df - dg, j): c for (_, j), c in fc[df]._c.items()}
-        f = f * lg - g * _poly_raw(shift)
-    return f
-
-
-def _image(f: Poly, var: int) -> list[int] | None:
-    """f mod _MOD_P as a polynomial in p (var 0) or q (var 1), the other
-    variable set to _MOD_AT[var]: its coefficients from the constant term
-    up, with no zero at the top.  None when _MOD_P divides a denominator."""
-    at = _MOD_AT[var]
-    out = [0] * (1 + max(m[var] for m in f._c))
-    for m, c in f._c.items():
-        if not c.d % _MOD_P:
-            return None
-        k = m[var]
-        out[k] = (out[k] + (c.a + c.b * _MOD_I) * pow(c.d, -1, _MOD_P)
-                  * pow(at, m[1 - var], _MOD_P)) % _MOD_P
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _coprime_mod_p(f: Poly, g: Poly) -> bool:
-    """Whether the images of the nonzero f and g certify gcd(f, g) = 1 (see
-    above).  False only means that they do not."""
-    for var in (0, 1):
-        deg = max(m[var] for m in f._c)
-        if not deg or not max(m[var] for m in g._c):
+def _images(F: tuple, G: tuple, v: int, l: int, s: int, bits: int):
+    """(t, lc, monic gcd of the images of F and G in v at w = t) at points
+    t where neither image loses its degree, lc leading F's image.  Unless l
+    divides a leading coefficient, at most deg_w F + deg_w G points lose it,
+    and H needs at most one more.  The points move with the prime, so that
+    no root of all images (q = 1 of p*q - 1 and p - 1) fails every try."""
+    w = 1 - v
+    start, n = bits * bits, 2 * (F[1][w] + G[1][w]) + 1
+    for t in range(start, start + n):
+        # the images mod l, with i -> s and w = t, in v from the constant up
+        a, b = ([0] * (X[1][v] + 1) for X in (F, G))
+        for X, out in ((F, a), (G, b)):
+            for m, x, y in X[0]:
+                out[m[v]] += (x + y * s) * pow(t, m[w], l)
+        a, b = [c % l for c in a], [c % l for c in b]
+        if not a[-1] or not b[-1]:
             continue
-        a, b = _image(f, var), _image(g, var)
-        if a is None or b is None or len(a) != deg + 1:
-            return False
-        # Euclid over Z/_MOD_P: a, b = b, a mod b until b is zero
+        lc = a[-1]
+        # Euclid over Z/l: a, b = b, a mod b until b is zero
         while b:
-            inv = pow(b[-1], -1, _MOD_P)
-            n = len(b) - 1
-            while len(a) > n:
-                c = a.pop() * inv % _MOD_P
-                if c:
-                    top = len(a) - n
-                    for k in range(n):
-                        a[top + k] = (a[top + k] - c * b[k]) % _MOD_P
+            inv, k = pow(b[-1], -1, l), len(b) - 1
+            while len(a) > k:
+                c, top = a.pop() * inv % l, len(a) - k
+                a[top:] = [(x - c * y) % l for x, y in zip(a[top:], b)]
             while a and not a[-1]:
                 a.pop()
             a, b = b, a
-        if len(a) > 1:
-            return False
-    return True
+        inv = pow(a[-1], -1, l)
+        yield t, lc, [c * inv % l for c in a]
+
+
+def _content(v: int, *fs: Poly) -> Poly:
+    """The monic gcd of the coefficients of all fs as polynomials in v."""
+    rows: dict[tuple[int, int], dict] = {}
+    for n, f in enumerate(fs):
+        for m, c in f._c.items():
+            key = (0, m[1]) if v == 0 else (m[0], 0)
+            rows.setdefault((n, m[v]), {})[key] = c
+    return reduce(poly_gcd, map(_poly_raw, rows.values()), _POLY_ZERO)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd in Q(i)[p, q].
-
-    1 at once when f or g is a nonzero constant, or when images of f and g
-    modulo the prime _MOD_P certify that they are coprime (Brown, JACM 18,
-    1971; see the comment above _MOD_P).  Otherwise the primitive
-    pseudo-remainder sequence, the only algorithm that computes a gcd here.
-    """
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
+    """Monic gcd in Q(i)[p, q], by the modular algorithm above."""
+    if f.is_zero() or g.is_zero():
+        return (f + g).monic()
     if len(f._c) == 1 and (0, 0) in f._c or len(g._c) == 1 and (0, 0) in g._c:
         return _POLY_ONE
-    if _coprime_mod_p(f, g):
+    bits = _BITS
+    while (h := _modular_gcd(f, g, bits)) is None:
+        bits *= 2
+    return h
+
+
+def _modular_gcd(f: Poly, g: Poly, bits: int) -> Poly | None:
+    """gcd(f, g) from the prime of `bits` bits, or None where it fails."""
+    l, r = _prime(bits)
+    F, G = _ints(f), _ints(g)
+    deg = [F[1][u] and G[1][u] and len(
+        next(_images(F, G, u, l, r, bits), (0, 0, ()))[2]) - 1 for u in (0, 1)]
+    if -1 in deg:
+        return None
+    if deg == [0, 0]:
         return _POLY_ONE
-    return _prs_gcd(f, g)
-
-
-def _prs_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd of two nonzero polynomials by the primitive
-    pseudo-remainder sequence."""
-    cf, F = _primitive(f)
-    cg, G = _primitive(g)
-    if max(_p_coeffs(F)) < max(_p_coeffs(G)):
-        F, G = G, F
-    while G:
-        F, G = G, _primitive(_pseudo_rem(F, G))[1]
-    return (F * _q_gcd(cf, cg)).monic()
+    for x, y, X in ((f, g, F), (g, f, G)):
+        if list(X[1]) == deg:  # then the gcd can only be x
+            h = x.monic()
+            return None if y.divrem(h)[1] else h
+    v = 0 if deg[0] else 1
+    w = 1 - v
+    bound = deg[w] and deg[w] + max(
+        m[w] for m, _, _ in F[0] if m[v] == F[1][v])
+    found = []
+    for s in (r, l - r) if any(b for _, _, b in F[0] + G[0]) else (r,):
+        # H[k] interpolates the coefficient of v**k at the points so far,
+        # and M is the product of w - t over them
+        H, M = [[] for _ in range(deg[v] + 1)], [1]
+        for t, lc, img in _images(F, G, v, l, s, bits):
+            if len(img) != len(H):
+                return None
+            inv = pow(sum(x * pow(t, j, l) for j, x in enumerate(M)), -1, l)
+            for k, c in enumerate(img):
+                c = c * lc - sum(x * pow(t, j, l) for j, x in enumerate(H[k]))
+                H[k] = [(x + c * inv * y) % l
+                        for x, y in zip_longest(H[k], M, fillvalue=0)]
+            M = [(x - t * y) % l for x, y in zip([0] + M, M + [0])]
+            if len(M) > bound + 1:
+                break
+        else:
+            return None
+        found.append(H)
+    # a + b*r and a - b*r give a and b, each lifted to the symmetric range
+    half, over, e = pow(2, -1, l), pow(2 * r, -1, l), l >> 1
+    out = {}
+    for k, (x, y) in enumerate(zip(found[0], found[-1])):
+        for j, (u1, u2) in enumerate(zip(x, y)):
+            a = ((u1 + u2) * half + e) % l - e
+            b = ((u1 - u2) * over + e) % l - e
+            if a or b:
+                out[(k, j) if v == 0 else (j, k)] = _gauss_raw(a, b, 1)
+    H = _poly_raw(out)
+    h = H.monic()
+    if max(m[w] for m in h._c) != deg[w]:
+        h = (H.divexact(_content(v, H)) * _content(v, f, g)).monic()
+    return h if not f.divrem(h)[1] and not g.divrem(h)[1] else None
 
 
 class Scalar:

@@ -358,6 +358,17 @@ def test_reduce_syntax_error(capsys, text, message):
     assert (code, err) == (2, f"error: {message}\n"), text[:10]
 
 
+@pytest.mark.parametrize("text", ["(10^999)^5*x", "(2^1000)^1000*x",
+                                  "x/(10^999)^5", "(p + (10^999)^5*i)*x"])
+def test_reduce_result_too_long_to_read_back(capsys, text):
+    # a coefficient longer than the parser reads would be printed as text
+    # that does not read back; the reduction fails on one line instead
+    code, out, err = run_cli(
+        capsys, "reduce", text, "--presentation", "h-calculus")
+    assert (code, out) == (1, "")
+    assert err == "error: integer literal too long (in the result)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("critical-pairs", "--presentation", "pq-calculus", "--fuel", "-5"),
     ("reduce", "x", "--presentation", "h-calculus", "--fuel", "-5"),

@@ -24,9 +24,12 @@ from superplane.scalars import (
     Poly,
     PoleAtPoint,
     Scalar,
-    _coprime_mod_p,
+    _BITS,
+    _images,
     _interned,
-    _prs_gcd,
+    _ints,
+    _modular_gcd,
+    _prime,
     _product,
     _sum,
     as_scalar,
@@ -274,35 +277,80 @@ class TestPoly:
         agrees()
 
     @given(polys, polys, nonzero_polys)
-    def test_certificate_agrees_with_the_prs(self, a, b, m):
-        # without and with a planted common factor m
+    def test_gcd_without_and_with_a_planted_factor(self, a, b, m):
         for f, g in ((a, b), (a * m, b * m)):
-            if f.is_zero() or g.is_zero():
-                continue
-            prs = _prs_gcd(f, g)
-            if _coprime_mod_p(f, g):
-                assert prs == ONE
-            assert poly_gcd(f, g) == prs
+            assume(not f.is_zero() or not g.is_zero())
+            d = poly_gcd(f, g)
+            assert d.leading_coeff() == G(1)
+            assert poly_gcd(f.divexact(d), g.divexact(d)) == ONE
 
-    def test_certificate_answers_typical_pairs(self):
+    def test_gcd_of_typical_pairs(self):
         for f, g in ((P * Q - ONE, P + Q), (P - Q, (P - ONE) * (Q + ONE)),
                      (P * P - Q, C(G(0, 1)) * P + ONE)):
-            assert _coprime_mod_p(f, g) and _coprime_mod_p(g, f)
-        assert not _coprime_mod_p((P + Q) * (P - ONE), (P + Q) * Q)
+            assert poly_gcd(f, g) == ONE and poly_gcd(g, f) == ONE
+        assert poly_gcd((P + Q) * (P - ONE), (P + Q) * Q) == P + Q
+        # a denominator that is a large prime
+        assert poly_gcd(P + Poly({(0, 0): F(1, 1000000009)}), P - ONE) == ONE
+        # a leading coefficient in p that vanishes at a point, and images
+        # at q = 3 that share the root p = 0
+        assert poly_gcd((Q - C(3)) * P + ONE, P) == ONE
+        assert poly_gcd(P + Q - C(3), P * (Q + ONE)) == ONE
+        # images at every q = 1 share the root p = 1, for every prime
+        assert poly_gcd(P * Q - ONE, P - ONE) == ONE
 
-    def test_certificate_falls_back_to_the_prs(self):
-        # a denominator divisible by the modulus has no image
-        f = P + Poly({(0, 0): F(1, 1000000009)})
-        assert not _coprime_mod_p(f, P - ONE)
-        assert poly_gcd(f, P - ONE) == ONE
-        # at q = 3 the image of f loses its p-degree
-        f = (Q - C(3)) * P + ONE
-        assert not _coprime_mod_p(f, P)
-        assert poly_gcd(f, P) == ONE
-        # at q = 3 both images vanish at p = 0
-        f, g = P + Q - C(3), P * (Q + ONE)
-        assert not _coprime_mod_p(f, g)
-        assert poly_gcd(f, g) == ONE
+    def test_primes_are_proved_and_have_a_root_of_minus_one(self):
+        sympy = pytest.importorskip("sympy")
+        for bits in (_BITS, 2 * _BITS, 4 * _BITS):
+            l, r = _prime(bits)
+            assert l.bit_length() == bits and sympy.isprime(l)
+            assert l % 4 == 1 and r * r % l == l - 1
+
+    def test_gcd_retries_where_the_first_prime_fails(self):
+        l, r = _prime(_BITS)
+        # the first prime divides a leading coefficient, so every image
+        # loses its degree in p
+        f, g = (C(l) * P + ONE) * (P + Q), (P + Q) * (P - ONE)
+        assert _modular_gcd(f, g, _BITS) is None
+        assert poly_gcd(f, g) == P + Q
+        # so does r + i under the second map, i -> -r
+        f = (C(G(r, 1)) * P + ONE) * (P + Q)
+        assert _modular_gcd(f, g, _BITS) is None
+        assert poly_gcd(f, g) == P + Q
+        # a coefficient outside the symmetric range of the first prime: the
+        # lift is wrong and fails the trial division
+        h = P + C(2 ** 40)
+        f, g = h * (P - Q), h * (P + Q)
+        assert _modular_gcd(f, g, _BITS) is None
+        assert poly_gcd(f, g) == h
+        # at the first point, q = _BITS**2 = t, p - q + t - 1 is p - 1, so
+        # the images there have a gcd of too high a degree in p
+        t = _BITS ** 2
+        f = (P + Q) * (P - ONE) * (Q + C(2))
+        g = (P + Q) * (P - Q + C(t - 1)) * (Q + C(3))
+        first = next(_images(_ints(f), _ints(g), 0, l, r, _BITS))
+        assert first[0] == t and len(first[2]) == 3
+        assert _modular_gcd(f, g, _BITS) is None
+        assert poly_gcd(f, g) == P + Q
+        # there, without the factors in q, the image gcds have the degrees
+        # of f, which does not divide g
+        f, g = (P + Q) * (P - ONE), (P + Q) * (P - Q + C(t - 1))
+        assert _modular_gcd(f, g, _BITS) is None
+        assert poly_gcd(f, g) == P + Q
+
+    def test_gcd_with_an_imaginary_coefficient(self):
+        h = P + C(G(0, 1)) * Q
+        assert poly_gcd(h * (P - ONE), h * (Q + C(2))) == h
+        h = P * Q + C(G(3, -2))
+        assert poly_gcd(h * (P + Q) ** 2, h * (P - C(G(0, 1)))) == h
+
+    @given(polys, polys, nonzero_polys, st.integers(1, 6), st.integers(1, 6))
+    def test_large_degree_gcd_leaves_coprime_cofactors(self, a, b, m, j, k):
+        assume(not a.is_zero() and not b.is_zero())
+        f, g = a ** j * m ** k, b ** k * m ** j
+        d = poly_gcd(f, g)
+        assert d.leading_coeff() == G(1)
+        d.divexact((m ** min(j, k)).monic())
+        assert poly_gcd(f.divexact(d), g.divexact(d)) == ONE
 
     def test_gcd_coefficients_stay_small(self):
         # a pseudo-remainder sequence that keeps the numeric content makes
