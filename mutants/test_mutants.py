@@ -62,6 +62,12 @@ MUTANTS = [
     ("sum-keeps-zero", "scalars.py",
      "if not v:", "if v is None:",
      "tests/test_algebra.py::TestExpression::test_zero_terms_dropped"),
+    ("poly-product-sign", "scalars.py",
+     "a + a1 * a2 - b1 * b2", "a + a1 * a2 + b1 * b2",
+     "tests/test_scalars.py::TestPoly::test_product_expansion"),
+    ("divrem-unscaled", "scalars.py",
+     "k = n // g", "k = 1",
+     "tests/test_scalars.py::TestPoly::test_divrem_by_a_complex_divisor"),
 ]
 
 

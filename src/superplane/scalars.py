@@ -2,12 +2,14 @@
 
 Every coefficient in this package lives in Q(i)(p, q), the field of rational
 functions in two commuting indeterminates over the Gaussian rationals.  All
-arithmetic is exact.  A Gaussian rational is three Python ints (a + b*i)/d
-kept in lowest terms by one integer gcd per operation (Knuth, TAOCP vol. 2,
-4.5.1); a Scalar is a fraction of Polys over them, kept canonical by a
-monic denominator and a polynomial gcd computed from images modulo a prime.
+arithmetic is exact, on Python ints.  A Poly stores one Gaussian integer
+a + b*i per monomial over one int denominator, in lowest terms by one integer
+gcd per operation (Knuth, TAOCP vol. 2, 4.5.1); a Scalar is a fraction of
+Polys, kept canonical by a monic denominator and a polynomial gcd computed
+from images modulo a prime.  A GaussianRational (a + b*i)/d, one
+coefficient as a caller reads it, is a plain value with no arithmetic.
 Numbers enter the field through the constructors and Scalar arithmetic;
-GaussianRational and Poly arithmetic take only their own type.
+Poly arithmetic takes only Polys.
 
 Almost every scalar the rewriting engine multiplies is a constant, so a
 Scalar stores its Gaussian-rational value when it has one: products and
@@ -40,7 +42,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import gcd, lcm
 
 # entries kept by each of the two memos of non-constant Scalar arithmetic,
@@ -91,8 +93,8 @@ def power(base, n: int, one, mul=operator.mul):
 
 def _accumulate(acc: dict, terms: dict, c=None) -> None:
     """acc += terms, each times c unless c is None, in place; a zero sum
-    drops its key.  The sparse sum of Poly, Expression and the rewriting
-    kernel, whose terms map monomials or words to coefficients."""
+    drops its key.  The sparse sum of Expression and the rewriting kernel,
+    whose terms map words to coefficients."""
     if not acc:
         acc.update(terms if c is None or c == 1
                    else {k: v * c for k, v in terms.items()})
@@ -114,9 +116,9 @@ class GaussianRational:
 
     Invariants: d > 0 and gcd(a, b, d) == 1, so equal values have equal
     fields and equality compares fields; a real value equals and hashes as
-    the int or Fraction it equals, but arithmetic takes GaussianRationals
-    only.  re and im are Fraction views of the two parts; the arithmetic
-    itself never builds a Fraction.
+    the int or Fraction it equals.  A plain value with no arithmetic: Poly
+    and Scalar compute on its ints, and re and im are Fraction views of the
+    two parts.
     """
 
     __slots__ = ("a", "b", "d")
@@ -139,51 +141,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return not self.a and not self.b
-
-    def conj(self) -> "GaussianRational":
-        return _gauss_raw(self.a, -self.b, self.d)
-
-    def __add__(self, other):
-        if type(other) is not GaussianRational:
-            return NotImplemented
-        d1, d2 = self.d, other.d
-        return _gauss(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
-                      d1 * d2)
-
-    def __neg__(self):
-        return _gauss_raw(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            return NotImplemented
-        d1, d2 = self.d, other.d
-        return _gauss(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1,
-                      d1 * d2)
-
-    def __mul__(self, other):
-        if type(other) is not GaussianRational:
-            return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
-
-    def __truediv__(self, other):
-        if type(other) is not GaussianRational:
-            return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        n = a2 * a2 + b2 * b2
-        if not n:
-            raise DivisionByZero("division by zero in Q(i)")
-        # (a1 + b1*i)/d1 * d2*(a2 - b2*i)/(a2^2 + b2^2)
-        d2 = other.d
-        return _gauss((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
-                      self.d * n)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return _G1 / self ** (-n)
-        return power(self, n, _G1)
 
     def __eq__(self, other):
         if type(other) is not GaussianRational:
@@ -237,29 +194,33 @@ def _grlex_key(m: tuple[int, int]) -> tuple[int, int]:
 
 
 class Poly:
-    """Polynomial in p and q over GaussianRational.
+    """Polynomial in p and q over Q(i), on Gaussian integers over one int.
 
-    Stored as a map from exponent pairs (i, j) to coefficients, meaning
-    coeff * p^i * q^j.  Immutable by convention; zero coefficients are never
-    stored, so len() counts the terms and the zero polynomial is false.
-    Arithmetic takes Polys, scale a GaussianRational; a Poly equals only
-    Polys, and hashes its terms on each call.
+    Stored as a map _c from exponent pairs (i, j) to int pairs (a, b) and
+    one int _d > 0, meaning the sum of (a + b*i)/_d * p^i * q^j, in lowest
+    terms: no prime divides _d and every a and b, and no pair is (0, 0), so
+    equal polynomials have equal fields, len() counts the terms and the zero
+    polynomial, {} over 1, is false.  Immutable by convention.  Arithmetic
+    takes Polys, scale a GaussianRational; a Poly equals only Polys, and
+    hashes its fields on each call.  items, leading and eval hand out
+    GaussianRationals; no arithmetic builds one.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs=()):
-        clean: dict[tuple[int, int], GaussianRational] = {}
-        for mono, v in dict(coeffs).items():
-            i, j = mono
+        terms = {}
+        for (i, j), v in dict(coeffs).items():
             if i < 0 or j < 0:
                 raise ValueError("negative exponent in polynomial")
             g = _as_gauss(v)
             if g is None:
                 raise TypeError(f"bad coefficient {v!r}")
-            if not g.is_zero():
-                clean[(i, j)] = g
-        self._c = clean
+            terms[(i, j)] = g
+        d = lcm(*[g.d for g in terms.values()])
+        f = _lowest({m: (g.a * (d // g.d), g.b * (d // g.d))
+                     for m, g in terms.items() if g}, d)
+        self._c, self._d = f._c, f._d
 
     @staticmethod
     def zero() -> "Poly":
@@ -274,41 +235,55 @@ class Poly:
 
     def items(self):
         """Terms in descending graded-lex order."""
-        return sorted(self._c.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return [(m, _gauss(*self._c[m], self._d))
+                for m in sorted(self._c, key=_grlex_key, reverse=True)]
 
     def leading(self) -> tuple[tuple[int, int], GaussianRational]:
         if not self._c:
             raise ValueError("zero polynomial has no leading term")
         m = max(self._c, key=_grlex_key)
-        return m, self._c[m]
+        return m, _gauss(*self._c[m], self._d)
 
     def leading_coeff(self) -> GaussianRational:
         return self.leading()[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lc = self.leading_coeff()
-        if lc == _G1:
-            return self
-        return self.scale(_G1 / lc)
+        return _monic(self, self)[0] if self._c else self
 
     def scale(self, c: GaussianRational) -> "Poly":
         if type(c) is not GaussianRational:
             raise TypeError(f"bad scale factor {c!r}")
         if c.is_zero():
             return _POLY_ZERO
-        return _poly_raw({m: v * c for m, v in self._c.items()})
+        return self._scale(c.a, c.b, c.d)
+
+    def _scale(self, x: int, y: int, d: int) -> "Poly":
+        # self times (x + y*i)/d, for a nonzero factor and d > 0
+        return _lowest({m: (a * x - b * y, a * y + b * x)
+                        for m, (a, b) in self._c.items()}, self._d * d)
 
     def __add__(self, other):
         if type(other) is not Poly:
             return NotImplemented
-        out = dict(self._c)
-        _accumulate(out, other._c)
-        return _poly_raw(out)
+        # the terms of the shorter operand go into a copy of the longer
+        f, g = sorted((self, other), key=len, reverse=True)
+        d = lcm(f._d, g._d)
+        k = d // f._d
+        out = dict(f._c) if k == 1 else {m: (a * k, b * k)
+                                         for m, (a, b) in f._c.items()}
+        k = d // g._d
+        for m, (a, b) in g._c.items():
+            x, y = out.get(m, (0, 0))
+            x, y = x + a * k, y + b * k
+            if x or y:
+                out[m] = (x, y)
+            else:
+                del out[m]
+        return _lowest(out, d)
 
     def __neg__(self):
-        return _poly_raw({m: -v for m, v in self._c.items()})
+        return _poly_raw({m: (-a, -b) for m, (a, b) in self._c.items()},
+                         self._d)
 
     def __sub__(self, other):
         if type(other) is not Poly:
@@ -318,18 +293,14 @@ class Poly:
     def __mul__(self, other):
         if type(other) is not Poly:
             return NotImplemented
-        out: dict[tuple[int, int], GaussianRational] = {}
-        for (i1, j1), c1 in self._c.items():
-            for (i2, j2), c2 in other._c.items():
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        for (i1, j1), (a1, b1) in self._c.items():
+            for (i2, j2), (a2, b2) in other._c.items():
                 m = (i1 + i2, j1 + j2)
-                s = out.get(m)
-                t = c1 * c2
-                s = t if s is None else s + t
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return _poly_raw(out)
+                a, b = out.get(m, (0, 0))
+                out[m] = (a + a1 * a2 - b1 * b2, b + a1 * b2 + b1 * a2)
+        return _lowest({m: t for m, t in out.items() if t[0] or t[1]},
+                       self._d * other._d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -340,34 +311,49 @@ class Poly:
         """Division with remainder under graded-lex order.
 
         Returns (quot, rem) with self == quot * d + rem, where no term of rem
-        is divisible by the leading monomial of d.
+        is divisible by the leading monomial of d.  On the ints: each step
+        divides the leading term of the running remainder r by the leading
+        x + y*i of d by multiplying by x - y*i, and first scales r, quot and
+        rem, all kept at s times their value, by the factor of x*x + y*y
+        that this needs.
         """
         if type(d) is not Poly:
             raise TypeError(f"bad divisor {d!r}")
         if d.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        r = dict(self._c)
-        quot: dict[tuple[int, int], GaussianRational] = {}
-        rem: dict[tuple[int, int], GaussianRational] = {}
-        dm, dc = d.leading()
+        r, quot, rem, s = dict(self._c), {}, {}, 1
+        dm = max(d._c, key=_grlex_key)
+        x, y = d._c[dm]
+        n = x * x + y * y
+        rest = [(m, t) for m, t in d._c.items() if m != dm]
         while r:
             m = max(r, key=_grlex_key)
             i, j = m[0] - dm[0], m[1] - dm[1]
             if i < 0 or j < 0:
                 rem[m] = r.pop(m)
                 continue
-            c = r[m] / dc
-            quot[(i, j)] = c
-            for (di, dj), dv in d._c.items():
+            u, v = r.pop(m)
+            u, v = u * x + v * y, v * x - u * y
+            g = gcd(n, u, v)
+            k = n // g
+            if k != 1:
+                s *= k
+                r, quot, rem = ({w: (a * k, b * k) for w, (a, b) in t.items()}
+                                for t in (r, quot, rem))
+            u, v = u // g, v // g
+            quot[(i, j)] = (u, v)
+            for (di, dj), (a, b) in rest:
                 mm = (di + i, dj + j)
-                s = r.get(mm)
-                t = dv * c
-                s = -t if s is None else s - t
-                if s.is_zero():
-                    r.pop(mm, None)
+                e, f = r.get(mm, (0, 0))
+                e, f = e - u * a + v * b, f - u * b - v * a
+                if e or f:
+                    r[mm] = (e, f)
                 else:
-                    r[mm] = s
-        return _poly_raw(quot), _poly_raw(rem)
+                    del r[mm]
+        # s*F == quot*D + rem for the ints F and D of self and d
+        den = s * self._d
+        quot = {w: (a * d._d, b * d._d) for w, (a, b) in quot.items()}
+        return _lowest(quot, den), _lowest(rem, den)
 
     def divexact(self, d) -> "Poly":
         """Exact division; raises ValueError when the quotient is not exact."""
@@ -377,29 +363,27 @@ class Poly:
         return quot
 
     def eval(self, p0, q0) -> GaussianRational:
-        p0 = _as_gauss(_as_fraction(p0))
-        q0 = _as_gauss(_as_fraction(q0))
-        tot = _G0
-        for (i, j), c in self._c.items():
-            if i:
-                c = c * p0 ** i
-            if j:
-                c = c * q0 ** j
-            tot = tot + c
-        return tot
+        """The value at p = u/x and q = v/y, on ints: the sum of the terms
+        times x**D * y**E, D and E the degrees of self in p and in q."""
+        (u, x), (v, y) = (_as_fraction(z).as_integer_ratio() for z in (p0, q0))
+        D, E = _degrees(self) if self._c else (0, 0)
+        ps = [u ** i * x ** (D - i) for i in range(D + 1)]
+        qs = [v ** j * y ** (E - j) for j in range(E + 1)]
+        re = sum(a * ps[i] * qs[j] for (i, j), (a, _) in self._c.items())
+        im = sum(b * ps[i] * qs[j] for (i, j), (_, b) in self._c.items())
+        return _gauss(re, im, self._d * x ** D * y ** E)
 
     def conj(self, swap_pq: bool = False) -> "Poly":
-        if swap_pq:
-            return _poly_raw({(j, i): v.conj() for (i, j), v in self._c.items()})
-        return _poly_raw({m: v.conj() for m, v in self._c.items()})
+        return _poly_raw({m[::-1] if swap_pq else m: (a, -b)
+                          for m, (a, b) in self._c.items()}, self._d)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((self._d, frozenset(self._c.items())))
 
     def __len__(self):
         return len(self._c)
@@ -413,17 +397,28 @@ class Poly:
         return f"Poly({str(self)!r})"
 
 
-def _poly_raw(c: dict) -> Poly:
+def _poly_raw(c: dict, d: int) -> Poly:
     f = object.__new__(Poly)
-    f._c = c
+    f._c, f._d = c, d
     return f
+
+
+def _lowest(c: dict, d: int) -> Poly:
+    """The Poly of the pairs c, none (0, 0), over d > 0, in lowest terms."""
+    if d != 1:
+        g = gcd(d, *chain.from_iterable(c.values()))
+        if g != 1:
+            c = {m: (a // g, b // g) for m, (a, b) in c.items()}
+            d //= g
+    return _poly_raw(c, d)
 
 
 # ------------------------------------------------------------------ gcd
 # One algorithm computes every gcd: Brown's dense modular gcd (JACM 18,
 # 1971), over Q(i) as in Encarnacion (J. Symbolic Computation 20, 1995).
-# Scaled to Gaussian integers, f and g map to Z/l, for a prime l = 1 mod 4,
-# by i -> r and by i -> -r, where r*r = -1 (by one when they are real).
+# Their Gaussian integers, the pairs (a, b) over no denominator, map to Z/l,
+# for a prime l = 1 mod 4, by i -> r and by i -> -r, where r*r = -1 (by
+# one when they are real).
 # Read as polynomials in v over the other variable w, their images at a
 # point w = t have a gcd, by Euclid mod l, of at least the v-degree of the
 # gcd h, and of just that at all but a few points.  Times lc_v(f) at t,
@@ -455,27 +450,26 @@ def _prime(bits: int) -> tuple[int, int]:
                 break
 
 
-def _ints(f: Poly) -> tuple[list, tuple[int, int]]:
-    """f times the lcm of its denominators, as terms (m, a, b) for a + b*i
-    at the monomial m, and its degrees in p and in q."""
-    d = lcm(*[c.d for c in f._c.values()])
-    return ([(m, c.a * (d // c.d), c.b * (d // c.d)) for m, c in f._c.items()],
-            (max(f._c)[0], max(j for _, j in f._c)))
+def _degrees(f: Poly) -> tuple[int, int]:
+    """The degrees of the nonzero f in p and in q."""
+    return max(f._c)[0], max(j for _, j in f._c)
 
 
-def _images(F: tuple, G: tuple, v: int, l: int, s: int, bits: int):
-    """(t, lc, monic gcd of the images of F and G in v at w = t) at points
-    t where neither image loses its degree, lc leading F's image.  Unless l
-    divides a leading coefficient, at most deg_w F + deg_w G points lose it,
+def _images(f: Poly, g: Poly, v: int, l: int, s: int, bits: int):
+    """(t, lc, monic gcd of the images of f and g in v at w = t) at points
+    t where neither image loses its degree, lc leading f's image.  Unless l
+    divides a leading coefficient, at most deg_w f + deg_w g points lose it,
     and H needs at most one more.  The points move with the prime, so that
     no root of all images (q = 1 of p*q - 1 and p - 1) fails every try."""
     w = 1 - v
-    start, n = bits * bits, 2 * (F[1][w] + G[1][w]) + 1
+    F, G = _degrees(f), _degrees(g)
+    start, n = bits * bits, 2 * (F[w] + G[w]) + 1
     for t in range(start, start + n):
-        # the images mod l, with i -> s and w = t, in v from the constant up
-        a, b = ([0] * (X[1][v] + 1) for X in (F, G))
-        for X, out in ((F, a), (G, b)):
-            for m, x, y in X[0]:
+        # the images mod l of the ints of f and g, with i -> s and w = t,
+        # in v from the constant up
+        a, b = [0] * (F[v] + 1), [0] * (G[v] + 1)
+        for X, out in ((f, a), (g, b)):
+            for m, (x, y) in X._c.items():
                 out[m[v]] += (x + y * s) * pow(t, m[w], l)
         a, b = [c % l for c in a], [c % l for c in b]
         if not a[-1] or not b[-1]:
@@ -496,12 +490,13 @@ def _images(F: tuple, G: tuple, v: int, l: int, s: int, bits: int):
 
 def _content(v: int, *fs: Poly) -> Poly:
     """The monic gcd of the coefficients of all fs as polynomials in v."""
-    rows: dict[tuple[int, int], dict] = {}
+    rows: dict[tuple[int, int], tuple[dict, int]] = {}
     for n, f in enumerate(fs):
         for m, c in f._c.items():
             key = (0, m[1]) if v == 0 else (m[0], 0)
-            rows.setdefault((n, m[v]), {})[key] = c
-    return reduce(poly_gcd, map(_poly_raw, rows.values()), _POLY_ZERO)
+            rows.setdefault((n, m[v]), ({}, f._d))[0][key] = c
+    return reduce(poly_gcd, (_lowest(c, d) for c, d in rows.values()),
+                  _POLY_ZERO)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -519,27 +514,28 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def _modular_gcd(f: Poly, g: Poly, bits: int) -> Poly | None:
     """gcd(f, g) from the prime of `bits` bits, or None where it fails."""
     l, r = _prime(bits)
-    F, G = _ints(f), _ints(g)
-    deg = [F[1][u] and G[1][u] and len(
-        next(_images(F, G, u, l, r, bits), (0, 0, ()))[2]) - 1 for u in (0, 1)]
+    F, G = _degrees(f), _degrees(g)
+    deg = [F[u] and G[u] and len(
+        next(_images(f, g, u, l, r, bits), (0, 0, ()))[2]) - 1 for u in (0, 1)]
     if -1 in deg:
         return None
     if deg == [0, 0]:
         return _POLY_ONE
     for x, y, X in ((f, g, F), (g, f, G)):
-        if list(X[1]) == deg:  # then the gcd can only be x
+        if list(X) == deg:  # then the gcd can only be x
             h = x.monic()
             return None if y.divrem(h)[1] else h
     v = 0 if deg[0] else 1
     w = 1 - v
     bound = deg[w] and deg[w] + max(
-        m[w] for m, _, _ in F[0] if m[v] == F[1][v])
+        m[w] for m in f._c if m[v] == F[v])
     found = []
-    for s in (r, l - r) if any(b for _, _, b in F[0] + G[0]) else (r,):
+    real = not any(y for X in (f, g) for _, y in X._c.values())
+    for s in (r,) if real else (r, l - r):
         # H[k] interpolates the coefficient of v**k at the points so far,
         # and M is the product of w - t over them
         H, M = [[] for _ in range(deg[v] + 1)], [1]
-        for t, lc, img in _images(F, G, v, l, s, bits):
+        for t, lc, img in _images(f, g, v, l, s, bits):
             if len(img) != len(H):
                 return None
             inv = pow(sum(x * pow(t, j, l) for j, x in enumerate(M)), -1, l)
@@ -561,8 +557,8 @@ def _modular_gcd(f: Poly, g: Poly, bits: int) -> Poly | None:
             a = ((u1 + u2) * half + e) % l - e
             b = ((u1 - u2) * over + e) % l - e
             if a or b:
-                out[(k, j) if v == 0 else (j, k)] = _gauss_raw(a, b, 1)
-    H = _poly_raw(out)
+                out[(k, j) if v == 0 else (j, k)] = (a, b)
+    H = _poly_raw(out, 1)
     h = H.monic()
     if max(m[w] for m in h._c) != deg[w]:
         h = (H.divexact(_content(v, H)) * _content(v, f, g)).monic()
@@ -743,13 +739,16 @@ class Scalar:
             *_monic(self.num.conj(swap_pq), self.den.conj(swap_pq)))
 
     def eval(self, p0, q0) -> GaussianRational:
-        dv = self.den.eval(p0, q0)
+        n, dv = self.num.eval(p0, q0), self.den.eval(p0, q0)
         if dv.is_zero():
             at = f"p = {_as_fraction(p0)}, q = {_as_fraction(q0)}"
-            if self.num.eval(p0, q0).is_zero():
+            if n.is_zero():
                 raise IndeterminateAtPoint(f"0/0 at {at}")
             raise PoleAtPoint(f"pole at {at}")
-        return self.num.eval(p0, q0) / dv
+        # n/dv = n*conj(dv)/|dv|**2, on the ints of both
+        a, b = dv.a, dv.b
+        return _gauss((n.a * a + n.b * b) * dv.d, (n.b * a - n.a * b) * dv.d,
+                      n.d * (a * a + b * b))
 
     def __str__(self):
         from superplane.parsing import render_scalar
@@ -762,11 +761,13 @@ class Scalar:
 
 def _monic(n: Poly, d: Poly) -> tuple[Poly, Poly]:
     """n and d divided by the leading coefficient of the nonzero d."""
-    lc = d.leading_coeff()
-    if lc == _G1:
+    x, y = d._c[max(d._c, key=_grlex_key)]
+    if x == d._d and not y:
         return n, d
-    inv = _G1 / lc
-    return n.scale(inv), d.scale(inv)
+    # 1/((x + y*i)/e) = e*(x - y*i)/(x*x + y*y), e the denominator of d
+    k = (d._d * x, -d._d * y, x * x + y * y)
+    m = n._scale(*k)
+    return m, m if d is n else d._scale(*k)
 
 
 def _const_value(n: Poly, d: Poly):
@@ -775,9 +776,8 @@ def _const_value(n: Poly, d: Poly):
         return None
     if not n._c:
         return _G0
-    if len(n._c) != 1:
-        return None
-    return n._c.get((0, 0))
+    c = n._c.get((0, 0))
+    return None if c is None or len(n._c) != 1 else _gauss_raw(*c, n._d)
 
 
 def _scalar_raw(n: Poly, d: Poly) -> Scalar:
@@ -830,7 +830,7 @@ def _const_scalar(a: int, b: int, d: int) -> Scalar:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _interned(a: int, b: int, d: int) -> Scalar:
-    return _scalar_raw(_poly_raw({(0, 0): _gauss_raw(a, b, d)}), _POLY_ONE)
+    return _scalar_raw(_poly_raw({(0, 0): (a, b)}, d), _POLY_ONE)
 
 
 def as_scalar(x):
@@ -851,7 +851,6 @@ def as_scalar(x):
 
 
 _G0 = GaussianRational(0)
-_G1 = GaussianRational(1)
 _POLY_ZERO = Poly({})
 _POLY_ONE = Poly({(0, 0): 1})
 _S_ZERO = Scalar(0)

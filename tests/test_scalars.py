@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -27,7 +28,6 @@ from superplane.scalars import (
     _BITS,
     _images,
     _interned,
-    _ints,
     _modular_gcd,
     _prime,
     _product,
@@ -85,29 +85,19 @@ def to_sympy(sympy, f):
 
 
 class TestGaussianRational:
-    def test_basic_arithmetic(self):
-        i = G(0, 1)
-        assert i * i == G(-1)
-        assert G(1, 1) * G(1, -1) == G(2)
-        assert G(3, 2) - G(1, 5) == G(2, -3)
-        assert G(1) / G(0, 1) == G(0, -1)
-        assert G(0, 1) ** 4 == G(1)
-        assert G(1, 1) ** -2 == G(0, F(-1, 2))
-
-    def test_division_by_zero(self):
-        with pytest.raises(DivisionByZero):
-            G(1) / G(0)
-
     @pytest.mark.parametrize("number", [2, F(1, 2)], ids=["int", "fraction"])
     def test_arithmetic_takes_no_number(self, number):
-        # a number enters Q(i) through the constructor only: on either side
-        # of an operator it is foreign, yet a real value still compares and
-        # hashes as the number it equals
-        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-            with pytest.raises(TypeError):
-                op(G(3), number)
-            with pytest.raises(TypeError):
-                op(number, G(3))
+        # a Gaussian rational is a plain value: no operator takes it, with a
+        # number or with another Gaussian rational, yet a real value still
+        # compares and hashes as the number it equals
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   operator.pow):
+            for x, y in ((G(3), number), (number, G(3)), (G(3), G(3))):
+                with pytest.raises(TypeError):
+                    op(x, y)
+        with pytest.raises(TypeError):
+            -G(3)
+        assert not hasattr(G(3), "conj")
         assert G(3) == 3 and hash(G(3)) == hash(3)
 
     @pytest.mark.parametrize("other", ["1", 0.5])
@@ -124,43 +114,12 @@ class TestGaussianRational:
         with pytest.raises(TypeError):
             GaussianRational(other)
 
-    @given(gaussians, gaussians, gaussians)
-    def test_field_axioms(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == G(0)
-        if not b.is_zero():
-            assert (a / b) * b == a
 
-    @given(*[st.fractions(max_denominator=10**6)] * 4)
-    def test_matches_fraction_formulas(self, r1, i1, r2, i2):
-        # oracle: the (re, im) formulas of Q(i) in plain Fraction arithmetic
-        x, y = GaussianRational(r1, i1), GaussianRational(r2, i2)
-        cases = [
-            (x + y, r1 + r2, i1 + i2),
-            (x - y, r1 - r2, i1 - i2),
-            (x * y, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2),
-            (x.conj(), r1, -i1),
-            ((x + y) - y, r1, i1),
-        ]
-        n = r2 * r2 + i2 * i2
-        if n:
-            cases.append((x / y, (r1 * r2 + i1 * i2) / n, (i1 * r2 - r1 * i2) / n))
-            cases.append(((x * y) / y, r1, i1))
-        for got, re, im in cases:
-            assert (got.re, got.im) == (re, im)
-            # canonical fields: equal values are equal field by field
-            assert got.d > 0 and gcd(got.a, got.b, got.d) == 1
-            # so x reached by another route hashes like x
-            assert got != x or hash(got) == hash(x)
-
-    @given(gaussians, gaussians)
-    def test_conjugation(self, a, b):
-        assert (a * b).conj() == a.conj() * b.conj()
-        assert a.conj().conj() == a
-        norm = a * a.conj()
-        assert norm.im == 0 and norm.re >= 0
+def assert_lowest(f):
+    """f is stored in lowest terms: d > 0, no prime divides d and every a
+    and b, and no pair is (0, 0)."""
+    assert f._d > 0 and (0, 0) not in f._c.values()
+    assert gcd(f._d, *chain.from_iterable(f._c.values())) == 1
 
 
 class TestPoly:
@@ -168,6 +127,28 @@ class TestPoly:
         assert (P - ONE) * (Q - ONE) == Poly(
             {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}
         )
+        # i*(-i) = 1, and (1 + i)/2 * (1 - i)/3 = 1/3
+        assert (P + C(G(0, 1))) * (P - C(G(0, 1))) == P * P + ONE
+        assert C(G(F(1, 2), F(1, 2))) * C(G(F(1, 3), F(-1, 3))) == C(F(1, 3))
+
+    @given(polys, polys, nonzero_polys, gaussians.filter(lambda c: c.im))
+    def test_divrem_by_a_complex_divisor(self, a, b, d, c):
+        # oracle: quot*d + rem == f with no term of rem divisible by the
+        # leading monomial of d fixes quot and rem; c makes d non-monic
+        # with a complex leading coefficient
+        d = d.scale(c)
+        f = a * d + b
+        quot, rem = f.divrem(d)
+        assert quot * d + rem == f
+        (di, dj), _ = d.leading()
+        assert all(i < di or j < dj for (i, j), _ in rem.items())
+
+    @given(polys, polys, nonzero_polys, gaussians, st.booleans())
+    def test_every_operation_is_in_lowest_terms(self, f, g, d, c, swap):
+        # equal polynomials then have equal fields
+        for x in (f, f + g, f - g, -f, f * g, f ** 3, f.scale(c), f.monic(),
+                  f.conj(swap), *f.divrem(d), poly_gcd(f, g)):
+            assert_lowest(x)
 
     def test_eval(self):
         f = P * P * Q - C(3)
@@ -327,7 +308,7 @@ class TestPoly:
         t = _BITS ** 2
         f = (P + Q) * (P - ONE) * (Q + C(2))
         g = (P + Q) * (P - Q + C(t - 1)) * (Q + C(3))
-        first = next(_images(_ints(f), _ints(g), 0, l, r, _BITS))
+        first = next(_images(f, g, 0, l, r, _BITS))
         assert first[0] == t and len(first[2]) == 3
         assert _modular_gcd(f, g, _BITS) is None
         assert poly_gcd(f, g) == P + Q
@@ -681,14 +662,16 @@ class TestScalar:
         p0, q0 = pt
 
         def by_hand(f):
-            tot = G(0)
-            for (i, j), c in f.items():
-                tot = tot + c * G(p0 ** i * q0 ** j)
-            return tot
+            # f at the point as a Fraction pair (re, im)
+            re = sum(c.re * p0 ** i * q0 ** j for (i, j), c in f.items())
+            im = sum(c.im * p0 ** i * q0 ** j for (i, j), c in f.items())
+            return F(re), F(im)
 
-        d = by_hand(s.den)
-        assume(not d.is_zero())
-        assert s.eval(p0, q0) == by_hand(s.num) / d
+        (a, b), (c, d) = by_hand(s.num), by_hand(s.den)
+        n = c * c + d * d
+        assume(n)
+        got = s.eval(p0, q0)
+        assert (got.re, got.im) == ((a * c + b * d) / n, (b * c - a * d) / n)
 
     def test_conj_swaps_and_conjugates(self):
         s = Scalar(Poly({(1, 0): G(0, 1)}), Q - ONE)  # i*p/(q - 1)
