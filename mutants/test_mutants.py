@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # must fail on the mutant
 MUTANTS = [
     ("lower-without-denominator", "algebra.py",
-     "k.d == 1 and not k.b", "not k.b",
+     "k[2] == 1 and not k[1]", "not k[1]",
      "tests/test_cli.py::test_reduce_values_match_the_reference"),
     ("involution-unreversed", "algebra.py",
      "return word[::-1], self._image,", "return word, self._image,",
@@ -68,6 +68,9 @@ MUTANTS = [
     ("divrem-unscaled", "scalars.py",
      "k = n // g", "k = 1",
      "tests/test_scalars.py::TestPoly::test_divrem_by_a_complex_divisor"),
+    ("cofactors-swapped", "scalars.py",
+     "return None if rem else (h, a, b)", "return None if rem else (h, b, a)",
+     "tests/test_scalars.py::TestScalar::test_cancellation"),
 ]
 
 

@@ -46,7 +46,6 @@ from superplane.presentations import (
 )
 from superplane.scalars import (
     DivisionByZero,
-    GaussianRational,
     IndeterminateAtPoint,
     Poly,
     PoleAtPoint,

@@ -134,8 +134,8 @@ def _stored(c) -> int | Scalar:
     if s is None:
         raise TypeError(f"cannot use {c!r} as a scalar coefficient")
     k = s.const
-    if k is not None and k.d == 1 and not k.b:
-        return k.a
+    if k is not None and k[2] == 1 and not k[1]:
+        return k[0]
     return s
 
 

@@ -25,19 +25,20 @@ presentation's multiplier reduces each product as it is formed, all on that
 multiplier's one fuel budget.
 
 The writer renders expressions and their Q(i)(p,q) coefficients alike:
-str() of GaussianRational, Poly and Scalar calls it, so all text the
-package prints reads back.  _join writes every sum, and _times every
-coefficient times i, p^i*q^j or a word, leaving out a factor 1 or -1.
+str() of Poly and Scalar calls it, so all text the package prints reads
+back.  A constant is written from its triple (a, b, d), the const of a
+constant Scalar.  _join writes every sum, and _times every coefficient
+times i, p^i*q^j or a word, leaving out a factor 1 or -1.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from fractions import Fraction
 
 from superplane.algebra import AlgebraError, Expression, Presentation
-from superplane.scalars import (DivisionByZero, GaussianRational, Poly,
-                                Scalar, power)
+from superplane.scalars import DivisionByZero, Poly, Scalar, power
 
 
 class ExprSyntaxError(ValueError):
@@ -268,26 +269,24 @@ def _times(factor: str, body: str) -> str:
     return f"{factor}*{body}"
 
 
-def render_gaussian(c: GaussianRational) -> str:
-    """str(c): re + im*i, a part 0 left out.  An integer too long for the
-    parser to read back fails the reduction that made it: AlgebraError."""
+def _gauss_factor(k: tuple[int, int, int]) -> str:
+    """The constant (a + b*i)/d of the triple k = (a, b, d), written as a
+    factor or a term that still binds in a product or a sum: a/d + b/d*i,
+    a part 0 left out, in parentheses when neither part is.  An integer
+    too long for the parser to read back fails the reduction that made it:
+    AlgebraError."""
+    a, b, d = k
     try:
-        if c.d == 1 and not c.b:
-            return str(c.a)
-        re, im = c.re, c.im
-        terms = [str(re)] if re else []
-        if im:
-            terms.append(_times(str(im), "i"))
-        return _join(terms)
+        if d == 1 and not b:
+            return str(a)
+        terms = [str(Fraction(a, d))] if a else []
+        if b:
+            terms.append(_times(str(Fraction(b, d)), "i"))
     except ValueError:  # str() and int() share one limit on digits
         raise AlgebraError(
             "integer literal too long (in the result)") from None
-
-
-def _gauss_factor(c: GaussianRational) -> str:
-    # a factor or a term that still binds in a product or a sum
-    s = render_gaussian(c)
-    return f"({s})" if c.a and c.b else s
+    s = _join(terms)
+    return f"({s})" if a and b else s
 
 
 def _mono_text(m: tuple[int, int]) -> str:
@@ -300,7 +299,8 @@ def _mono_text(m: tuple[int, int]) -> str:
 
 def render_poly(f: Poly) -> str:
     """str(f): its terms in descending graded-lex order."""
-    return _join([_times(_gauss_factor(c), _mono_text(m)) for m, c in f.items()])
+    return _join([_times(_gauss_factor(c.const), _mono_text(m))
+                  for m, c in f.items()])
 
 
 def render_scalar(c: Scalar) -> str:

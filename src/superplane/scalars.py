@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Gaussian rationals and rational functions in p, q.
+"""Exact scalar arithmetic: rational functions in p, q over Q(i).
 
 Every coefficient in this package lives in Q(i)(p, q), the field of rational
 functions in two commuting indeterminates over the Gaussian rationals.  All
@@ -6,19 +6,18 @@ arithmetic is exact, on Python ints.  A Poly stores one Gaussian integer
 a + b*i per monomial over one int denominator, in lowest terms by one integer
 gcd per operation (Knuth, TAOCP vol. 2, 4.5.1); a Scalar is a fraction of
 Polys, kept canonical by a monic denominator and a polynomial gcd computed
-from images modulo a prime.  A GaussianRational (a + b*i)/d, one
-coefficient as a caller reads it, is a plain value with no arithmetic.
-Numbers enter the field through the constructors and Scalar arithmetic;
-Poly arithmetic takes only Polys.
+from images modulo a prime.  A constant (a + b*i)/d is a constant Scalar,
+whose const holds the three ints (a, b, d) in lowest terms.  Numbers enter
+the field through the constructors and Scalar arithmetic; Poly arithmetic
+takes only Polys.
 
-Almost every scalar the rewriting engine multiplies is a constant, so a
-Scalar stores its Gaussian-rational value when it has one: products and
-sums of two constants are computed on their ints a, b and d and do no Poly
-work, and a product with one constant factor scales a numerator.  Constant
-results are interned: arithmetic returns the one Scalar kept for each
-Gaussian-rational value in a table of MEMO_SIZE values, least recently used
-first out, so a hit builds no Poly and no Scalar.  Interning saves work
-only; equality and hashing compare values.
+Almost every scalar the rewriting engine multiplies is a constant, so
+products and sums of two constants are computed on their ints a, b and d
+and do no Poly work, and a product with one constant factor scales a
+numerator.  Constant results are interned: arithmetic returns the one
+Scalar kept for each constant in a table of MEMO_SIZE values, least
+recently used first out, so a hit builds no Poly and no Scalar.  Interning
+saves work only; equality and hashing compare values.
 Two non-constant factors cancel across (Henrici, JACM 3, 1956; TAOCP
 vol. 2, 4.5.1).  These results are canonical as built, with no gcd of the
 product and no monic rescale; Scalar says why.
@@ -111,83 +110,6 @@ def _accumulate(acc: dict, terms: dict, c=None) -> None:
         acc[k] = v
 
 
-class GaussianRational:
-    """Element (a + b*i)/d of Q(i), stored as three ints in lowest terms.
-
-    Invariants: d > 0 and gcd(a, b, d) == 1, so equal values have equal
-    fields and equality compares fields; a real value equals and hashes as
-    the int or Fraction it equals.  A plain value with no arithmetic: Poly
-    and Scalar compute on its ints, and re and im are Fraction views of the
-    two parts.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, re=0, im=0):
-        re, im = _as_fraction(re), _as_fraction(im)
-        # over the lcm of the two denominators no prime divides a, b and d
-        d = lcm(re.denominator, im.denominator)
-        self.a = re.numerator * (d // re.denominator)
-        self.b = im.numerator * (d // im.denominator)
-        self.d = d
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    def __eq__(self, other):
-        if type(other) is not GaussianRational:
-            other = _as_gauss(other)
-            if other is None:
-                return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d) if self.b
-                    else self.a if self.d == 1 else self.re)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __str__(self):
-        from superplane.parsing import render_gaussian
-
-        return render_gaussian(self)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-def _gauss_raw(a: int, b: int, d: int) -> GaussianRational:
-    x = object.__new__(GaussianRational)
-    x.a, x.b, x.d = a, b, d
-    return x
-
-
-def _gauss(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b*i)/d in lowest terms, for ints with d > 0."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            return _gauss_raw(a // g, b // g, d // g)
-    return _gauss_raw(a, b, d)
-
-
-def _as_gauss(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return _gauss_raw(x.numerator, 0, x.denominator)
-    return None
-
-
 def _grlex_key(m: tuple[int, int]) -> tuple[int, int]:
     # total degree first, then p-degree; the maximum is the leading monomial
     return (m[0] + m[1], m[0])
@@ -200,10 +122,10 @@ class Poly:
     one int _d > 0, meaning the sum of (a + b*i)/_d * p^i * q^j, in lowest
     terms: no prime divides _d and every a and b, and no pair is (0, 0), so
     equal polynomials have equal fields, len() counts the terms and the zero
-    polynomial, {} over 1, is false.  Immutable by convention.  Arithmetic
-    takes Polys, scale a GaussianRational; a Poly equals only Polys, and
-    hashes its fields on each call.  items, leading and eval hand out
-    GaussianRationals; no arithmetic builds one.
+    polynomial, {} over 1, is false.  Immutable by convention.  The
+    constructor takes ints, Fractions and constant Scalars as coefficients;
+    arithmetic takes Polys.  A Poly equals only Polys, and hashes its fields
+    on each call.  items, leading and eval hand out constant Scalars.
     """
 
     __slots__ = ("_c", "_d")
@@ -213,13 +135,15 @@ class Poly:
         for (i, j), v in dict(coeffs).items():
             if i < 0 or j < 0:
                 raise ValueError("negative exponent in polynomial")
-            g = _as_gauss(v)
-            if g is None:
+            if isinstance(v, (int, Fraction)):
+                terms[(i, j)] = v.numerator, 0, v.denominator
+            elif isinstance(v, Scalar) and v.const is not None:
+                terms[(i, j)] = v.const
+            else:
                 raise TypeError(f"bad coefficient {v!r}")
-            terms[(i, j)] = g
-        d = lcm(*[g.d for g in terms.values()])
-        f = _lowest({m: (g.a * (d // g.d), g.b * (d // g.d))
-                     for m, g in terms.items() if g}, d)
+        d = lcm(*[k[2] for k in terms.values()])
+        f = _lowest({m: (a * (d // e), b * (d // e))
+                     for m, (a, b, e) in terms.items() if a or b}, d)
         self._c, self._d = f._c, f._d
 
     @staticmethod
@@ -233,29 +157,19 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def items(self):
+    def items(self) -> list[tuple[tuple[int, int], "Scalar"]]:
         """Terms in descending graded-lex order."""
-        return [(m, _gauss(*self._c[m], self._d))
+        return [(m, _const_scalar(*self._c[m], self._d))
                 for m in sorted(self._c, key=_grlex_key, reverse=True)]
 
-    def leading(self) -> tuple[tuple[int, int], GaussianRational]:
+    def leading(self) -> tuple[tuple[int, int], "Scalar"]:
         if not self._c:
             raise ValueError("zero polynomial has no leading term")
         m = max(self._c, key=_grlex_key)
-        return m, _gauss(*self._c[m], self._d)
-
-    def leading_coeff(self) -> GaussianRational:
-        return self.leading()[1]
+        return m, _const_scalar(*self._c[m], self._d)
 
     def monic(self) -> "Poly":
         return _monic(self, self)[0] if self._c else self
-
-    def scale(self, c: GaussianRational) -> "Poly":
-        if type(c) is not GaussianRational:
-            raise TypeError(f"bad scale factor {c!r}")
-        if c.is_zero():
-            return _POLY_ZERO
-        return self._scale(c.a, c.b, c.d)
 
     def _scale(self, x: int, y: int, d: int) -> "Poly":
         # self times (x + y*i)/d, for a nonzero factor and d > 0
@@ -362,16 +276,17 @@ class Poly:
             raise ValueError("inexact polynomial division")
         return quot
 
-    def eval(self, p0, q0) -> GaussianRational:
-        """The value at p = u/x and q = v/y, on ints: the sum of the terms
-        times x**D * y**E, D and E the degrees of self in p and in q."""
+    def eval(self, p0, q0) -> "Scalar":
+        """The constant value at p = u/x and q = v/y, on ints: the sum of
+        the terms times x**D * y**E, D and E the degrees of self in p and
+        in q."""
         (u, x), (v, y) = (_as_fraction(z).as_integer_ratio() for z in (p0, q0))
         D, E = _degrees(self) if self._c else (0, 0)
         ps = [u ** i * x ** (D - i) for i in range(D + 1)]
         qs = [v ** j * y ** (E - j) for j in range(E + 1)]
         re = sum(a * ps[i] * qs[j] for (i, j), (a, _) in self._c.items())
         im = sum(b * ps[i] * qs[j] for (i, j), (_, b) in self._c.items())
-        return _gauss(re, im, self._d * x ** D * y ** E)
+        return _const_scalar(re, im, self._d * x ** D * y ** E)
 
     def conj(self, swap_pq: bool = False) -> "Poly":
         return _poly_raw({m[::-1] if swap_pq else m: (a, -b)
@@ -429,7 +344,10 @@ def _lowest(c: dict, d: int) -> Poly:
 # each variable bound the degrees of h: (0, 0) proves f and g coprime, as
 # most are, and a candidate of those degrees that divides f and g is h.
 # A candidate that does not divide them exactly, or an image gcd of another
-# degree than the first, sends the gcd on to a prime of twice the bits.
+# degree than the first, sends the gcd on to a prime of twice the bits; the
+# quotients of the trial division that proves h are the cofactors f/h and
+# g/h, which the Scalar constructor and products take in place of dividing
+# again.
 
 _BITS = 30  # the first prime has this many bits: its residues fit a digit
 
@@ -503,16 +421,24 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd in Q(i)[p, q], by the modular algorithm above."""
     if f.is_zero() or g.is_zero():
         return (f + g).monic()
+    return _gcd(f, g)[0]
+
+
+def _gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
+    """(h, f/h, g/h) for the monic gcd h of the nonzero f and g."""
     if len(f._c) == 1 and (0, 0) in f._c or len(g._c) == 1 and (0, 0) in g._c:
-        return _POLY_ONE
+        return _POLY_ONE, f, g
     bits = _BITS
-    while (h := _modular_gcd(f, g, bits)) is None:
+    while (out := _modular_gcd(f, g, bits)) is None:
         bits *= 2
-    return h
+    return out
 
 
-def _modular_gcd(f: Poly, g: Poly, bits: int) -> Poly | None:
-    """gcd(f, g) from the prime of `bits` bits, or None where it fails."""
+def _modular_gcd(f: Poly, g: Poly,
+                 bits: int) -> tuple[Poly, Poly, Poly] | None:
+    """(h, f/h, g/h), h = gcd(f, g), from the prime of `bits` bits, or None
+    where it fails.  The cofactors are the quotients of the trial division
+    that proves h."""
     l, r = _prime(bits)
     F, G = _degrees(f), _degrees(g)
     deg = [F[u] and G[u] and len(
@@ -520,11 +446,23 @@ def _modular_gcd(f: Poly, g: Poly, bits: int) -> Poly | None:
     if -1 in deg:
         return None
     if deg == [0, 0]:
-        return _POLY_ONE
-    for x, y, X in ((f, g, F), (g, f, G)):
-        if list(X) == deg:  # then the gcd can only be x
-            h = x.monic()
-            return None if y.divrem(h)[1] else h
+        return _POLY_ONE, f, g
+    if list(F) == deg or list(G) == deg:  # then the gcd can only be f or g
+        h = (f if list(F) == deg else g).monic()
+    elif (h := _interpolated(f, g, deg, l, r, bits)) is None:
+        return None
+    a, rem = f.divrem(h)
+    if rem:
+        return None
+    b, rem = g.divrem(h)
+    return None if rem else (h, a, b)
+
+
+def _interpolated(f: Poly, g: Poly, deg: list[int], l: int, r: int,
+                  bits: int) -> Poly | None:
+    """The monic candidate for gcd(f, g), of the degrees deg, from images
+    modulo the prime l, or None where an image has another degree."""
+    F = _degrees(f)
     v = 0 if deg[0] else 1
     w = 1 - v
     bound = deg[w] and deg[w] + max(
@@ -560,9 +498,9 @@ def _modular_gcd(f: Poly, g: Poly, bits: int) -> Poly | None:
                 out[(k, j) if v == 0 else (j, k)] = (a, b)
     H = _poly_raw(out, 1)
     h = H.monic()
-    if max(m[w] for m in h._c) != deg[w]:
-        h = (H.divexact(_content(v, H)) * _content(v, f, g)).monic()
-    return h if not f.divrem(h)[1] and not g.divrem(h)[1] else None
+    if max(m[w] for m in h._c) == deg[w]:
+        return h
+    return (H.divexact(_content(v, H)) * _content(v, f, g)).monic()
 
 
 class Scalar:
@@ -572,16 +510,19 @@ class Scalar:
     are coprime, and zero is stored as 0/1.  Equality of canonical forms then
     coincides with equality in the fraction field.
 
-    const holds the GaussianRational value of a constant scalar (num
-    constant, den 1; zero included) and is None otherwise.  A product or
-    sum of two constants is computed on the ints of the two values, and a
-    product with one constant factor scales the other numerator by it: a
-    unit keeps num and den coprime and leaves the monic den untouched.  Two
-    non-constant factors n1/d1 * n2/d2 cancel across by Henrici's method,
+    const holds the value (a + b*i)/d of a constant scalar (num constant,
+    den 1) as the ints (a, b, d) in lowest terms, d > 0, zero as (0, 0, 1),
+    and is None otherwise.  A constant hashes as the number it equals:
+    as the Fraction a/d when b is 0, else as the triple.  A product or sum
+    of two constants is computed on the two triples, and a product with one
+    constant factor scales the other numerator by it: a unit keeps num and
+    den coprime and leaves the monic den untouched.  Two non-constant
+    factors n1/d1 * n2/d2 cancel across by Henrici's method,
     g1 = gcd(n1, d2) and g2 = gcd(n2, d1), giving
     (n1/g1)(n2/g2) / ((d1/g2)(d2/g1)) in lowest terms with no gcd of the
     product; the gcds are monic, and under a monomial order a quotient or
-    product of monics is monic, so no rescale is needed either.
+    product of monics is monic, so no rescale is needed either.  The
+    quotients come with each gcd, from the trial division that proves it.
 
     Those two non-constant routes, _sum and _product, are memoized
     process-wide in MEMO_SIZE-entry least-recently-used caches (see the
@@ -594,7 +535,8 @@ class Scalar:
     __slots__ = ("num", "den", "const", "_hash")
 
     def __init__(self, num=0, den=1):
-        # a part that is no Poly is a number, or the Poly raises TypeError
+        # a part that is no Poly is a number or a constant Scalar, or the
+        # Poly raises TypeError
         n = num if type(num) is Poly else Poly({(0, 0): num})
         d = den if type(den) is Poly else Poly({(0, 0): den})
         if d.is_zero():
@@ -602,10 +544,7 @@ class Scalar:
         if n.is_zero():
             n, d = _POLY_ZERO, _POLY_ONE
         else:
-            g = poly_gcd(n, d)
-            if g != _POLY_ONE:
-                n = n.divexact(g)
-                d = d.divexact(g)
+            _, n, d = _gcd(n, d)
             n, d = _monic(n, d)
         self.num = n
         self.den = d
@@ -641,9 +580,8 @@ class Scalar:
             return NotImplemented
         k1, k2 = self.const, other.const
         if k1 is not None and k2 is not None:
-            d1, d2 = k1.d, k2.d
-            return _const_scalar(k1.a * d2 + k2.a * d1, k1.b * d2 + k2.b * d1,
-                                 d1 * d2)
+            (a1, b1, d1), (a2, b2, d2) = k1, k2
+            return _const_scalar(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
         return _sum(*_ordered(self, other))
 
     __radd__ = __add__
@@ -651,7 +589,8 @@ class Scalar:
     def __neg__(self):
         k = self.const
         if k is not None:
-            return _const_scalar(-k.a, -k.b, k.d)
+            a, b, d = k
+            return _const_scalar(-a, -b, d)
         return _scalar_raw(-self.num, self.den)
 
     def __sub__(self, other):
@@ -673,9 +612,9 @@ class Scalar:
         k1, k2 = self.const, other.const
         if k1 is not None:
             if k2 is not None:
-                a1, b1, a2, b2 = k1.a, k1.b, k2.a, k2.b
+                (a1, b1, d1), (a2, b2, d2) = k1, k2
                 return _const_scalar(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                                     k1.d * k2.d)
+                                     d1 * d2)
             return other._scaled(k1)
         if k2 is not None:
             return self._scaled(k2)
@@ -683,13 +622,13 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def _scaled(self, k: GaussianRational) -> "Scalar":
-        """self, not a constant, times the constant k."""
-        if k.a == k.d and not k.b:
+    def _scaled(self, k: tuple[int, int, int]) -> "Scalar":
+        """self, not a constant, times the constant of the triple k."""
+        if k == (1, 0, 1):
             return self
-        if not k.a and not k.b:
+        if k == (0, 0, 1):
             return _S_ZERO
-        return _scalar_raw(self.num.scale(k), self.den)
+        return _scalar_raw(self.num._scale(*k), self.den)
 
     def __truediv__(self, other):
         other = as_scalar(other)
@@ -723,10 +662,11 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # a constant hashes as its value, which hashes as the equal number
+        # a constant hashes as the number it equals
         if self._hash is None:
             k = self.const
-            self._hash = hash((self.num, self.den) if k is None else k)
+            self._hash = hash((self.num, self.den) if k is None
+                              else Fraction(k[0], k[2]) if not k[1] else k)
         return self._hash
 
     def __bool__(self):
@@ -738,7 +678,8 @@ class Scalar:
         return _scalar_raw(
             *_monic(self.num.conj(swap_pq), self.den.conj(swap_pq)))
 
-    def eval(self, p0, q0) -> GaussianRational:
+    def eval(self, p0, q0) -> "Scalar":
+        """The constant value at p = p0 and q = q0."""
         n, dv = self.num.eval(p0, q0), self.den.eval(p0, q0)
         if dv.is_zero():
             at = f"p = {_as_fraction(p0)}, q = {_as_fraction(q0)}"
@@ -746,9 +687,9 @@ class Scalar:
                 raise IndeterminateAtPoint(f"0/0 at {at}")
             raise PoleAtPoint(f"pole at {at}")
         # n/dv = n*conj(dv)/|dv|**2, on the ints of both
-        a, b = dv.a, dv.b
-        return _gauss((n.a * a + n.b * b) * dv.d, (n.b * a - n.a * b) * dv.d,
-                      n.d * (a * a + b * b))
+        (a1, b1, d1), (a, b, d) = n.const, dv.const
+        return _const_scalar((a1 * a + b1 * b) * d, (b1 * a - a1 * b) * d,
+                             d1 * (a * a + b * b))
 
     def __str__(self):
         from superplane.parsing import render_scalar
@@ -770,14 +711,15 @@ def _monic(n: Poly, d: Poly) -> tuple[Poly, Poly]:
     return m, m if d is n else d._scale(*k)
 
 
-def _const_value(n: Poly, d: Poly):
-    """The constant n/d for canonical parts, or None when p or q occur."""
+def _const_value(n: Poly, d: Poly) -> tuple[int, int, int] | None:
+    """The triple (a, b, d) of the constant n/d for canonical parts, or None
+    when p or q occur."""
     if len(d._c) != 1 or (0, 0) not in d._c:
         return None
     if not n._c:
-        return _G0
+        return 0, 0, 1
     c = n._c.get((0, 0))
-    return None if c is None or len(n._c) != 1 else _gauss_raw(*c, n._d)
+    return None if c is None or len(n._c) != 1 else (*c, n._d)
 
 
 def _scalar_raw(n: Poly, d: Poly) -> Scalar:
@@ -807,13 +749,8 @@ def _sum(a: Scalar, b: Scalar) -> Scalar:
 def _product(a: Scalar, b: Scalar) -> Scalar:
     """a * b for two non-constant scalars, cancelled across (Henrici)."""
     # neither factor is zero, since zero is a constant
-    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
-    g1 = poly_gcd(n1, d2)
-    if g1 != _POLY_ONE:
-        n1, d2 = n1.divexact(g1), d2.divexact(g1)
-    g2 = poly_gcd(n2, d1)
-    if g2 != _POLY_ONE:
-        n2, d1 = n2.divexact(g2), d1.divexact(g2)
+    _, n1, d2 = _gcd(a.num, b.den)
+    _, n2, d1 = _gcd(b.num, a.den)
     return _scalar_raw(n1 * n2, d1 * d2)
 
 
@@ -845,16 +782,13 @@ def as_scalar(x):
         return _interned(x, 0, 1) if x else _S_ZERO
     if isinstance(x, (int, Fraction)):
         return _const_scalar(x.numerator, 0, x.denominator)
-    if isinstance(x, GaussianRational):
-        return _const_scalar(x.a, x.b, x.d)
     return None
 
 
-_G0 = GaussianRational(0)
 _POLY_ZERO = Poly({})
 _POLY_ONE = Poly({(0, 0): 1})
 _S_ZERO = Scalar(0)
 _S_ONE = Scalar(1)
-_S_I = Scalar(Poly({(0, 0): GaussianRational(0, 1)}))
+_S_I = _scalar_raw(_poly_raw({(0, 0): (0, 1)}, 1), _POLY_ONE)
 _S_P = Scalar(Poly({(1, 0): 1}))
 _S_Q = Scalar(Poly({(0, 1): 1}))

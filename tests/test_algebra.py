@@ -38,7 +38,7 @@ from superplane.algebra import (
 )
 from superplane.parsing import parse_expression
 from superplane.presentations import catalog_presentations, localize
-from superplane.scalars import GaussianRational, Scalar
+from superplane.scalars import Scalar
 
 import reference
 from reference import NO_VALUE, at_point, point_copy, reference_nf, rewrite
@@ -214,7 +214,7 @@ class TestExpression:
         pres = xye(2)
         word = ("e", "x")
         inputs = [E({word: c}) for c in
-                  (2, Fraction(4, 2), GaussianRational(2), Scalar(2))]
+                  (2, Fraction(4, 2), Scalar(2))]
         inputs.append(parse_expression("2*p*e*x/p", pres))
         assert type(inputs[0]._t[word]) is int
         assert type(inputs[-1]._t[word]) is Scalar

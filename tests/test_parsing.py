@@ -22,14 +22,15 @@ from superplane.parsing import (
     render_presentation,
 )
 from superplane.presentations import catalog_presentations
-from superplane.scalars import DivisionByZero, GaussianRational, Poly, Scalar
+from superplane.scalars import DivisionByZero, Poly, Scalar
 
 E = Expression
 
-# Gaussian rationals with rational, pure imaginary and complex values, either
+# constant Scalars with rational, pure imaginary and complex values, either
 # part negative or not an integer; polynomials in them up to p^3*q^3; and the
 # coefficients of expressions: constants and fractions of such polynomials
-GAUSSIANS = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
+GAUSSIANS = st.builds(lambda re, im: Scalar(re) + Scalar(im) * Scalar.i(),
+                      st.fractions(-3, 3, max_denominator=4),
                       st.fractions(-3, 3, max_denominator=4))
 
 
@@ -39,7 +40,7 @@ def polys(min_size=0):
                            max_size=3).map(Poly)
 
 
-COEFFICIENTS = st.one_of(GAUSSIANS.map(Scalar),
+COEFFICIENTS = st.one_of(GAUSSIANS,
                          st.builds(Scalar, polys(), polys(min_size=1)))
 
 
@@ -175,14 +176,14 @@ class TestRender:
         assert render_expression(E({word: 1})) == "x^2*th*x^3"
 
     def test_complex_coefficient_is_grouped(self):
-        c = Scalar(Poly({(0, 0): GaussianRational(1, 2)}))
+        c = 1 + 2 * Scalar.i()
         out = render_expression(E({("x",): c}))
         assert out == "(1 + 2*i)*x"
         assert parse_expression(out, toy()) == E({("x",): c})
 
     @pytest.mark.parametrize("x", [
-        GaussianRational(Fraction(-1, 2), 3),
-        Poly({(2, 1): GaussianRational(0, -2), (0, 0): 1}),
+        Fraction(-1, 2) + 3 * Scalar.i(),
+        Poly({(2, 1): -2 * Scalar.i(), (0, 0): 1}),
         Scalar(Poly({(1, 0): 1}), Poly({(0, 1): 1, (0, 0): -1})),
     ])
     def test_str_of_each_scalar_type_reads_back(self, x):

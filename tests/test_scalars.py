@@ -1,4 +1,4 @@
-"""Tests for exact scalars: Gaussian rationals and rational functions in p, q.
+"""Tests for exact scalars: rational functions in p, q over Q(i).
 
 Derived expected values are recomputed here by an independent route
 (cross-multiplication over raw polynomials, or plain Fraction arithmetic at
@@ -20,7 +20,6 @@ from hypothesis import assume, given, strategies as st
 from superplane.scalars import (
     MEMO_SIZE,
     DivisionByZero,
-    GaussianRational,
     IndeterminateAtPoint,
     Poly,
     PoleAtPoint,
@@ -40,11 +39,18 @@ F = Fraction
 
 
 def G(re, im=0):
-    return GaussianRational(F(re), F(im))
+    """The constant Scalar re + im*i."""
+    return Scalar(F(re)) + Scalar(F(im)) * Scalar.i()
+
+
+def re_im(c):
+    """The real and imaginary parts of the constant Scalar c, as Fractions."""
+    a, b, d = c.const
+    return F(a, d), F(b, d)
 
 
 def C(c):
-    """The constant Poly c, for a number or a GaussianRational c."""
+    """The constant Poly c, for a number or a constant Scalar c."""
     return Poly({(0, 0): c})
 
 
@@ -54,7 +60,7 @@ ONE = Poly({(0, 0): 1})
 ZERO = Poly({})
 
 fractions_ = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
-gaussians = st.builds(GaussianRational, fractions_, fractions_)
+gaussians = st.builds(G, fractions_, fractions_)
 monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
 polys = st.builds(Poly, st.dictionaries(monomials, gaussians, max_size=3))
 nonzero_polys = polys.filter(lambda f: not f.is_zero())
@@ -76,43 +82,12 @@ rational_points = st.tuples(fractions_, fractions_)
 def to_sympy(sympy, f):
     """f as a sympy Poly in p, q over QQ_I."""
     p, q = sympy.symbols("p q")
-    expr = sum(
-        (sympy.Rational(c.re.numerator, c.re.denominator)
-         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
-        * p**i * q**j
-        for (i, j), c in f.items())
+    expr = 0
+    for (i, j), c in f.items():
+        a, b, d = c.const
+        k = sympy.Rational(a, d) + sympy.I * sympy.Rational(b, d)
+        expr += k * p**i * q**j
     return sympy.Poly(expr, p, q, domain=sympy.QQ_I)
-
-
-class TestGaussianRational:
-    @pytest.mark.parametrize("number", [2, F(1, 2)], ids=["int", "fraction"])
-    def test_arithmetic_takes_no_number(self, number):
-        # a Gaussian rational is a plain value: no operator takes it, with a
-        # number or with another Gaussian rational, yet a real value still
-        # compares and hashes as the number it equals
-        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
-                   operator.pow):
-            for x, y in ((G(3), number), (number, G(3)), (G(3), G(3))):
-                with pytest.raises(TypeError):
-                    op(x, y)
-        with pytest.raises(TypeError):
-            -G(3)
-        assert not hasattr(G(3), "conj")
-        assert G(3) == 3 and hash(G(3)) == hash(3)
-
-    @pytest.mark.parametrize("other", ["1", 0.5])
-    def test_foreign_operands(self, other):
-        # each operator hands an operand that is no GaussianRational back
-        # to Python (NotImplemented), which raises TypeError; equality with
-        # it is false
-        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-            with pytest.raises(TypeError):
-                op(G(1), other)
-        assert G(1) != other
-        with pytest.raises(TypeError):
-            G(1) ** other
-        with pytest.raises(TypeError):
-            GaussianRational(other)
 
 
 def assert_lowest(f):
@@ -131,23 +106,23 @@ class TestPoly:
         assert (P + C(G(0, 1))) * (P - C(G(0, 1))) == P * P + ONE
         assert C(G(F(1, 2), F(1, 2))) * C(G(F(1, 3), F(-1, 3))) == C(F(1, 3))
 
-    @given(polys, polys, nonzero_polys, gaussians.filter(lambda c: c.im))
+    @given(polys, polys, nonzero_polys, gaussians.filter(lambda c: c.const[1]))
     def test_divrem_by_a_complex_divisor(self, a, b, d, c):
         # oracle: quot*d + rem == f with no term of rem divisible by the
         # leading monomial of d fixes quot and rem; c makes d non-monic
         # with a complex leading coefficient
-        d = d.scale(c)
+        d = d * C(c)
         f = a * d + b
         quot, rem = f.divrem(d)
         assert quot * d + rem == f
         (di, dj), _ = d.leading()
         assert all(i < di or j < dj for (i, j), _ in rem.items())
 
-    @given(polys, polys, nonzero_polys, gaussians, st.booleans())
+    @given(polys, polys, nonzero_polys, gaussians.filter(bool), st.booleans())
     def test_every_operation_is_in_lowest_terms(self, f, g, d, c, swap):
         # equal polynomials then have equal fields
-        for x in (f, f + g, f - g, -f, f * g, f ** 3, f.scale(c), f.monic(),
-                  f.conj(swap), *f.divrem(d), poly_gcd(f, g)):
+        for x in (f, f + g, f - g, -f, f * g, f ** 3, f._scale(*c.const),
+                  f.monic(), f.conj(swap), *f.divrem(d), poly_gcd(f, g)):
             assert_lowest(x)
 
     def test_eval(self):
@@ -155,12 +130,32 @@ class TestPoly:
         assert f.eval(F(2), F(5)) == G(17)
         assert ZERO.eval(F(1), F(1)) == G(0)
 
+    def test_coefficients_are_constant_scalars(self):
+        # items, leading and eval hand out constant Scalars, and the
+        # constructor takes them beside numbers, but nothing else
+        c = G(F(1, 2), -3)
+        f = C(c) * P * Q + C(F(2, 3)) * Q - ONE
+        got = f.items()
+        assert [(m, x.const) for m, x in got] == [
+            ((1, 1), (1, -6, 2)), ((0, 1), (2, 0, 3)), ((0, 0), (-1, 0, 1))]
+        assert got == [((1, 1), c), ((0, 1), F(2, 3)), ((0, 0), -1)]
+        assert f.leading() == got[0]
+        # (1/2 - 3i)*2*3 + 2/3*3 - 1, and that over p = 2
+        values = [f.eval(2, 3), Scalar(f, P).eval(2, 3)]
+        assert [v.const for v in values] == [(4, -18, 1), (2, -9, 1)]
+        for x in [*(x for _, x in got), f.leading()[1], *values]:
+            assert type(x) is Scalar
+        assert Poly({(0, 0): c}) == C(F(1, 2)) + C(-3) * C(Scalar.i())
+        for bad in (Scalar.p(), 0.5):
+            with pytest.raises(TypeError):
+                Poly({(0, 0): bad})
+
     @given(polys, polys)
     def test_commutative_ring(self, f, g):
         assert f * g == g * f
         assert f + g == g + f
         assert f - f == ZERO
-        assert f.scale(G(0)) == ZERO
+        assert f * C(G(0)) == ZERO
 
     def test_equality_is_between_polys(self):
         # a number is no Poly, so it equals none: equal values must hash
@@ -171,30 +166,29 @@ class TestPoly:
 
     @pytest.mark.parametrize("number", [2, F(1, 2)], ids=["int", "fraction"])
     def test_arithmetic_takes_no_number(self, number):
-        # a number enters Q(i)[p, q] through the constructor only, and a
-        # GaussianRational only as the factor of scale
+        # a number or a constant Scalar enters Q(i)[p, q] through the
+        # constructor only
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
                 op(P, number)
             with pytest.raises(TypeError):
                 op(number, P)
-        for call in (Poly.scale, Poly.divrem):
-            with pytest.raises(TypeError):
-                call(P, number)
+        with pytest.raises(TypeError):
+            P.divrem(number)
         with pytest.raises(TypeError):
             G(0, 1) * P
         assert Poly({(0, 0): 5}) != 5
 
     @pytest.mark.parametrize("other", ["1", 0.5])
     def test_foreign_operands(self, other):
-        # as for GaussianRational; scale and divrem raise TypeError
-        # themselves
+        # each operator hands the operand back to Python (NotImplemented),
+        # which raises TypeError; divrem and eval raise it themselves
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
                 op(P, other)
-        for call in (Poly.scale, Poly.divrem):
+        for call in (P.divrem, lambda x: P.eval(x, 1)):
             with pytest.raises(TypeError):
-                call(P, other)
+                call(other)
         with pytest.raises(TypeError):
             Poly({(0, 0): other})
 
@@ -238,7 +232,7 @@ class TestPoly:
     def test_gcd_divides_and_reduces_to_coprime(self, a, b, m):
         assume(not (a * m).is_zero() or not (b * m).is_zero())
         d = poly_gcd(a * m, b * m)
-        assert d.leading_coeff() == G(1)
+        assert d.leading()[1] == 1
         d.divexact(m.monic())  # the forced common factor divides the gcd
         qa = (a * m).divexact(d)
         qb = (b * m).divexact(d)
@@ -262,7 +256,7 @@ class TestPoly:
         for f, g in ((a, b), (a * m, b * m)):
             assume(not f.is_zero() or not g.is_zero())
             d = poly_gcd(f, g)
-            assert d.leading_coeff() == G(1)
+            assert d.leading()[1] == 1
             assert poly_gcd(f.divexact(d), g.divexact(d)) == ONE
 
     def test_gcd_of_typical_pairs(self):
@@ -329,7 +323,7 @@ class TestPoly:
         assume(not a.is_zero() and not b.is_zero())
         f, g = a ** j * m ** k, b ** k * m ** j
         d = poly_gcd(f, g)
-        assert d.leading_coeff() == G(1)
+        assert d.leading()[1] == 1
         d.divexact((m ** min(j, k)).monic())
         assert poly_gcd(f.divexact(d), g.divexact(d)) == ONE
 
@@ -357,13 +351,15 @@ def assert_canonical(s):
     if s.is_zero():
         assert s.num == ZERO and s.den == ONE
     else:
-        assert s.den.leading_coeff() == G(1)
+        assert s.den.leading()[1] == 1
         assert poly_gcd(s.num, s.den) == ONE
     constant = s.den == ONE and (
         s.num.is_zero() or s.num.leading()[0] == (0, 0))
     assert (s.const is not None) == constant
     if constant:
-        assert Poly({(0, 0): s.const}) == s.num
+        a, b, d = s.const
+        assert d > 0 and gcd(a, b, d) == 1
+        assert (s.num._c.get((0, 0), (0, 0)), s.num._d) == ((a, b), d)
 
 
 @pytest.mark.parametrize("name", ["pq-calculus", "h-calculus", "supergroup",
@@ -396,8 +392,6 @@ class TestScalar:
         s = as_scalar(x)
         assert s == Scalar(x) and hash(s) == hash(Scalar(x))
         assert s == x and hash(s) == hash(x) and {x: x}[s] == x
-        g = s.const  # the GaussianRational value
-        assert g == x and hash(g) == hash(x) and len({g, x}) == 1
         assert (s.num, s.den, s.const) == (Scalar(x).num, Scalar(x).den,
                                           Scalar(x).const)
         assert as_scalar(s) is s
@@ -428,6 +422,14 @@ class TestScalar:
         s = Scalar(P * P - ONE, P - ONE)
         assert s == Scalar(P + ONE)
         assert s.den == ONE
+        # the gcd's cofactors go each to its own part, in the constructor
+        # and in a product that cancels across
+        h = P + Q
+        s = Scalar(h * (P - ONE), h * (Q + ONE))
+        assert (s.num, s.den) == (P - ONE, Q + ONE)
+        d = Q + C(2)
+        s = Scalar(h * (P - ONE), Q + ONE) * Scalar(Q - ONE, h * d)
+        assert (s.num, s.den) == ((P - ONE) * (Q - ONE), (Q + ONE) * d)
 
     def test_monic_denominator(self):
         s = Scalar(ONE, C(2) * P - C(2))
@@ -457,8 +459,7 @@ class TestScalar:
 
     @pytest.mark.parametrize("other", ["1", 0.5])
     def test_foreign_operands(self, other):
-        # as for GaussianRational, and the parts of a Scalar are Polys or
-        # numbers
+        # as for Poly, and the parts of a Scalar are Polys or numbers
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(TypeError):
                 op(Scalar.p(), other)
@@ -503,7 +504,7 @@ class TestScalar:
         if s.is_zero():
             assert s.num == ZERO and s.den == ONE
         else:
-            assert s.den.leading_coeff() == G(1)
+            assert s.den.leading()[1] == 1
             assert poly_gcd(s.num, s.den) == ONE
 
     @given(mixed_scalars, mixed_scalars, st.booleans())
@@ -585,7 +586,7 @@ class TestScalar:
                   -Scalar(-6), Scalar(3) + Scalar(3), Scalar(12) / Scalar(2),
                   Scalar(6).conj()]
         for x in routes:
-            assert x.const == G(6)
+            assert x.const == (6, 0, 1)
             for y in routes:
                 assert x == y and hash(x) == hash(y)
         # arithmetic on constants returns the one interned object ...
@@ -617,7 +618,7 @@ class TestScalar:
             want_den = to_sympy(sympy, d * m)
             assert (num * want_den - want_num * den).is_zero
             assert s.num.is_zero() or num.gcd(den).is_ground
-            assert s.den.leading_coeff() == G(1)
+            assert s.den.leading()[1] == 1
 
         agrees()
 
@@ -638,7 +639,7 @@ class TestScalar:
             want_den = to_sympy(sympy, d1 * d2 * m)
             assert (num * want_den - want_num * den).is_zero
             assert num.gcd(den).is_ground
-            assert s.den.leading_coeff() == G(1)
+            assert s.den.leading()[1] == 1
 
         agrees()
 
@@ -663,15 +664,18 @@ class TestScalar:
 
         def by_hand(f):
             # f at the point as a Fraction pair (re, im)
-            re = sum(c.re * p0 ** i * q0 ** j for (i, j), c in f.items())
-            im = sum(c.im * p0 ** i * q0 ** j for (i, j), c in f.items())
-            return F(re), F(im)
+            re = im = F(0)
+            for (i, j), c in f.items():
+                x, y = re_im(c)
+                re += x * p0 ** i * q0 ** j
+                im += y * p0 ** i * q0 ** j
+            return re, im
 
         (a, b), (c, d) = by_hand(s.num), by_hand(s.den)
         n = c * c + d * d
         assume(n)
         got = s.eval(p0, q0)
-        assert (got.re, got.im) == ((a * c + b * d) / n, (b * c - a * d) / n)
+        assert re_im(got) == ((a * c + b * d) / n, (b * c - a * d) / n)
 
     def test_conj_swaps_and_conjugates(self):
         s = Scalar(Poly({(1, 0): G(0, 1)}), Q - ONE)  # i*p/(q - 1)
