@@ -71,6 +71,9 @@ MUTANTS = [
     ("cofactors-swapped", "scalars.py",
      "return None if rem else (h, a, b)", "return None if rem else (h, b, a)",
      "tests/test_scalars.py::TestScalar::test_cancellation"),
+    ("missing-swaps-skipped", "algebra.py",
+     "*swaps.values())", "*(r for lhs, r in swaps.items() if lhs in self._idx))",
+     "tests/test_cli.py::test_rules_dumps_match_the_golden_hashes"),
 ]
 
 

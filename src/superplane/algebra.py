@@ -7,15 +7,16 @@ weights keep from being well-founded; Presentation.terminates certifies
 termination instead, and fuel is the termination argument only without it.
 
 Letters that supercommute are not moved one letter at a time.  Deformation
-parameters whose rules are exactly param_swap_rules are sorted to the front
-of each word, and the other generators fall into blocks: intervals of the
-sort order between which every disordered pair rewrites by its exact Koszul
-swap and no other rule reaches across (the group and the plane of the
-covariance tensor).  Reduction sorts a word into parameters P and blocks
-B1...Bk in one pass with the Koszul sign, reduces each P*Bi on its own and
-multiplies the results back together; a Koszul tensor product of confluent
-systems is confluent (Bergman 1978).  The swap rules stay in the
-presentation as declarative data.
+parameters are central by declaration, their rules exactly param_swap_rules
+(Presentation adds them), so they are sorted to the front of each word; the
+other generators fall into blocks: intervals of the sort order between
+which every disordered pair rewrites by its exact Koszul swap and no other
+rule reaches across (the group and the plane of the covariance tensor).
+Reduction sorts a word into parameters P and blocks B1...Bk in one pass
+with the Koszul sign, reduces each P*Bi on its own and multiplies the
+results back together; a Koszul tensor product of confluent systems is
+confluent (Bergman 1978).  The swap rules stay in the presentation as
+declarative data.
 
 A block word B is reduced by folding its letters one at a time into the
 normal words formed so far, as Plural builds its G-algebra products
@@ -313,25 +314,21 @@ def unit_rules(gen_id: str, inv_id: str) -> list[RewriteRule]:
             RewriteRule((gen_id, inv_id), _E_ONE)]
 
 
-def _param_swaps(decls) -> list[tuple[GeneratorDecl, GeneratorDecl]]:
-    """The left-hand sides of param_swap_rules in order, as declaration pairs:
-    each other letter before each parameter h, each later one before h, h*h if odd."""
+def param_swap_rules(decls) -> list[RewriteRule]:
+    """The rules that make the deformation parameters central: for each
+    parameter h in sort-key order, the Koszul swap v*h -> +-h*v for every
+    other letter v, then h*h' -> +-h'*h for each parameter h' before it,
+    and h*h -> 0 if h is odd."""
     decls = list(decls)
     params = sorted((d for d in decls if d.klass is GenClass.PARAMETER),
                     key=lambda d: d.sort_key)
-    out = [(v, h) for h in params for v in decls if v.klass is not GenClass.PARAMETER]
-    for i, hi in enumerate(params):
-        out.extend((hi, hj) for hj in params[:i])
-        if hi.parity:
-            out.append((hi, hi))
+    out = [koszul_swap(v, h) for h in params for v in decls
+           if v.klass is not GenClass.PARAMETER]
+    for i, h in enumerate(params):
+        out.extend(koszul_swap(h, g) for g in params[:i])
+        if h.parity:
+            out.append(RewriteRule((h.id, h.id), _E_ZERO))
     return out
-
-
-def param_swap_rules(decls) -> list[RewriteRule]:
-    """Rules moving the nilpotent parameters to the front of every word:
-    the Koszul swaps of _param_swaps, and h*h -> 0 for each odd h."""
-    return [RewriteRule((v.id, v.id), _E_ZERO) if v is u else koszul_swap(v, u)
-            for v, u in _param_swaps(decls)]
 
 
 def _order(word: Word, gens: Mapping[str, GeneratorDecl]) -> tuple:
@@ -398,6 +395,10 @@ class Presentation:
     smaller than the left-hand side under (weighted degree, sort-key tuple).
     With require_complete, every disordered adjacent pair and every odd
     square must have a rule, so irreducible words are the sorted ones.
+
+    Parameters are central by declaration: a given rule on one must be in
+    param_swap_rules (else RuleError), and rules holds the other given
+    rules in order, then all of param_swap_rules, given or not.
     """
 
     def __init__(self, name: str, gens: Iterable[GeneratorDecl], rules, require_complete: bool = True):
@@ -411,28 +412,29 @@ class Presentation:
                 raise RuleError(f"sort keys must be distinct in {name}: "
                                 f"{other} and {g.id} both have {g.sort_key}")
             self.gens[g.id] = g
+        swaps = {r.lhs: r for r in param_swap_rules(self.gens.values())}
+        self._front = {g for g, d in self.gens.items() if d.klass is GenClass.PARAMETER}
         self._idx: dict[Word, RewriteRule] = {}
-        out = []
         for r in rules:
             if not isinstance(r, RewriteRule):
                 lhs, rhs = r
                 r = RewriteRule(tuple(lhs), rhs)
-            if why := _rule_error(r, self.gens, name):
-                raise RuleError(why)
+            if r != swaps.get(r.lhs):
+                if why := _rule_error(r, self.gens, name):
+                    raise RuleError(why)
+                if not self._front.isdisjoint(r.lhs):
+                    raise RuleError(f"rule {r.lhs} mentions a parameter but is "
+                                    f"not in param_swap_rules ({name})")
             if r.lhs in self._idx:
                 raise RuleError(f"duplicate rule for {r.lhs} in {name}")
             self._idx[r.lhs] = r
-            out.append(r)
-        self.rules = tuple(out)
+        self.rules = (*(r for r in self._idx.values() if r.lhs not in swaps),
+                      *swaps.values())
+        self._idx.update(swaps)
         self.require_complete = require_complete
         if require_complete:
             self._check_complete()
         self._parity = {g.id: g.parity for g in self.gens.values()}
-        params = {g.id for g in self.gens.values() if g.klass is GenClass.PARAMETER}
-        # parameter letters _split sorts to the front in one pass: all of
-        # them when the rules that mention them are exactly the Koszul swaps,
-        # else none
-        self._front = params if self._only_swaps(params) else set()
         self._nfront = len(self._front)
         part = self._find_blocks()
         self._nparts = max(part.values(), default=0) + 1
@@ -446,8 +448,8 @@ class Presentation:
 
     @property
     def terminates(self) -> bool:
-        """Whether every parameter is odd and in the front, and no rule whose
-        lhs has no parameter has a parameter-free rhs word longer than it.
+        """Whether every parameter is odd, and no rule whose lhs has no
+        parameter has a parameter-free rhs word longer than it.
         Then each rewrite of P*W (P the sorted parameters, W a block word,
         modulo the Koszul sort and the parameter ideal as _split and
         _block_nf do) lowers (-|P|, |W|, _order(W)), since every rule
@@ -456,21 +458,12 @@ class Presentation:
         takes finitely many values.  With local confluence, normal forms are
         unique (Newman 1942; Bergman 1978; Book and Otto 1993, ch. 1-2).
         Elsewhere, as for m*n -> n*m*m*n, fuel is the only such argument."""
-        params = {g for g, d in self.gens.items() if d.klass is GenClass.PARAMETER}
-        return (self._front == params and all(map(self._parity.__getitem__, params))
+        params = self._front
+        return (all(map(self._parity.__getitem__, params))
                 and all(len(w) <= 2 or not params.isdisjoint(w)
                         for r in self.rules if params.isdisjoint(r.lhs) for w in r.rhs._t))
 
     # ---------------------------------------------------------- validation
-
-    def _only_swaps(self, params: set) -> bool:
-        """Whether the rules that mention a parameter are exactly those of
-        param_swap_rules: the swaps of _param_swaps, and h*h -> 0 for odd h."""
-        want = {(v.id, u.id) for v, u in _param_swaps(self.gens.values())}
-        own = [r for r in self.rules if not params.isdisjoint(r.lhs)]
-        return {r.lhs for r in own} == want and all(
-            not r.rhs._t if r.lhs[0] == r.lhs[-1] else self._is_swap(r)
-            for r in own)
 
     def _check_complete(self):
         missing = []
@@ -510,12 +503,13 @@ class Presentation:
     def _find_blocks(self) -> dict[str, int]:
         """The part of each letter in _split, numbered in the order of parts.
 
-        The order puts the front letters first, then the others, each by
-        sort key.  Every front letter is a part of its own; the others fall
-        into blocks.  Neighbours in the order fall in different parts when
-        no rule but an exact Koszul swap has letters (front letters aside)
-        on both sides of them, and every disordered pair across them has its
-        exact Koszul swap.  Parts are thus intervals that supercommute.
+        The order puts the front letters (the parameters) first, then the
+        others, each by sort key.  Every front letter is a part of its own;
+        the others fall into blocks.  Neighbours in the order fall in
+        different parts when no rule but an exact Koszul swap has letters
+        (front letters aside) on both sides of them, and every disordered
+        pair across them has its exact Koszul swap.  Parts are thus
+        intervals that supercommute.
         """
         front = self._front
         order = sorted(self.gens, key=lambda gid: (gid not in front, self.gens[gid].sort_key))

@@ -299,8 +299,8 @@ def _mono_text(m: tuple[int, int]) -> str:
 
 def render_poly(f: Poly) -> str:
     """str(f): its terms in descending graded-lex order."""
-    return _join([_times(_gauss_factor(c.const), _mono_text(m))
-                  for m, c in f.items()])
+    return _join([_times(_gauss_factor(k), _mono_text(m))
+                  for m, k in f._terms()])
 
 
 def render_scalar(c: Scalar) -> str:

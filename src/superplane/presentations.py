@@ -17,14 +17,14 @@ Two sort-key conventions matter everywhere:
 
 * parameters sit at the bottom of the generator order, so every normal
   form has its h-letters pulled to the front (by param_swap_rules, which
-  reduction applies as one Koszul-sign pass rather than step by step);
+  every Presentation adds and reduction applies as one Koszul-sign pass);
 * an adjoined inverse sits immediately above its base generator.  Anything
   keyed between the two would let sorted words hide unit cancellations
   from adjacent-pair rewriting and break confluence.
 
-Every presentation here is built by _build, which appends the parameter
-swaps and reports a bad rule as a ConstructionFailure; localize, the one
-place that adjoins an inverse, builds through it too.
+Every presentation here is built by _build, which reports a bad rule as a
+ConstructionFailure; localize, the one place that adjoins an inverse,
+builds through it too.  No builder states a parameter swap.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from superplane.algebra import (
     RewriteRule,
     RuleError,
     koszul_swap,
-    param_swap_rules,
     unit_rules,
 )
 from superplane.parsing import parse_expression
@@ -132,26 +131,21 @@ def non_param_gens(pres: Presentation) -> list[GeneratorDecl]:
                    if g.klass is not GenClass.PARAMETER), key=lambda g: g.sort_key)
 
 
-def scaffold(name: str, decls) -> Presentation:
-    """Rule-free presentation: a naming context for parsing and morphisms."""
-    return Presentation(name, decls, [], require_complete=False)
-
-
-def param_scratch(name: str, decls, rules=()) -> Presentation:
-    """Presentation with the parameter swap rules followed by rules."""
-    return Presentation(name, decls, param_swap_rules(decls) + list(rules),
-                        require_complete=False)
+def scaffold(name: str, decls, rules=()) -> Presentation:
+    """The incomplete presentation of rules and the parameter swaps: a
+    naming context for parsing and maps, or a scratch space to reduce in."""
+    return Presentation(name, decls, rules, require_complete=False)
 
 
 def _build(name, decls, rules=(), table=()) -> Presentation:
     """The presentation of rules, or of the (lhs, rhs) text rows of table,
-    followed by the parameter swap rules."""
+    and the parameter swaps."""
     if table:
         ctx = scaffold("table", decls)
         rules = [RewriteRule(tuple(lhs.split()), parse_expression(rhs, ctx))
                  for lhs, rhs in table]
     try:
-        return Presentation(name, decls, list(rules) + param_swap_rules(decls))
+        return Presentation(name, decls, rules)
     except AlgebraError as exc:
         raise ConstructionFailure(f"{name}: {exc}") from exc
 
@@ -230,7 +224,7 @@ class ContractionMap(namedtuple("ContractionMap", "forward backward")):
 
 def build_contraction(pq: Presentation) -> ContractionMap:
     E = Expression
-    frame = param_scratch("h-frame-params", H_DECLS)
+    frame = scaffold("h-frame-params", H_DECLS)
     forward = Morphism(
         frame,
         pq,
@@ -352,7 +346,7 @@ def derive_h_relations(cmap: ContractionMap, pairs=H_REDUCIBLE_PAIRS) -> dict:
                     f"pair {w} maps onto itself and its reverse does not reach it"
                 )
         general[w] = solved
-    closure = param_scratch(
+    closure = scaffold(
         "h-frame-closure", H_DECLS, [RewriteRule(w, general[w]) for w in pairs]
     )
     out = {}
@@ -456,9 +450,9 @@ def localize(pres: Presentation, gen_id: str, name: str) -> Presentation:
     in a scratch presentation of the parameter swaps and the two unit
     rules, so one normal form moves the parameters to the front and
     cancels every unit pair, all on one budget of DEFAULT_FUEL steps.  The
-    rules of pres on a parameter are taken to be its swaps, as _build
-    makes them; _build appends the swaps of the result, the inverse's
-    among them.
+    parameters are central by declaration, so only the rules of pres off
+    them are carried over, and the result's swaps, the inverse's among
+    them, come with its Presentation.
     """
     g = pres.gens.get(gen_id)
     ginv = gen_id + "inv"
@@ -471,7 +465,7 @@ def localize(pres: Presentation, gen_id: str, name: str) -> Presentation:
     decls = [*pres.gens.values(),
              GeneratorDecl(ginv, 0, GenClass.INVERSE, g.sort_key + 1)]
     units = unit_rules(gen_id, ginv)
-    scratch = param_scratch(name, decls, units)
+    scratch = scaffold(name, decls, units)
     budget = Budget(DEFAULT_FUEL)
     sandwich = Expression.from_gen(ginv)
     rules = non_param_rules(pres) + units

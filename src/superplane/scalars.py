@@ -43,6 +43,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, zip_longest
 from math import gcd, lcm
+from typing import Iterator
 
 # entries kept by each of the two memos of non-constant Scalar arithmetic,
 # and constants kept interned; a cold catalog plus verify --suite all
@@ -157,10 +158,17 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._c
 
+    def _terms(self) -> Iterator[tuple[tuple[int, int], tuple[int, int, int]]]:
+        """Terms in descending graded-lex order, each coefficient as the
+        ints (a, b, d) of (a + b*i)/d in lowest terms, d > 0."""
+        for m in sorted(self._c, key=_grlex_key, reverse=True):
+            a, b = self._c[m]
+            g = gcd(a, b, self._d)
+            yield m, (a // g, b // g, self._d // g)
+
     def items(self) -> list[tuple[tuple[int, int], "Scalar"]]:
-        """Terms in descending graded-lex order."""
-        return [(m, _const_scalar(*self._c[m], self._d))
-                for m in sorted(self._c, key=_grlex_key, reverse=True)]
+        """Terms in descending graded-lex order, their constants not interned."""
+        return [(m, _const_raw(*k)) for m, k in self._terms()]
 
     def leading(self) -> tuple[tuple[int, int], "Scalar"]:
         if not self._c:
@@ -765,9 +773,12 @@ def _const_scalar(a: int, b: int, d: int) -> Scalar:
     return _interned(a, b, d)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _interned(a: int, b: int, d: int) -> Scalar:
+def _const_raw(a: int, b: int, d: int) -> Scalar:
+    """A new Scalar of the nonzero constant (a + b*i)/d in lowest terms."""
     return _scalar_raw(_poly_raw({(0, 0): (a, b)}, d), _POLY_ONE)
+
+
+_interned = lru_cache(maxsize=MEMO_SIZE)(_const_raw)
 
 
 def as_scalar(x):
@@ -789,6 +800,6 @@ _POLY_ZERO = Poly({})
 _POLY_ONE = Poly({(0, 0): 1})
 _S_ZERO = Scalar(0)
 _S_ONE = Scalar(1)
-_S_I = _scalar_raw(_poly_raw({(0, 0): (0, 1)}, 1), _POLY_ONE)
+_S_I = _const_raw(0, 1, 1)
 _S_P = Scalar(Poly({(1, 0): 1}))
 _S_Q = Scalar(Poly({(0, 1): 1}))

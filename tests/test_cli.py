@@ -1,11 +1,13 @@
 """Command dispatch, exit codes, and output shape of the console tool."""
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,8 @@ from superplane.parsing import parse_expression
 from superplane.verify import CheckResult, SuiteReport
 
 from reference import at_point, point_nf, reference_nf
+
+GOLDEN_DUMPS = Path(__file__).parent / "golden" / "presentations.sha256"
 
 
 def run_cli(capsys, *argv):
@@ -396,6 +400,23 @@ def test_rules_dump(capsys):
     assert code == 0
     assert "gen xinv" in out
     assert "rule" in out
+
+
+def test_rules_dumps_match_the_golden_hashes(capsys):
+    # tests/golden/presentations.sha256 holds one sha256sum -c line per
+    # catalog name, for NAME.txt, the output of rules --presentation NAME,
+    # so a construction change that moves a generator, rule or coefficient
+    # of a dump fails here (and in CI's sha256sum -c on every Python)
+    want = {}
+    for line in GOLDEN_DUMPS.read_text().splitlines():
+        digest, file = line.split("  ")
+        want[file.removesuffix(".txt")] = digest
+    code, out, _ = run_cli(capsys, "rules", "--list")
+    assert code == 0 and out.split() == list(want)
+    for name, digest in want.items():
+        code, out, _ = run_cli(capsys, "rules", "--presentation", name)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_rules_flags_are_exclusive(capsys):

@@ -12,7 +12,7 @@ import pytest
 from superplane import presentations
 from superplane.algebra import (
     Expression, GenClass, GeneratorDecl, Morphism, Presentation, RuleError,
-    unit_rules,
+    param_swap_rules, unit_rules,
 )
 from superplane.parsing import parse_expression, render_expression
 from superplane.presentations import (
@@ -35,8 +35,7 @@ from superplane.presentations import (
     choose_variant,
     derive_h_relations,
     localize,
-    param_scratch,
-    param_swap_rules,
+    scaffold,
     PQ_DECLS,
     SUPERGROUP_DECLS,
 )
@@ -95,7 +94,7 @@ def test_wrong_frame_coefficient_fails_the_round_trip(monkeypatch):
 def test_derivation_needs_a_pair_that_moves():
     # under the identity frame change x*th pulls back to itself, and the
     # pull-back of th*x, itself too, holds no x*th
-    frame = param_scratch("frame", H_DECLS)
+    frame = scaffold("frame", H_DECLS)
     same = Morphism(frame, frame,
                     {g: Expression.from_gen(g) for g in frame.gens})
     with pytest.raises(ConstructionFailure, match="maps onto itself"):
@@ -212,7 +211,7 @@ def test_h_rules_are_parity_homogeneous(cat):
 
 def test_cancel_units():
     decls = SUPERGROUP_DECLS + (GeneratorDecl("ainv", 0, GenClass.INVERSE, 15),)
-    scratch = param_scratch("units", decls, unit_rules("a", "ainv"))
+    scratch = scaffold("units", decls, unit_rules("a", "ainv"))
     e = Expression.from_word(("a", "ainv", "h1", "a", "d", "ainv"))
     got = scratch.normal_form(e)
     assert got == Expression.from_word(("h1", "a", "d", "ainv"))

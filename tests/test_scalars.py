@@ -5,6 +5,7 @@ Derived expected values are recomputed here by an independent route
 sampled rational points) before the canonical literals are asserted.
 """
 
+import hashlib
 import operator
 import os
 import random
@@ -601,6 +602,27 @@ class TestScalar:
         new = as_scalar(6)
         assert new is not old and new == old and hash(new) == hash(old)
         assert {old: 1}[new] == 1
+
+    def test_printing_takes_no_interned_constant(self):
+        # str() writes each term from its reduced triple and items() builds
+        # its constants apart, so the table stays with arithmetic; the texts
+        # are those written when printing went through the table
+        p, q, i = Scalar.p(), Scalar.q(), Scalar.i()
+        big = ((p + q + 1) ** 20).num
+        small = ((p / 2 + q * i / 3 + Fraction(2, 7)) ** 3).num
+        _interned.cache_clear()
+        text = str(big)
+        assert _interned.cache_info().currsize == 0
+        assert len(big) == 231 and text.startswith("p^20 + 20*p^19*q + ")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "9c6959490d39b8ec"
+        assert str(small) == (
+            "1/8*p^3 + 1/4*i*p^2*q - 1/6*p*q^2 - 1/27*i*q^3 + 3/14*p^2"
+            " + 2/7*i*p*q - 2/21*q^2 + 6/49*p + 4/49*i*q + 8/343")
+        got = small.items()
+        assert _interned.cache_info().currsize == 0
+        assert [(m, c.const) for m, c in got[:3]] == [
+            ((3, 0), (1, 0, 8)), ((2, 1), (0, 1, 4)), ((1, 2), (-1, 0, 6))]
+        assert got[0][1] == Scalar(Fraction(1, 8)) and got[1][1] == i / 4
 
     def test_equal_denominator_sum_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
