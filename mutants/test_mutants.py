@@ -74,6 +74,9 @@ MUTANTS = [
     ("missing-swaps-skipped", "algebra.py",
      "*swaps.values())", "*(r for lhs, r in swaps.items() if lhs in self._idx))",
      "tests/test_cli.py::test_rules_dumps_match_the_golden_hashes"),
+    ("number-operator-sign", "verify.py",
+     '"T": "x*px + th*pth"', '"T": "x*px - th*pth"',
+     "tests/test_verify.py::test_structured_checks_match_golden_file"),
 ]
 
 

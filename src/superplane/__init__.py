@@ -34,7 +34,6 @@ from superplane.parsing import (
 )
 from superplane.presentations import (
     AlgebraCatalog,
-    CompositeElements,
     ConstructionFailure,
     ContractionMap,
     DerivedRelation,

@@ -913,7 +913,7 @@ class Involution(Morphism):
     """
 
     def __init__(self, presentation: Presentation, images: Mapping[str, Expression], swap_pq: bool = False, name: str = ""):
-        self.presentation = self.source = self.target = presentation
+        self.source = self.target = presentation
         self.swap_pq = swap_pq
         self.name = name
         self.images = _checked_images(presentation, presentation, images)

@@ -7,10 +7,11 @@ pairs.  Presentations are addressed by catalog name (see `rules --list`).
 Exit status: 0 when everything passed, 1 when any check or reduction
 failed, 2 for usage and parse errors.  A reduction that runs out of fuel
 or of memory is a failed reduction: `reduce` then prints a one-line error
-and exits 1.  `--fuel` bounds one budget of rewrite steps: the parse and
-reduction of `reduce`, each suite of `verify`, the whole `critical-pairs`
-scan; a `verify` fuel error names the suite and the check that ran out,
-since every row spends its fuel in its own check.  Reports go to stdout,
+and exits 1.  `--fuel` bounds one budget of rewrite steps: the parse of
+`reduce`, which reduces each product as it forms it and so gives the
+normal form, each suite of `verify`, the whole `critical-pairs` scan; a
+`verify` fuel error names the suite and the check that ran out, since
+every row spends its fuel in its own check.  Reports go to stdout,
 diagnostics to stderr.  A reader that closes the pipe early (`| head`) gets
 what it read, and the verb exits 1 with nothing on stderr; any other failure
 to write the output, a closed stdout among them, exits 1 with one line.
@@ -94,12 +95,11 @@ def _named_presentation(name: str):
 
 def _cmd_reduce(ns) -> int:
     pres = _named_presentation(ns.presentation)
-    # products are reduced as the parser forms them, on one budget with
-    # the final reduction
+    # products are reduced as the parser forms them, on one budget, so the
+    # parse is the normal form
     mul = pres.multiplier(ns.fuel)
     try:
-        expr = parse_expression(ns.expression, pres, mul)
-        print(render_expression(mul(expr)))
+        print(render_expression(parse_expression(ns.expression, pres, mul)))
         return OK
     except DivisionByZero as exc:
         raise UsageError(str(exc)) from exc

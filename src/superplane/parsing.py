@@ -235,7 +235,9 @@ def parse_expression(text: str, pres: Presentation,
     """Parse text into an Expression over the presentation's generators,
     forming every product with product(a, b).  The whole text is read, and
     its syntax, exponents and generators checked, before the first
-    product is formed."""
+    product is formed.  With product a multiplier of pres the result is a
+    normal form: a lone letter is one, since every rule has two letters on
+    its left, and so are sums and scalings of normal forms."""
     parser = _Parser(_tokenize(text), pres)
     tree = parser.parse_expr()
     kind, val, pos = parser.peek()

@@ -1,11 +1,11 @@
 """The deformed-superplane algebra family, encoded as data.
 
 Builders for each presentation, the contraction between the two generator
-frames, the supergroup coaction, the involutions, and the composite
-elements.  Generator spellings are ASCII throughout: th (odd coordinate),
-dx/dth (differentials), px/pth (derivatives), h1/h2 (odd nilpotent
-parameters), a/be/ga/d (supergroup entries), Ap/A/Bp/B (oscillators);
-inverses append "inv".
+frames, the supergroup coaction, the involutions and the ladder dictionary.
+Generator spellings are ASCII throughout: th (odd coordinate), dx/dth
+(differentials), px/pth (derivatives), h1/h2 (odd nilpotent parameters),
+a/be/ga/d (supergroup entries), Ap/A/Bp/B (oscillators); inverses append
+"inv".
 
 The contraction is the one place that states the frame-change
 coefficients.  The ladder dictionary is its forward map with the plane
@@ -623,57 +623,18 @@ def build_oscillator_star(oscillator: Presentation) -> Involution:
     )
 
 
-# --------------------------------------------------------- composites
-
-class CompositeElements(namedtuple("CompositeElements", (
-        "exterior number_operator supercharge frame_form_x frame_form_th "
-        "position_even position_odd momentum_even momentum_odd"))):
-    """Named elements built from the generators, each an Expression.
-
-    exterior lives in the full h calculus; number_operator and supercharge
-    in its derivative sector; the frame forms in the localized one-forms
-    presentation; the hermitian positions and momenta in the
-    non-differential sector.
-    """
-
-    __slots__ = ()
-
-
-def build_composites(h_calculus: Presentation, one_forms: Presentation) -> CompositeElements:
-    def hexpr(text):
-        return parse_expression(text, h_calculus)
-
-    def fexpr(text):
-        return parse_expression(text, one_forms)
-
-    return CompositeElements(
-        exterior=hexpr("dx*px + dth*pth"),
-        number_operator=hexpr("x*px + th*pth"),
-        supercharge=hexpr("x*pth"),
-        frame_form_x=fexpr("dx*inv(x)"),
-        # d(th*inv(x)) expanded by the graded Leibniz rule; the two
-        # expansions dth*inv(x) + th*inv(x)*dx*inv(x) and
-        # dth*inv(x) - dx*inv(x)*th*inv(x) coincide after reduction.
-        frame_form_th=fexpr("dth*inv(x) + th*inv(x)*dx*inv(x)"),
-        position_even=hexpr("x + h1*h2*x + h1*th"),
-        position_odd=hexpr("th - h1*h2*th + h2*x"),
-        momentum_even=hexpr("i*px + i*h1*h2*px - i*h2*pth"),
-        momentum_odd=hexpr("pth - h1*h2*pth + h1*px"),
-    )
-
-
 # -------------------------------------------------------------- catalog
 
 class AlgebraCatalog(namedtuple("AlgebraCatalog", (
         "primed_calculus h_calculus supergroup localized_supergroup "
         "covariance_tensor oscillator one_forms contraction derived coaction "
-        "plane_dagger oscillator_star oscillator_dictionary composites "
+        "plane_dagger oscillator_star oscillator_dictionary "
         "coord_diff_variant variant_matches"))):
     """The model family built once per process by build_catalog: seven
     Presentations, the ContractionMap, the derived relations (a dict of
     DerivedRelation by word), the coaction and ladder dictionary
-    (Morphisms), the two Involutions, the CompositeElements, and the
-    coordinate-differential variant chosen with its per-variant matches."""
+    (Morphisms), the two Involutions, and the coordinate-differential
+    variant chosen with its per-variant matches."""
 
     __slots__ = ()
 
@@ -688,7 +649,6 @@ def build_catalog() -> AlgebraCatalog:
     loc_supergroup = build_localized_supergroup(supergroup)
     covariance = build_covariance_tensor(loc_supergroup, h_calc)
     oscillator = build_oscillator()
-    one_forms = build_one_forms(h_calc)
     return AlgebraCatalog(
         primed_calculus=pq,
         h_calculus=h_calc,
@@ -696,14 +656,13 @@ def build_catalog() -> AlgebraCatalog:
         localized_supergroup=loc_supergroup,
         covariance_tensor=covariance,
         oscillator=oscillator,
-        one_forms=one_forms,
+        one_forms=build_one_forms(h_calc),
         contraction=contraction,
         derived=derived,
         coaction=build_coaction(h_calc, covariance),
         plane_dagger=build_plane_dagger(h_calc),
         oscillator_star=build_oscillator_star(oscillator),
         oscillator_dictionary=build_oscillator_dictionary(oscillator, contraction),
-        composites=build_composites(h_calc, one_forms),
         coord_diff_variant=variant,
         variant_matches=matches,
     )

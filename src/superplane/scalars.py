@@ -47,7 +47,7 @@ from typing import Iterator
 
 # entries kept by each of the two memos of non-constant Scalar arithmetic,
 # and constants kept interned; a cold catalog plus verify --suite all
-# leaves under 200 in each memo and 31 interned constants
+# leaves 156 sums, 126 products and 13 interned constants
 MEMO_SIZE = 1024
 
 

@@ -27,9 +27,8 @@ from functools import partial
 from .algebra import DEFAULT_FUEL, Budget, Expression, FuelExhausted, Morphism
 from .parsing import fingerprint, parse_expression, render_expression
 from .presentations import (COORD_DIFF_TARGETS, H_REDUCIBLE_PAIRS, LADDER,
-                            PLANE_DECLS, AlgebraCatalog, has_param,
-                            non_param_gens, non_param_rules,
-                            round_trip_residuals)
+                            AlgebraCatalog, has_param, non_param_gens,
+                            non_param_rules, round_trip_residuals)
 from .scalars import Scalar
 
 PASS = "Pass"
@@ -212,15 +211,38 @@ def run_contraction_suite(cat: AlgebraCatalog, budget: Budget):
     return rows, [cat.primed_calculus, h]
 
 
+# ------------------------------------------------- composite elements
+#
+# The named elements the suites check, as text.  Each suite parses the ones
+# it checks with the free product, so parsing spends no fuel.
+
+# the exterior derivative d = dx*px + dth*pth, in any calculus frame
+EXTERIOR = "dx*px + dth*pth"
+# the number operator T and the supercharge N, in the h calculus
+OPERATORS = {"T": "x*px + th*pth", "N": "x*pth"}
+# the frame one-forms w and u, in the localized one-forms presentation;
+# u = d(th*inv(x)) expanded by the graded Leibniz rule, whose two
+# expansions dth*inv(x) + th*inv(x)*dx*inv(x) and
+# dth*inv(x) - dx*inv(x)*th*inv(x) coincide after reduction
+FRAME_FORMS = {"w": "dx*inv(x)", "u": "dth*inv(x) + th*inv(x)*dx*inv(x)"}
+# the hermitian positions XH (even) and TH (odd) and momenta PX (even) and
+# PT (odd), in the h calculus
+HATTED = {
+    "XH": "x + h1*h2*x + h1*th",
+    "TH": "th - h1*h2*th + h2*x",
+    "PX": "i*px + i*h1*h2*px - i*h2*pth",
+    "PT": "pth - h1*h2*pth + h1*px",
+}
+
+
 @_suite("differential")
 def run_differential_structure_suite(cat: AlgebraCatalog, budget: Budget):
     """Nilpotency and pass-through behaviour of the exterior composite."""
     h = cat.h_calculus
     pq = cat.primed_calculus
-    D = cat.composites.exterior
     gen = Expression.from_gen
-    D_pq = parse_expression("dx*px + dth*pth", pq)
-    D_free = parse_expression("dx*px + dth*pth", cat.contraction.forward.source)
+    D, D_pq, D_free = (parse_expression(EXTERIOR, pres) for pres in (
+        h, pq, cat.contraction.forward.source))
     rows = [
         _check("square-zero", partial(h.normal_form, D * D, budget)),
         _check("square-zero-primed",
@@ -291,10 +313,8 @@ def run_forms_suite(cat: AlgebraCatalog, budget: Budget):
     operators built from the derivative sector."""
     forms = cat.one_forms
     h = cat.h_calculus
-    w = cat.composites.frame_form_x
-    u = cat.composites.frame_form_th
-    T = cat.composites.number_operator
-    N = cat.composites.supercharge
+    w, u = (parse_expression(t, forms) for t in FRAME_FORMS.values())
+    T, N = (parse_expression(t, h) for t in OPERATORS.values())
     gen = Expression.from_gen
     x, th = gen("x"), gen("th")
     h1, h2 = gen("h1"), gen("h2")
@@ -325,10 +345,8 @@ def run_forms_suite(cat: AlgebraCatalog, budget: Budget):
 
 # hatted-operator tables: ep and op are the even and odd hermitian
 # positions, em and om the even and odd hermitian momenta
-def _phase_rows(cat: AlgebraCatalog) -> list[tuple[str, Expression]]:
-    c = cat.composites
-    XH, TH, PX, PT = (c.position_even, c.position_odd,
-                      c.momentum_even, c.momentum_odd)
+def _phase_rows(XH: Expression, TH: Expression, PX: Expression,
+                PT: Expression) -> list[tuple[str, Expression]]:
     one = Expression.one()
     I = Scalar.i()
     gen = Expression.from_gen
@@ -370,10 +388,6 @@ def _phase_rows(cat: AlgebraCatalog) -> list[tuple[str, Expression]]:
     ]
 
 
-_PLANE_PAIRS = tuple(w for w in H_REDUCIBLE_PAIRS
-                     if set(w) <= {d.id for d in PLANE_DECLS})
-
-
 @_suite("phase-space")
 def run_phase_space_suite(cat: AlgebraCatalog, budget: Budget):
     """Hermitian conjugation fixes the hatted operators, preserves the
@@ -381,20 +395,19 @@ def run_phase_space_suite(cat: AlgebraCatalog, budget: Budget):
     printed deformed tables."""
     h = cat.h_calculus
     dag = cat.plane_dagger
-    c = cat.composites
+    hatted = [parse_expression(t, h) for t in HATTED.values()]
     rows = []
-    for cid, e in (("hermitian-position-even", c.position_even),
-                   ("hermitian-position-odd", c.position_odd),
-                   ("hermitian-momentum-even", c.momentum_even),
-                   ("hermitian-momentum-odd", c.momentum_odd)):
-        rows.append(_check(cid, lambda: h.normal_form(
+    for cid, e in zip(("position-even", "position-odd", "momentum-even",
+                       "momentum-odd"), hatted):
+        rows.append(_check("hermitian-" + cid, lambda: h.normal_form(
             dag.apply(e, budget) - e, budget)))
-    for word in _PLANE_PAIRS:
+    # the reducible pairs of the letters the dagger covers
+    for word in (w for w in H_REDUCIBLE_PAIRS if set(w) <= dag.images.keys()):
         rule = h.rule_for(word)
         expr = Expression.from_word(rule.lhs) - rule.rhs
         rows.append(_check("dagger-" + "-".join(word),
                            partial(dag.apply, expr, budget)))
-    for cid, expr in _phase_rows(cat):
+    for cid, expr in _phase_rows(*hatted):
         rows.append(_check(cid, partial(h.normal_form, expr, budget),
                            printed=True))
     return rows, [h]

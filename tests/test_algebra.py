@@ -864,7 +864,7 @@ class TestPrefixMemo:
         # budget per call starts from empty memos; the plain fold multiplies
         # the letter images one by one with no prefix memo at all
         m = CATALOG_MAPS[name](catalog)
-        target = m.presentation if isinstance(m, Involution) else m.target
+        target = m.target
         warm = Budget(DEFAULT_FUEL)
         letters = sorted(m.images)
         rng = random.Random(f"prefix-{name}")

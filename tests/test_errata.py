@@ -14,8 +14,8 @@ import pytest
 from superplane.algebra import Expression
 from superplane.parsing import parse_expression
 from superplane.scalars import Scalar
-from superplane.verify import (DISCREPANCY, PRINTED_GENERAL, PRINTED_LIMIT,
-                               _phase_rows)
+from superplane.verify import (DISCREPANCY, FRAME_FORMS, HATTED, OPERATORS,
+                               PRINTED_GENERAL, PRINTED_LIMIT, _phase_rows)
 
 from reference import EXPECTED_DISCREPANCIES
 
@@ -31,9 +31,9 @@ H_TERMS = {"h1*dth*px", "h2*dx*pth", "h1*h2*dx*px", "h1*h2*dth*pth"}
 
 # check id -> (corrected right side, cause, the words whose printed
 # coefficient the repair changes).  A right side is text in the grammar for
-# a row of the printed tables, and a function of the letters and composites
-# of run_forms_suite or _phase_rows for a forms or a phase-space row; so is
-# a listed word that is not text
+# a row of the printed tables, and a function of the letters and of verify's
+# composite elements for a forms or a phase-space row; so is a listed word
+# that is not text
 ERRATA = {
     "sigma-deriv-x-x": (DERIV_X_X, SIGN_H1_TH_PX, {"h1*th*px"}),
     "sigma-deriv-th-th": (DERIV_TH_TH, SIGN_H1_TH_PX, {"h1*th*px"}),
@@ -100,22 +100,22 @@ def printed_row(cat, cid):
     """(reduce, parse, lhs, printed right side) of the check cid: reduce
     is the path its suite reduces the row through, and parse reads a right
     side of ERRATA."""
-    c = cat.composites
+    h, forms = cat.h_calculus, cat.one_forms
     gen = Expression.from_gen
     one = Expression.one()
     f = SimpleNamespace(**{g: gen(g) for g in ("x", "th", "dth", "h1", "h2")},
-                        w=c.frame_form_x, u=c.frame_form_th,
-                        T=c.number_operator, N=c.supercharge,
-                        XH=c.position_even, TH=c.position_odd,
-                        PX=c.momentum_even, PT=c.momentum_odd,
+                        **{k: parse_expression(t, forms)
+                           for k, t in FRAME_FORMS.items()},
+                        **{k: parse_expression(t, h)
+                           for k, t in (OPERATORS | HATTED).items()},
                         one=one, i=one.scale(Scalar.i()))
     if cid == "operator-shift-th":
-        return (cat.h_calculus.normal_form, lambda rhs: rhs(f),
+        return (h.normal_form, lambda rhs: rhs(f),
                 f.N * f.th + f.th * f.N, f.x + f.h1 * (f.th * f.T))
     if cid == "one-form-th-u":
-        return (cat.one_forms.normal_form, lambda rhs: rhs(f), f.th * f.u,
+        return (forms.normal_form, lambda rhs: rhs(f), f.th * f.u,
                 f.u * f.th - f.h2 * (f.w * f.th + f.u * f.x))
-    rows = dict(_phase_rows(cat))
+    rows = dict(_phase_rows(f.XH, f.TH, f.PX, f.PT))
     if cid in rows:
         # a row's id names its two operators, ep and op the even and odd
         # positions, em and om the even and odd momenta; the suite checks
@@ -123,10 +123,8 @@ def printed_row(cat, cid):
         op = {"ep": f.XH, "op": f.TH, "em": f.PX, "om": f.PT}
         _, a, b = cid.split("-")
         lhs = op[a] * op[b]
-        return (cat.h_calculus.normal_form, lambda rhs: rhs(f), lhs,
-                lhs - rows[cid])
-    fwd, dic, h = (cat.contraction.forward, cat.oscillator_dictionary,
-                   cat.h_calculus)
+        return h.normal_form, lambda rhs: rhs(f), lhs, lhs - rows[cid]
+    fwd, dic = cat.contraction.forward, cat.oscillator_dictionary
     # the check ids as the contraction and oscillator suites name them
     reduce, pres, lhs, rhs = {
         prefix + key: (reduce, pres, lhs, rhs)

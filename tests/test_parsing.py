@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superplane.algebra import (
+    Budget,
     Expression,
     GenClass,
     GeneratorDecl,
@@ -143,6 +144,31 @@ class TestParse:
         assert parse_expression(deep + deep, pres) == E({("x", "x"): 1})
         signed = "-(" * MAX_NESTING + "inv(x)" + ")" * MAX_NESTING
         assert parse_expression(signed, pres) == E({("xinv",): 1})
+
+    @pytest.mark.parametrize("name, text", [
+        ("h-calculus", "x"),
+        ("h-calculus", "-dth"),
+        ("h-calculus", "(x+th+px+pth)^4"),
+        ("h-calculus", "2*px*x - (p - q)/p*th*x + i*h1*dth^2"),
+        ("pq-calculus", "(dx + dth)^2*x"),
+        ("oscillator", "(A*Ap + p*B)^3"),
+        ("covariance", "(a*x+be*th)^2*inv(d)"),
+        ("one-forms", "x*dx*inv(x)*th - dth"),
+        ("supergroup", "a*d - q*be*ga*inv(a)"),
+    ])
+    def test_a_parse_through_the_multiplier_is_a_normal_form(self, catalog,
+                                                             name, text):
+        # every product is reduced as it is formed, a lone letter is
+        # irreducible and sums and scalings of normal forms are normal
+        # forms, so reducing the parse again changes nothing and spends
+        # no fuel; reduce prints the parse as it is
+        pres = catalog_presentations(catalog)[name]
+        budget = Budget(10**5)
+        mul = pres.multiplier(budget)
+        e = parse_expression(text, pres, mul)
+        left = budget.left
+        assert mul(e) == e
+        assert budget.left == left
 
     def test_division_restrictions(self):
         pres = toy()

@@ -328,21 +328,6 @@ def test_oscillator_dictionary_images(cat):
         assert d.images[gid] == parse_expression(text, cat.oscillator), gid
 
 
-def test_composites_parities(cat):
-    comp = cat.composites
-    hp = cat.h_calculus
-    fp = cat.one_forms
-    assert expression_parity(hp, comp.exterior) == 1
-    assert expression_parity(hp, comp.number_operator) == 0
-    assert expression_parity(hp, comp.supercharge) == 1
-    assert expression_parity(fp, comp.frame_form_x) == 1
-    assert expression_parity(fp, comp.frame_form_th) == 0
-    assert expression_parity(hp, comp.position_even) == 0
-    assert expression_parity(hp, comp.position_odd) == 1
-    assert expression_parity(hp, comp.momentum_even) == 0
-    assert expression_parity(hp, comp.momentum_odd) == 1
-
-
 def test_param_swap_rule_count():
     rules = param_swap_rules(PQ_DECLS)
     # 2 params x 6 generators, one cross swap, two squares

@@ -8,7 +8,7 @@ import pytest
 
 from superplane import verify
 from superplane.algebra import Expression, FuelExhausted
-from superplane.parsing import render_expression
+from superplane.parsing import parse_expression, render_expression
 from superplane.scalars import Scalar
 from superplane.verify import (
     DISCREPANCY,
@@ -30,7 +30,7 @@ from superplane.verify import (
     run_phase_space_suite,
 )
 
-from reference import EXPECTED_DISCREPANCIES
+from reference import EXPECTED_DISCREPANCIES, expression_parity
 
 # exact residuals for the hand-checked mismatches
 FROZEN_RESIDUALS = {
@@ -205,6 +205,20 @@ def test_single_suite_matches_shared_run(catalog, reports, run):
     shared = by_suite(reports)[rep.suite]
     assert rep.results == shared.results
     assert rep.presentation_fingerprints == shared.presentation_fingerprints
+
+
+def test_composite_parities(catalog):
+    # each composite element is homogeneous, of the parity its letters give
+    h, forms = catalog.h_calculus, catalog.one_forms
+
+    def parities(texts, pres):
+        return {k: expression_parity(pres, parse_expression(t, pres))
+                for k, t in texts.items()}
+
+    assert parities({"d": verify.EXTERIOR}, h) == {"d": 1}
+    assert parities(verify.OPERATORS, h) == {"T": 0, "N": 1}
+    assert parities(verify.FRAME_FORMS, forms) == {"w": 1, "u": 0}
+    assert parities(verify.HATTED, h) == {"XH": 0, "TH": 1, "PX": 0, "PT": 1}
 
 
 def test_forms_includes_both_sectors(catalog):
