@@ -65,15 +65,19 @@ MUTANTS = [
     ("poly-product-sign", "scalars.py",
      "a + a1 * a2 - b1 * b2", "a + a1 * a2 + b1 * b2",
      "tests/test_scalars.py::TestPoly::test_product_expansion"),
-    ("divrem-unscaled", "scalars.py",
+    ("divexact-unscaled", "scalars.py",
      "k = n // g", "k = 1",
-     "tests/test_scalars.py::TestPoly::test_divrem_by_a_complex_divisor"),
+     "tests/test_scalars.py::TestPoly::test_divexact_by_a_complex_divisor"),
     ("cofactors-swapped", "scalars.py",
-     "return None if rem else (h, a, b)", "return None if rem else (h, b, a)",
+     "return h, f.divexact(h), g.divexact(h)", "return h, g.divexact(h), f.divexact(h)",
      "tests/test_scalars.py::TestScalar::test_cancellation"),
     ("missing-swaps-skipped", "algebra.py",
      "*swaps.values())", "*(r for lhs, r in swaps.items() if lhs in self._idx))",
      "tests/test_cli.py::test_rules_dumps_match_the_golden_hashes"),
+    ("given-parameter-image-dropped", "algebra.py",
+     "out[gid] = out.pop(gid, Expression.from_gen(gid))",
+     "out[gid] = Expression.from_gen(gid)",
+     "tests/test_algebra.py::TestMorphism::test_a_given_parameter_image_wins"),
     ("number-operator-sign", "verify.py",
      '"T": "x*px + th*pth"', '"T": "x*px - th*pth"',
      "tests/test_verify.py::test_structured_checks_match_golden_file"),

@@ -862,18 +862,19 @@ def check_local_confluence(
 
 
 class Morphism:
-    """Algebra homomorphism given by total generator images."""
+    """Algebra homomorphism given by total generator images, a parameter
+    fixed unless given one (_checked_images)."""
 
     def __init__(self, source: Presentation, target: Presentation, images: Mapping[str, Expression], name: str = ""):
         self.source = source
         self.target = target
         self.name = name
+        self.images = _checked_images(source, target, images)
         for gid in source.gens:
-            if gid not in images:
+            if gid not in self.images:
                 raise MissingImage(
                     f"{name or 'morphism'} lacks an image for generator {gid}"
                 )
-        self.images = _checked_images(source, target, images)
 
     def apply(self, expr: Expression, fuel: int | Budget = DEFAULT_FUEL) -> Expression:
         """The normal form of expr's image.  Each term's word is folded,
@@ -908,8 +909,9 @@ class Involution(Morphism):
     first and conjugates the coefficient (i -> -i, optionally with p and q
     swapped).
 
-    Images may be partial; applying to an uncovered generator raises
-    MissingImage.  Involutivity is checked on the covered generators.
+    Images may be partial, a parameter fixed unless given one; applying to
+    an uncovered generator raises MissingImage.  Involutivity is checked on
+    the covered generators.
     """
 
     def __init__(self, presentation: Presentation, images: Mapping[str, Expression], swap_pq: bool = False, name: str = ""):
@@ -943,13 +945,17 @@ class Involution(Morphism):
 def _checked_images(source: Presentation, target: Presentation,
                     images: Mapping[str, Expression]) -> dict[str, Expression]:
     """images as a dict, checked to be Expressions over target keyed by
-    generators of source."""
+    generators of source; each parameter of source that target declares
+    goes to itself unless given an image, last in declaration order."""
     out: dict[str, Expression] = {}
     for gid, e in images.items():
         if gid not in source.gens:
             raise RuleError(f"image given for unknown generator {gid}")
         target._validate_expr(e)
         out[gid] = e
+    for gid, g in source.gens.items():
+        if g.klass is GenClass.PARAMETER and gid in target.gens:
+            out[gid] = out.pop(gid, Expression.from_gen(gid))
     return out
 
 

@@ -251,12 +251,10 @@ def parse_expression(text: str, pres: Presentation,
 
 def _join(terms: list[str]) -> str:
     """The sum of the term texts, a term that starts with "-" subtracted."""
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    if len(terms) < 2:
+        return terms[0] if terms else "0"
+    return terms[0] + "".join([" - " + t[1:] if t[0] == "-" else " + " + t
+                               for t in terms[1:]])
 
 
 def _times(factor: str, body: str) -> str:

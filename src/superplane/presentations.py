@@ -24,7 +24,10 @@ Two sort-key conventions matter everywhere:
 
 Every presentation here is built by _build, which reports a bad rule as a
 ConstructionFailure; localize, the one place that adjoins an inverse,
-builds through it too.  No builder states a parameter swap.
+builds through it too.  No builder states a parameter swap, nor the image
+of a parameter a map fixes: a Morphism or Involution sends h1 and h2 to
+themselves unless given images, and only the plane dagger gives one
+(h2 -> -h2).
 """
 
 from __future__ import annotations
@@ -235,8 +238,6 @@ def build_contraction(pq: Presentation) -> ContractionMap:
             "dth": E({("h2", "dx"): _C2, ("dth",): 1, ("h1", "h2", "dth"): -_CH}),
             "px": E({("px",): 1, ("h1", "h2", "px"): _CH, ("h2", "pth"): _C2}),
             "pth": E({("h1", "px"): -_C1, ("pth",): 1}),
-            "h1": E.from_gen("h1"),
-            "h2": E.from_gen("h2"),
         },
         name="h-to-pq",
     )
@@ -250,8 +251,6 @@ def build_contraction(pq: Presentation) -> ContractionMap:
             "dth": E({("h2", "dx"): -_C2, ("dth",): 1}),
             "px": E({("px",): 1, ("h2", "pth"): -_C2}),
             "pth": E({("h1", "px"): _C1, ("pth",): 1, ("h1", "h2", "pth"): -_CH}),
-            "h1": E.from_gen("h1"),
-            "h2": E.from_gen("h2"),
         },
         name="pq-to-h",
     )
@@ -530,8 +529,6 @@ def build_coaction(h_calculus: Presentation, covariance: Presentation) -> Morphi
             "dth": img("-ga*dx + d*dth"),
             "px": img("(inv(a) - inv(a)*ga*inv(d)*be*inv(a))*px - inv(a)*ga*inv(d)*pth"),
             "pth": img("(inv(d) - inv(d)*be*inv(a)*ga*inv(d))*pth + inv(d)*be*inv(a)*px"),
-            "h1": Expression.from_gen("h1"),
-            "h2": Expression.from_gen("h2"),
         },
         name="coaction",
     )
@@ -572,13 +569,12 @@ def build_oscillator_dictionary(oscillator: Presentation,
                                 contraction: ContractionMap) -> Morphism:
     """Non-differential h-frame generators as oscillator composites: the
     forward contraction images with the plane letters renamed by LADDER."""
-    rename = dict(LADDER, h1="h1", h2="h2")
     images = {
         gid: Expression(
-            {tuple(rename[l] for l in w): c for w, c in img.terms()}
+            {tuple(LADDER.get(l, l) for l in w): c for w, c in img.terms()}
         )
         for gid, img in contraction.forward.images.items()
-        if gid in rename
+        if gid in LADDER
     }
     return Morphism(
         scaffold("plane", PLANE_DECLS), oscillator, images,
@@ -599,7 +595,6 @@ def build_plane_dagger(h_calculus: Presentation) -> Involution:
             "th": img("th - 2*h1*h2*th + 2*h2*x"),
             "px": img("-px - 2*h1*h2*px + 2*h2*pth"),
             "pth": img("pth - 2*h1*h2*pth + 2*h1*px"),
-            "h1": img("h1"),
             "h2": img("-h2"),
         },
         name="plane-dagger",
@@ -615,8 +610,6 @@ def build_oscillator_star(oscillator: Presentation) -> Involution:
             "Ap": E.from_gen("A"),
             "B": E.from_gen("Bp"),
             "Bp": E.from_gen("B"),
-            "h1": E.from_gen("h1"),
-            "h2": E.from_gen("h2"),
         },
         swap_pq=True,
         name="oscillator-star",

@@ -229,21 +229,19 @@ class Poly:
             raise ValueError("polynomial powers must be nonnegative integers")
         return power(self, n, _POLY_ONE)
 
-    def divrem(self, d: "Poly") -> tuple["Poly", "Poly"]:
-        """Division with remainder under graded-lex order.
-
-        Returns (quot, rem) with self == quot * d + rem, where no term of rem
-        is divisible by the leading monomial of d.  On the ints: each step
-        divides the leading term of the running remainder r by the leading
-        x + y*i of d by multiplying by x - y*i, and first scales r, quot and
-        rem, all kept at s times their value, by the factor of x*x + y*y
-        that this needs.
-        """
+    def divexact(self, d: "Poly") -> "Poly":
+        """The quotient self / d under graded-lex order; ValueError when d
+        does not divide self.  On the ints: each step divides the leading
+        term of the running remainder r by the leading x + y*i of d by
+        multiplying by x - y*i, and first scales r and quot, both kept at s
+        times their value, by the factor of x*x + y*y that this needs.  Were
+        the division exact, the leading monomial of d would divide every
+        leading term of r, so the first it does not divide ends it."""
         if type(d) is not Poly:
             raise TypeError(f"bad divisor {d!r}")
         if d.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        r, quot, rem, s = dict(self._c), {}, {}, 1
+        r, quot, s = dict(self._c), {}, 1
         dm = max(d._c, key=_grlex_key)
         x, y = d._c[dm]
         n = x * x + y * y
@@ -252,16 +250,15 @@ class Poly:
             m = max(r, key=_grlex_key)
             i, j = m[0] - dm[0], m[1] - dm[1]
             if i < 0 or j < 0:
-                rem[m] = r.pop(m)
-                continue
+                raise ValueError("inexact polynomial division")
             u, v = r.pop(m)
             u, v = u * x + v * y, v * x - u * y
             g = gcd(n, u, v)
             k = n // g
             if k != 1:
                 s *= k
-                r, quot, rem = ({w: (a * k, b * k) for w, (a, b) in t.items()}
-                                for t in (r, quot, rem))
+                r, quot = ({w: (a * k, b * k) for w, (a, b) in t.items()}
+                           for t in (r, quot))
             u, v = u // g, v // g
             quot[(i, j)] = (u, v)
             for (di, dj), (a, b) in rest:
@@ -272,17 +269,9 @@ class Poly:
                     r[mm] = (e, f)
                 else:
                     del r[mm]
-        # s*F == quot*D + rem for the ints F and D of self and d
-        den = s * self._d
-        quot = {w: (a * d._d, b * d._d) for w, (a, b) in quot.items()}
-        return _lowest(quot, den), _lowest(rem, den)
-
-    def divexact(self, d) -> "Poly":
-        """Exact division; raises ValueError when the quotient is not exact."""
-        quot, rem = self.divrem(d)
-        if rem:
-            raise ValueError("inexact polynomial division")
-        return quot
+        # s*F == quot*D for the ints F and D of self and d
+        return _lowest({w: (a * d._d, b * d._d) for w, (a, b) in quot.items()},
+                       s * self._d)
 
     def eval(self, p0, q0) -> "Scalar":
         """The constant value at p = u/x and q = v/y, on ints: the sum of
@@ -459,11 +448,10 @@ def _modular_gcd(f: Poly, g: Poly,
         h = (f if list(F) == deg else g).monic()
     elif (h := _interpolated(f, g, deg, l, r, bits)) is None:
         return None
-    a, rem = f.divrem(h)
-    if rem:
+    try:
+        return h, f.divexact(h), g.divexact(h)
+    except ValueError:
         return None
-    b, rem = g.divrem(h)
-    return None if rem else (h, a, b)
 
 
 def _interpolated(f: Poly, g: Poly, deg: list[int], l: int, r: int,

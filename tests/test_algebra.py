@@ -839,6 +839,26 @@ class TestMorphism:
             apply(yx + wz, 1)
         assert apply(yx + wz, 2) == E({("x", "y"): Q, ("z", "w"): Q})
 
+    def test_an_omitted_parameter_goes_to_itself(self):
+        pres = koszul_qmix()
+        x, e, h = E.from_gen("x"), E.from_gen("e"), E.from_gen("h")
+        m = Morphism(pres, pres, {"x": x.scale(Q), "e": e})
+        assert m.images == {"x": x.scale(Q), "e": e, "h": h}
+        assert m.apply(E({("h", "x", "e"): 1})) == E({("h", "x", "e"): Q})
+
+    def test_a_given_parameter_image_wins(self):
+        # and the parameters still come last, in declaration order
+        pres = koszul_qmix()
+        x, e, h = E.from_gen("x"), E.from_gen("e"), E.from_gen("h")
+        m = Morphism(pres, pres, {"h": -h, "x": x, "e": e})
+        assert list(m.images.items()) == [("x", x), ("e", e), ("h", -h)]
+        assert m.apply(E({("h", "e"): 1})) == E({("h", "e"): -1})
+
+    def test_a_parameter_the_target_lacks_needs_an_image(self):
+        x, e = E.from_gen("x"), E.from_gen("e")
+        with pytest.raises(MissingImage, match="generator h"):
+            Morphism(koszul_qmix(), qmix(), {"x": x, "e": e})
+
     @given(st.lists(st.sampled_from(["e1", "e2"]), max_size=4).map(tuple))
     def test_homomorphism_property(self, word):
         g = grassmann()
@@ -964,6 +984,13 @@ class TestInvolution:
         g = grassmann()
         with pytest.raises(NotInvolutive):
             Involution(g, {"e1": E({("e1",): 2})})
+
+    def test_an_omitted_parameter_goes_to_itself(self):
+        pres = koszul_qmix()
+        star = Involution(pres, {"x": E.from_gen("x"), "e": E.from_gen("e")})
+        assert star.images["h"] == E.from_gen("h")
+        # h*e = -e*h, so reversing the word flips the sign
+        assert star.apply(E({("h", "e"): 1})) == E({("h", "e"): -1})
 
     def test_partial_involution_raises_missing_image_on_apply(self):
         g = grassmann()

@@ -310,6 +310,17 @@ def test_plane_dagger_images(cat):
         assert dag.apply(dag.apply(g)) == pres.normal_form(g)
 
 
+def test_every_map_fixes_the_parameters_but_the_dagger(cat):
+    # no builder states the image of a parameter it fixes; the plane
+    # dagger alone gives one, h2 -> -h2
+    h1, h2 = Expression.from_gen("h1"), Expression.from_gen("h2")
+    for m in (cat.contraction.forward, cat.contraction.backward, cat.coaction,
+              cat.plane_dagger, cat.oscillator_star, cat.oscillator_dictionary):
+        sign = -1 if m is cat.plane_dagger else 1
+        assert list(m.images)[-2:] == ["h1", "h2"], m.name
+        assert (m.images["h1"], m.images["h2"]) == (h1, h2.scale(sign)), m.name
+
+
 def test_oscillator_star_swaps_p_and_q(cat):
     star = cat.oscillator_star
     e = Expression.from_word(("A",), Scalar.p())
