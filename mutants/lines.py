@@ -1,11 +1,14 @@
 """Line probe: every statement of src/superplane/ runs under tier-1.
 
-The probe runs tier-1 as CI does, with trace/ first on PYTHONPATH, so that
-its sitecustomize.py traces every interpreter that the tests start.  A
-statement is counted at the line where it starts, a decorated def at its
-first decorator; docstrings are not statements.  It prints `file:line:
-text` for each statement that no test ran.  Exit status 1 when it printed
-one or tier-1 failed, else 0.  Run from the repository root:
+The probe is CI's only run of tier-1: under `-X dev -W error`, so that a
+warning fails a test, with `--durations=10`, which puts the ten slowest
+tests in the log (traced, they take about twice as long as untraced), and
+with trace/ first on PYTHONPATH, so that its sitecustomize.py traces every
+interpreter that the tests start.  A statement is counted at the line
+where it starts, a decorated def at its first decorator; docstrings are
+not statements.  It prints `file:line: text` for each statement that no
+test ran.  Exit status 1 when it printed one or tier-1 failed, else 0.
+Run from the repository root:
 
     python mutants/lines.py
 """
@@ -54,7 +57,8 @@ def run_traced():
             [str(ROOT / "mutants" / "trace"), str(ROOT / "src")]))
         code = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "pytest", "-q",
-             "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+             "-p", "no:cacheprovider", "--continue-on-collection-errors",
+             "--durations=10"],
             cwd=ROOT, env=env).returncode
         run = {}
         for path in Path(dump).glob("*.json"):

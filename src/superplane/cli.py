@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Verbs: reduce an expression to normal form, run verification suites,
-dump a presentation, or scan a presentation for non-joinable critical
-pairs.  Presentations are addressed by catalog name (see `rules --list`).
+Verbs: reduce to normal form (`-` reads the expression from stdin), run
+verification suites, dump a presentation or scan it for non-joinable
+critical pairs.  Presentations go by catalog name (see `rules --list`).
 
 Exit status: 0 when everything passed, 1 when any check or reduction
 failed, 2 for usage and parse errors.  A reduction that runs out of fuel
@@ -42,9 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # as -h with an argument, so such an expression comes after --
     red = sub.add_parser(
         "reduce", help="print the normal form of an expression",
-        usage="%(prog)s [-h] --presentation NAME [--fuel FUEL] [--] expression\n"
+        usage="%(prog)s [-h] --presentation NAME [--fuel FUEL] [--] (expression | -)\n"
               "(write -- before an expression that starts with '-', as in -- -dth)")
-    red.add_argument("expression", help="write -- before it if it starts with '-'")
+    red.add_argument("expression", help="write -- before it if it starts with "
+                     "'-'; - reads it from stdin")
     red.add_argument("--presentation", required=True, metavar="NAME")
     red.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     red.set_defaults(run=_cmd_reduce)
@@ -95,6 +96,13 @@ def _named_presentation(name: str):
 
 def _cmd_reduce(ns) -> int:
     pres = _named_presentation(ns.presentation)
+    if ns.expression == "-":
+        if sys.stdin is None:
+            raise UsageError("cannot read stdin: it is closed")
+        try:
+            ns.expression = sys.stdin.buffer.read().decode()
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read stdin: {exc}") from exc
     # products are reduced as the parser forms them, on one budget, so the
     # parse is the normal form
     mul = pres.multiplier(ns.fuel)

@@ -264,6 +264,59 @@ def test_reduce_expression_that_starts_with_minus(capsys):
         assert (code, out, err) == (0, text + "\n", "")
 
 
+def stdin_of(data):
+    # what sys.stdin is when the bytes are piped in
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("dash", [["-"], ["--", "-"]], ids=["dash", "after--"])
+def test_reduce_reads_stdin_as_the_argument(capsys, monkeypatch, dash):
+    # `-` reads the expression from stdin, after -- too, and prints what
+    # the expression as the argument prints; a printed form reads back
+    _, form, _ = run_cli(capsys, "reduce", "(p+q+1)^20*x",
+                         "--presentation", "h-calculus")
+    for text in ("-dth", "(1/2 + i/3)*x*(p - i*q)/(2*p + 3)", form.strip()):
+        argued = run_cli(capsys, "reduce", "--presentation", "h-calculus",
+                         "--", text)
+        assert argued[0] == 0
+        monkeypatch.setattr(sys, "stdin", stdin_of(text.encode()))
+        piped = run_cli(capsys, "reduce", "--presentation", "h-calculus",
+                        *dash)
+        assert piped == argued, text[:20]
+    assert piped[1] == form
+
+
+def test_reduce_reads_stdin_past_the_argument_cap():
+    # Linux caps one argument at 128 kB; 132,001 bytes as the argument fail
+    # at exec with "Argument list too long", piped in they reduce
+    text = "x + " * 33000 + "x"
+    assert len(text) == 132001
+    proc = subprocess.run(
+        [sys.executable, "-m", "superplane", "reduce", "--presentation",
+         "h-calculus", "-"], input=text, capture_output=True, text=True,
+        timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "33001*x\n", "")
+
+
+@pytest.mark.parametrize("stdin, message", [
+    (None, "cannot read stdin: it is closed"),
+    (b"", "unexpected end of input (at position 0)"),
+    (b"x*\xff", "cannot read stdin: 'utf-8' codec can't decode byte 0xff in"
+                " position 2: invalid start byte"),
+], ids=["closed", "empty", "not-utf8"])
+def test_reduce_unreadable_stdin_is_a_usage_error(capsys, monkeypatch, stdin,
+                                                  message):
+    # an empty stdin parses as the empty argument does
+    monkeypatch.setattr(sys, "stdin", stdin if stdin is None
+                        else stdin_of(stdin))
+    code, out, err = run_cli(capsys, "reduce", "--presentation",
+                             "h-calculus", "-")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    if stdin == b"":
+        assert run_cli(capsys, "reduce", "--presentation", "h-calculus",
+                       "") == (code, out, err)
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.data())
 def test_reduce_fuzz(data):
