@@ -53,6 +53,9 @@ MUTANTS = [
     ("split-sign-dropped", "algebra.py",
      "                    sign = -sign", "                    sign = sign",
      "tests/test_algebra.py::TestNormalForm::test_rule_parameters_move_with_their_sign"),
+    ("word-sign-dropped", "algebra.py",
+     "acc = [(k, -v) for k, v in acc]", "acc = [(k, v) for k, v in acc]",
+     "tests/test_algebra.py::TestNormalForm::test_grassmann_signs"),
     ("degree-0-exit-takes-linear", "scalars.py",
      "if deg == [0, 0]:", "if max(deg) <= 1:",
      "tests/test_scalars.py::TestPoly::test_gcd_of_typical_pairs"),

@@ -27,7 +27,9 @@ whole blocks P*B; the unreduced rest of a word never enters a key, so the
 memo grows with the output rather than with the derivation.  Keys keep
 their parameters: dropping P would not terminate, since the supergroup's
 a*d -> d*a + h1*a*ga - ... leads back to a*d through a*ga once h1 is gone,
-and only h1*h1 = 0 cuts that cycle.
+and only h1*h1 = 0 cuts that cycle.  A memoized normal form is the tuple of
+its ((P, B), coefficient) terms, frozen from the sum that built it, so a
+zero one is the shared ().
 
 These memos, like every cache keyed by words an input brings, live in the
 Budget whose fuel pays for them; presentations and maps keep only what
@@ -212,7 +214,7 @@ class Expression:
         if not isinstance(other, Expression):
             return NotImplemented
         out = dict(self._t)
-        _accumulate(out, other._t)
+        _accumulate(out, other._t.items())
         return _expr_raw(out)
 
     def __neg__(self):
@@ -594,10 +596,10 @@ class Presentation:
         letter at a time, and the budget's memo holds the normal form of
         each P*w*l met, P sorted parameters and w a normal word of one
         block, of the words its rewriting passes through, and of each whole
-        P*B.  A hit costs no fuel, and memory grows with the fuel spent and
-        the words the input brings.  Neither the redex cursor nor the int
-        coefficients (see the module docstring) change which rules apply,
-        and so the fuel a reduction needs.
+        P*B, as a tuple of its terms.  A hit costs no fuel, and memory grows
+        with the fuel spent and the words the input brings.  Neither the
+        redex cursor nor the int coefficients (see the module docstring)
+        change which rules apply, and so the fuel a reduction needs.
         """
         self._validate_expr(expr)
         return self.multiplier(fuel)(expr)
@@ -635,8 +637,8 @@ class Presentation:
             f"a word of {len(word)} letters: {shown}"
         )
 
-    def _word_nf(self, word: Word, budget, memo, odd) -> dict:
-        """The normal form of word as a dict (P, W) -> coefficient, on
+    def _word_nf(self, word: Word, budget, memo, odd):
+        """The normal form of word as pairs ((P, W), coefficient), on
         budget, whose memo and parity memo for self are memo and odd.
 
         Blocks are reduced one after the other: a term P1*W times
@@ -644,30 +646,30 @@ class Presentation:
         """
         sign, params, blocks = self._split(word)
         if not sign:
-            return {}
+            return ()
         if not blocks:
-            return {(params, ()): sign}
+            return (((params, ()), sign),)
         acc = self._fold_block((params, blocks[0]), budget, memo, odd)
         if sign < 0:
-            acc = {k: -v for k, v in acc.items()}
+            acc = [(k, -v) for k, v in acc]
         for b in blocks[1:]:
             out = {}
-            for (p1, w), c in acc.items():
+            for (p1, w), c in acc:
                 got = self._fold_block((p1, b), budget, memo, odd)
                 if w:
                     if self._odd(w, odd):
                         odd_p1 = self._odd(p1, odd)
-                        got = {(p2, w + b2): v if self._odd(p2, odd) == odd_p1 else -v
-                               for (p2, b2), v in got.items()}
+                        got = [((p2, w + b2), v if self._odd(p2, odd) == odd_p1 else -v)
+                               for (p2, b2), v in got]
                     else:
-                        got = {(p2, w + b2): v for (p2, b2), v in got.items()}
+                        got = [((p2, w + b2), v) for (p2, b2), v in got]
                 _accumulate(out, got, c)
-            acc = out
+            acc = out.items()
         return acc
 
-    def _fold_block(self, key: tuple[Word, Word], budget, memo, odd) -> dict:
+    def _fold_block(self, key: tuple[Word, Word], budget, memo, odd) -> tuple:
         """The normal form of P*B for key = (P, B), B in one block, as a
-        dict (P2, B2) -> coefficient; memoized under key.
+        tuple of pairs ((P2, B2), coefficient); memoized under key.
 
         B's letters are appended one at a time to the normal words formed
         so far, so each step reduces P'*w*l with w normal: its only redex
@@ -681,18 +683,19 @@ class Presentation:
         acc = self._block_nf((p, b[:1]), 0, budget, memo, odd)
         for letter in b[1:]:
             out = {}
-            for (p1, w), c in acc.items():
+            for (p1, w), c in acc:
                 _accumulate(out, self._block_nf((p1, w + (letter,)),
                                                 len(w) - 1 if w else 0,
                                                 budget, memo, odd), c)
-            acc = out
-        memo[key] = acc
+            acc = out.items()
+        memo[key] = acc = tuple(acc)
         return acc
 
-    def _block_nf(self, key: tuple[Word, Word], start: int, budget, memo, odd) -> dict:
+    def _block_nf(self, key: tuple[Word, Word], start: int, budget, memo, odd) -> tuple:
         """The normal form of P*B for key = (P, B), B in one block, as a
-        dict (P2, B2) -> coefficient, for a B with no redex before start;
-        memoized under key, as is every word its rewriting passes through.
+        tuple of pairs ((P2, B2), coefficient), for a B with no redex
+        before start; memoized under key, as is every word its rewriting
+        passes through.  A frame's sum is frozen when the frame pops.
 
         A rewrite at pos leaves the letters before it irreducible, so the
         scan of each child resumes at pos - 1 (Book and Otto 1993, ch. 2).
@@ -703,7 +706,7 @@ class Presentation:
         find = self._find_redex
         red = find(key[1], start)
         if red is None:
-            got = memo[key] = {key: 1}
+            got = memo[key] = ((key, 1),)
             return got
         # frame = (key, iterator over the rule terms that make its children,
         # its block word and the position of the redex in it, accumulator,
@@ -740,14 +743,14 @@ class Presentation:
                             break
                         # irreducible, so memoized; no acc holds it yet,
                         # since a word enters an acc only once memoized
-                        memo[key] = {key: 1}
+                        memo[key] = ((key, 1),)
                         acc[key] = c
                     elif got:
                         _accumulate(acc, got, c)
                 else:
                     red = None
                     stack.pop()
-                    memo[parent] = acc
+                    memo[parent] = acc = tuple(acc.items())
                     if not stack:
                         return acc
                     if acc:
@@ -894,7 +897,7 @@ class Morphism:
         acc = {}
         for word in expr.words():
             word, image, c = self._term(word, expr._t[word])
-            _accumulate(acc, _fold(prefixes, word, image, mul)._t, c)
+            _accumulate(acc, _fold(prefixes, word, image, mul)._t.items(), c)
         return _expr_raw(acc)
 
     def _term(self, word: Word, c: int | Scalar):

@@ -91,15 +91,16 @@ def power(base, n: int, one, mul=operator.mul):
     return one if out is None else out
 
 
-def _accumulate(acc: dict, terms: dict, c=None) -> None:
-    """acc += terms, each times c unless c is None, in place; a zero sum
-    drops its key.  The sparse sum of Expression and the rewriting kernel,
-    whose terms map words to coefficients."""
+def _accumulate(acc: dict, terms, c=None) -> None:
+    """acc += terms, pairs (key, value) with distinct keys, each value
+    times c unless c is None, in place; a zero sum drops its key.  The
+    sparse sum of Expression, the maps and the rewriting kernel: a dict's
+    items() or a memoized normal form."""
     if not acc:
         acc.update(terms if c is None or c == 1
-                   else {k: v * c for k, v in terms.items()})
+                   else {k: v * c for k, v in terms})
         return
-    for k, v in terms.items():
+    for k, v in terms:
         if c is not None:
             v = v * c
         s = acc.get(k)

@@ -606,6 +606,9 @@ class TestNormalForm:
         assert "loop" in msg and f"fuel of {DEFAULT_FUEL}" in msg
         assert int(re.search(r"a word of (\d+) letters", msg).group(1)) > DEFAULT_FUEL
         assert len(msg) < 300
+        # the word is shown in generator ids, and its leftmost letters have
+        # all been rewritten to n
+        assert msg.endswith(": " + "*".join("n" * 40) + "*...")
 
     @pytest.mark.parametrize("name, text, need", [
         ("h-calculus", "(x+th)^1000", 5498),

@@ -1,13 +1,15 @@
 """Suite reports: frozen outcome sets, exact recorded residuals, rendering."""
 
+import gc
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from superplane import verify
-from superplane.algebra import Expression, FuelExhausted
+from superplane.algebra import DEFAULT_FUEL, Budget, Expression, FuelExhausted
 from superplane.parsing import parse_expression, render_expression
 from superplane.scalars import Scalar
 from superplane.verify import (
@@ -331,6 +333,37 @@ def test_every_fuel_error_names_its_check(catalog, reports, suite):
                              str(err.value), re.DOTALL)
         assert found and found[1] in ids, str(err.value)
     assert run(catalog, COLD_NEED[suite]).results == report.results
+
+
+def test_cold_covariance_memo_stays_small():
+    # the covariance suite fills the largest memo of a verify run, 3,251
+    # words, and so sets its peak memory.  Run on a fresh budget once the
+    # scalar memos and rule terms are warm, the budget's memos hold 162
+    # bytes a memo word by tracemalloc on CPython 3.10 to 3.13, with each
+    # normal form a tuple of its terms; held as dicts, they took 264-267.
+    # The bound of 220 lies between.  It counts CPython's object sizes (a
+    # pair 56 bytes, an empty dict 64, a one-term dict 224-232), so a
+    # CPython that changes them needs it measured again this way.  What the
+    # budget holds is measured rather than the traced peak, which counts
+    # whatever else the run allocates
+    from superplane.presentations import build_catalog
+
+    cat = build_catalog.__wrapped__()
+    run_covariance_suite(cat)
+    budget = Budget(DEFAULT_FUEL)
+    tracemalloc.start()
+    try:
+        run_covariance_suite(cat, budget)
+        words = len(budget.memo(cat.covariance_tensor, "words"))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del budget
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert words == 3251
+    assert held < 220 * words
 
 
 def test_verdict_outcomes():
