@@ -81,6 +81,9 @@ MUTANTS = [
      "out[gid] = out.pop(gid, Expression.from_gen(gid))",
      "out[gid] = Expression.from_gen(gid)",
      "tests/test_algebra.py::TestMorphism::test_a_given_parameter_image_wins"),
+    ("memo-gate-dropped", "scalars.py",
+     "len(b.den._c) > MEMO_TERMS:", "len(b.den._c) > 10 ** 9:",
+     "tests/test_scalars.py::TestScalar::test_memo_takes_only_small_operands"),
     ("number-operator-sign", "verify.py",
      '"T": "x*px + th*pth"', '"T": "x*px - th*pth"',
      "tests/test_verify.py::test_structured_checks_match_golden_file"),

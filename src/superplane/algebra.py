@@ -59,7 +59,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping
 
-from superplane.scalars import Scalar, _accumulate, as_scalar, power
+from superplane.scalars import Scalar, _accumulate, as_scalar
 
 DEFAULT_FUEL = 10_000
 
@@ -236,11 +236,6 @@ class Expression:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("expression powers must be nonnegative integers")
-        return power(self, n, _E_ONE)
-
     def __eq__(self, other):
         if not isinstance(other, Expression):
             return NotImplemented
@@ -294,8 +289,6 @@ class RewriteRule(namedtuple("RewriteRule", "lhs rhs")):
     __slots__ = ()
 
     def __new__(cls, lhs: Word, rhs: Expression):
-        if not isinstance(rhs, Expression):
-            rhs = Expression(rhs)
         return super().__new__(cls, tuple(lhs), rhs)
 
 

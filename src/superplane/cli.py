@@ -5,16 +5,19 @@ verification suites, dump a presentation or scan it for non-joinable
 critical pairs.  Presentations go by catalog name (see `rules --list`).
 
 Exit status: 0 when everything passed, 1 when any check or reduction
-failed, 2 for usage and parse errors.  A reduction that runs out of fuel
-or of memory is a failed reduction: `reduce` then prints a one-line error
-and exits 1.  `--fuel` bounds one budget of rewrite steps: the parse of
-`reduce`, which reduces each product as it forms it and so gives the
-normal form, each suite of `verify`, the whole `critical-pairs` scan; a
-`verify` fuel error names the suite and the check that ran out, since
-every row spends its fuel in its own check.  Reports go to stdout,
-diagnostics to stderr.  A reader that closes the pipe early (`| head`) gets
-what it read, and the verb exits 1 with nothing on stderr; any other failure
-to write the output, a closed stdout among them, exits 1 with one line.
+failed, 2 for usage and parse errors.  `critical-pairs` passes only when
+every pair joins and Presentation.terminates certifies termination, without
+which local confluence does not make normal forms unique (Newman 1942).  A
+reduction that runs out of fuel or of memory is a failed reduction:
+`reduce` then prints a one-line error and exits 1.  `--fuel` bounds one
+budget of rewrite steps: the parse of `reduce`, which reduces each product
+as it forms it and so gives the normal form, each suite of `verify`, the
+whole `critical-pairs` scan; a `verify` fuel error names the suite and the
+check that ran out, since every row spends its fuel in its own check.
+Reports go to stdout, diagnostics to stderr.  A reader that closes the pipe
+early (`| head`) gets what it read, and the verb exits 1 with nothing on
+stderr; any other failure to write the output, a closed stdout among them,
+exits 1 with one line.
 """
 
 from __future__ import annotations
@@ -151,12 +154,13 @@ def _cmd_critical_pairs(ns) -> int:
     report = check_local_confluence(pres, fuel=ns.fuel)
     print(f"presentation: {report.presentation}")
     print(f"pairs checked: {report.pairs_checked}")
+    print(f"terminates: {'yes' if pres.terminates else 'no'}")
     print(f"non-joinable: {len(report.failures)}")
     for f in report.failures:
         print(f"  word {'*'.join(f.word)}: rule at 0 gives "
               f"{render_expression(f.nf_a)}; rule at 1 gives "
               f"{render_expression(f.nf_b)}")
-    return OK if report.ok else FAILED
+    return OK if report.ok and pres.terminates else FAILED
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -196,8 +196,6 @@ COORD_DIFF_VARIANTS = {
 
 
 def build_primed_calculus(variant: str) -> Presentation:
-    if variant not in COORD_DIFF_VARIANTS:
-        raise ConstructionFailure(f"unknown coordinate-differential variant {variant!r}")
     return _build("pq-calculus", PQ_DECLS,
                   table=_PQ_TABLE + [COORD_DIFF_VARIANTS[variant]])
 

@@ -28,9 +28,11 @@ and again.  _sum and _product memoize them by value, process-wide, each in
 a functools.lru_cache of MEMO_SIZE entries: the operations are pure over
 immutable canonical values, so a hit returns what a miss would build.  Both
 commute, so each takes its operands in hash order and a + b and b + a share
-an entry.  A sum over one denominator adds the numerators.  The memos and
-the interned constants outlive every catalog, and a hit costs no rewriting
-fuel (no scalar operation does).
+an entry.  They keep no operands of over MEMO_TERMS terms together, such
+as the partial sums, each met once, of a long sum's parse, so their bytes
+are bounded too.  A sum over one denominator adds the numerators.  The
+memos and the interned constants outlive every catalog, and a hit costs no
+rewriting fuel (no scalar operation does).
 
 The module writes no text: str() of its values is written by
 superplane.parsing, beside the parser that reads it back.
@@ -49,6 +51,9 @@ from typing import Iterator
 # and constants kept interned; a cold catalog plus verify --suite all
 # leaves 156 sums, 126 products and 13 interned constants
 MEMO_SIZE = 1024
+# the most terms two operands' parts may hold together for the memos to
+# take them; the suites form operands of up to 8 terms, and pairs of 14
+MEMO_TERMS = 32
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -149,10 +154,6 @@ class Poly:
         self._c, self._d = f._c, f._d
 
     @staticmethod
-    def zero() -> "Poly":
-        return _POLY_ZERO
-
-    @staticmethod
     def one() -> "Poly":
         return _POLY_ONE
 
@@ -208,11 +209,6 @@ class Poly:
         return _poly_raw({m: (-a, -b) for m, (a, b) in self._c.items()},
                          self._d)
 
-    def __sub__(self, other):
-        if type(other) is not Poly:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if type(other) is not Poly:
             return NotImplemented
@@ -224,11 +220,6 @@ class Poly:
                 out[m] = (a + a1 * a2 - b1 * b2, b + a1 * b2 + b1 * a2)
         return _lowest({m: t for m, t in out.items() if t[0] or t[1]},
                        self._d * other._d)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        return power(self, n, _POLY_ONE)
 
     def divexact(self, d: "Poly") -> "Poly":
         """The quotient self / d under graded-lex order; ValueError when d
@@ -549,10 +540,6 @@ class Scalar:
         self._hash = None
 
     @staticmethod
-    def zero() -> "Scalar":
-        return _S_ZERO
-
-    @staticmethod
     def one() -> "Scalar":
         return _S_ONE
 
@@ -579,7 +566,7 @@ class Scalar:
         if k1 is not None and k2 is not None:
             (a1, b1, d1), (a2, b2, d2) = k1, k2
             return _const_scalar(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
-        return _sum(*_ordered(self, other))
+        return _memoized(_sum, self, other)
 
     __radd__ = __add__
 
@@ -615,7 +602,7 @@ class Scalar:
             return other._scaled(k1)
         if k2 is not None:
             return self._scaled(k2)
-        return _product(*_ordered(self, other))
+        return _memoized(_product, self, other)
 
     __rmul__ = __mul__
 
@@ -644,13 +631,6 @@ class Scalar:
             raise DivisionByZero("division by zero scalar")
         # the parts are coprime already; only the new den needs rescaling
         return _scalar_raw(*_monic(self.den, self.num))
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n, _S_ONE)
 
     def __eq__(self, other):
         other = as_scalar(other)
@@ -727,11 +707,13 @@ def _scalar_raw(n: Poly, d: Poly) -> Scalar:
     return s
 
 
-def _ordered(a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
-    """a and b by hash, so that both orders meet one memo entry.  A
-    Scalar's hash is built from ints alone, which PYTHONHASHSEED leaves
-    alone, so the order is the same in every process."""
-    return (a, b) if hash(a) <= hash(b) else (b, a)
+def _memoized(memo, a: Scalar, b: Scalar) -> Scalar:
+    """memo(a, b) for _sum or _product, in hash order so that both orders
+    meet one entry (a Scalar hashes ints, which PYTHONHASHSEED leaves
+    alone); past MEMO_TERMS terms computed directly, nothing hashed or kept."""
+    if len(a.num._c) + len(a.den._c) + len(b.num._c) + len(b.den._c) > MEMO_TERMS:
+        return memo.__wrapped__(a, b)
+    return memo(a, b) if hash(a) <= hash(b) else memo(b, a)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -65,7 +65,7 @@ def reference_nf(pres, expr, rng=None, max_steps=200_000):
                 into = work
                 terms = rewrite(word, pos, rules[word[pos:pos + 2]], c)
             for w, v in terms:
-                v = into.get(w, Scalar.zero()) + v
+                v = into.get(w, Scalar(0)) + v
                 if v:
                     into[w] = v
                 else:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superplane import build_catalog, catalog_presentations, cli, verify
-from superplane.algebra import GenClass, Presentation, RewriteRule
+from superplane.algebra import (Expression, GenClass, GeneratorDecl,
+                                Presentation, RewriteRule)
 from superplane.parsing import parse_expression
 from superplane.verify import CheckResult, SuiteReport
 
@@ -480,7 +481,7 @@ def test_critical_pairs_clean(capsys):
     code, out, _ = run_cli(
         capsys, "critical-pairs", "--presentation", "pq-calculus")
     assert code == 0
-    assert "non-joinable: 0" in out
+    assert "terminates: yes" in out and "non-joinable: 0" in out
 
 
 def test_critical_pairs_failure_lines(capsys, monkeypatch):
@@ -499,12 +500,32 @@ def test_critical_pairs_failure_lines(capsys, monkeypatch):
     assert out.splitlines() == [
         "presentation: flipped",
         "pairs checked: 96",
+        "terminates: yes",
         "non-joinable: 2",
         "  word pth*x*th: rule at 0 gives q*x + q^2*th*x*pth; "
         "rule at 1 gives -q*x + q^2*th*x*pth",
         "  word px*x*th: rule at 0 gives p*q*th - p^2*q^2*th*x*px; "
         "rule at 1 gives -p*q*th - p^2*q^2*th*x*px",
     ]
+
+
+def test_critical_pairs_fail_without_termination(capsys, monkeypatch):
+    # the legal loop m*n -> n*m*m*n has no overlap, so no pair fails to
+    # join, but it does not terminate: local confluence alone does not
+    # make its normal forms unique
+    loop = Presentation(
+        "loop", [GeneratorDecl("n", 0, sort_key=5),
+                 GeneratorDecl("m", 0, GenClass.INVERSE, 10)],
+        [RewriteRule(("m", "n"), Expression({("n", "m", "m", "n"): 1}))],
+        require_complete=False)
+    table = cli.catalog_presentations
+    monkeypatch.setattr(cli, "catalog_presentations",
+                        lambda cat: {**table(cat), "loop": loop})
+    code, out, _ = run_cli(capsys, "critical-pairs", "--presentation", "loop")
+    assert code == 1
+    assert out.splitlines() == [
+        "presentation: loop", "pairs checked: 0", "terminates: no",
+        "non-joinable: 0"]
 
 
 def test_verify_single_suite_text(capsys):

@@ -67,11 +67,6 @@ def test_variant_selection_is_decisive(cat):
     }
 
 
-def test_unknown_variant_rejected():
-    with pytest.raises(ConstructionFailure):
-        build_primed_calculus("sideways")
-
-
 def test_bad_rule_is_a_construction_failure():
     # one row of the pq-calculus table leaves the rest of its pairs
     # without a rule

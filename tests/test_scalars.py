@@ -20,6 +20,7 @@ from hypothesis import assume, given, strategies as st
 
 from superplane.scalars import (
     MEMO_SIZE,
+    MEMO_TERMS,
     DivisionByZero,
     IndeterminateAtPoint,
     Poly,
@@ -34,6 +35,7 @@ from superplane.scalars import (
     _sum,
     as_scalar,
     poly_gcd,
+    power,
 )
 
 F = Fraction
@@ -74,7 +76,7 @@ scalars = st.builds(Scalar, small_polys, small_nonzero)
 # constants, among them the ones the engine multiplies by most, next to
 # general scalars, so that every operation meets each mix of operand kinds
 constants = st.one_of(
-    st.sampled_from([Scalar.zero(), Scalar.one(), Scalar(-1), Scalar.i()]),
+    st.sampled_from([Scalar(0), Scalar.one(), Scalar(-1), Scalar.i()]),
     st.builds(Scalar, gaussians))
 mixed_scalars = st.one_of(constants, scalars)
 rational_points = st.tuples(fractions_, fractions_)
@@ -100,11 +102,11 @@ def assert_lowest(f):
 
 class TestPoly:
     def test_product_expansion(self):
-        assert (P - ONE) * (Q - ONE) == Poly(
+        assert (P + -ONE) * (Q + -ONE) == Poly(
             {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}
         )
         # i*(-i) = 1, and (1 + i)/2 * (1 - i)/3 = 1/3
-        assert (P + C(G(0, 1))) * (P - C(G(0, 1))) == P * P + ONE
+        assert (P + C(G(0, 1))) * (P + C(G(0, -1))) == P * P + ONE
         assert C(G(F(1, 2), F(1, 2))) * C(G(F(1, 3), F(-1, 3))) == C(F(1, 3))
 
     @given(polys, polys, nonzero_polys, gaussians.filter(lambda c: c.const[1]))
@@ -124,12 +126,12 @@ class TestPoly:
     @given(polys, polys, nonzero_polys, gaussians.filter(bool), st.booleans())
     def test_every_operation_is_in_lowest_terms(self, f, g, d, c, swap):
         # equal polynomials then have equal fields
-        for x in (f, f + g, f - g, -f, f * g, f ** 3, f._scale(*c.const),
+        for x in (f, f + g, -f, f * g, f._scale(*c.const),
                   f.monic(), f.conj(swap), (f * d).divexact(d), poly_gcd(f, g)):
             assert_lowest(x)
 
     def test_eval(self):
-        f = P * P * Q - C(3)
+        f = P * P * Q + C(-3)
         assert f.eval(F(2), F(5)) == G(17)
         assert ZERO.eval(F(1), F(1)) == G(0)
 
@@ -137,7 +139,7 @@ class TestPoly:
         # items, leading and eval hand out constant Scalars, and the
         # constructor takes them beside numbers, but nothing else
         c = G(F(1, 2), -3)
-        f = C(c) * P * Q + C(F(2, 3)) * Q - ONE
+        f = C(c) * P * Q + C(F(2, 3)) * Q + -ONE
         got = f.items()
         assert [(m, x.const) for m, x in got] == [
             ((1, 1), (1, -6, 2)), ((0, 1), (2, 0, 3)), ((0, 0), (-1, 0, 1))]
@@ -157,7 +159,7 @@ class TestPoly:
     def test_commutative_ring(self, f, g):
         assert f * g == g * f
         assert f + g == g + f
-        assert f - f == ZERO
+        assert f + -f == ZERO
         assert f * C(G(0)) == ZERO
 
     def test_equality_is_between_polys(self):
@@ -171,7 +173,7 @@ class TestPoly:
     def test_arithmetic_takes_no_number(self, number):
         # a number or a constant Scalar enters Q(i)[p, q] through the
         # constructor only
-        for op in (operator.add, operator.sub, operator.mul):
+        for op in (operator.add, operator.mul):
             with pytest.raises(TypeError):
                 op(P, number)
             with pytest.raises(TypeError):
@@ -186,7 +188,7 @@ class TestPoly:
     def test_foreign_operands(self, other):
         # each operator hands the operand back to Python (NotImplemented),
         # which raises TypeError; divexact and eval raise it themselves
-        for op in (operator.add, operator.sub, operator.mul):
+        for op in (operator.add, operator.mul):
             with pytest.raises(TypeError):
                 op(P, other)
         for call in (P.divexact, lambda x: P.eval(x, 1)):
@@ -199,35 +201,33 @@ class TestPoly:
         with pytest.raises(ValueError):
             Poly({(-1, 0): 1})
         with pytest.raises(ValueError):
-            P ** -1
-        with pytest.raises(ValueError):
             ZERO.leading()
         with pytest.raises(DivisionByZero):
             P.divexact(ZERO)
 
     def test_divexact(self):
-        f = (P - ONE) * (Q + C(2))
-        assert f.divexact(P - ONE) == Q + C(2)
-        assert ZERO.divexact(P - ONE) == ZERO
+        f = (P + -ONE) * (Q + C(2))
+        assert f.divexact(P + -ONE) == Q + C(2)
+        assert ZERO.divexact(P + -ONE) == ZERO
         with pytest.raises(ValueError):
             (P + ONE).divexact(Q)
 
     def test_gcd_literal(self):
         # oracle: p^2 - 1 = (p - 1)(p + 1), so the common factor is p - 1
-        g = poly_gcd(C(2) * (P * P - ONE), C(4) * (P - ONE))
-        assert g == P - ONE
-        assert (C(2) * (P * P - ONE)).divexact(g) == C(2) * (P + ONE)
-        assert poly_gcd(P - ONE, Q - ONE) == ONE
+        g = poly_gcd(C(2) * (P * P + -ONE), C(4) * (P + -ONE))
+        assert g == P + -ONE
+        assert (C(2) * (P * P + -ONE)).divexact(g) == C(2) * (P + ONE)
+        assert poly_gcd(P + -ONE, Q + -ONE) == ONE
 
     def test_gcd_with_a_constant(self):
         # a nonzero constant is a unit, whatever the other operand
-        f = P * P - Q
+        f = P * P + -Q
         for c in (3, F(-1, 2), G(0, 2), G(1, -1)):
             assert poly_gcd(Poly({(0, 0): c}), f) == Poly.one()
             assert poly_gcd(f, Poly({(0, 0): c})) == Poly.one()
             assert poly_gcd(Poly({(0, 0): c}), Poly({(0, 0): 5})) == Poly.one()
-        assert poly_gcd(Poly.zero(), Poly({(0, 0): 3})) == Poly.one()
-        assert poly_gcd(Poly.zero(), Poly.zero()) == Poly.zero()
+        assert poly_gcd(ZERO, Poly({(0, 0): 3})) == Poly.one()
+        assert poly_gcd(ZERO, ZERO) == ZERO
 
     @given(polys, polys, nonzero_polys)
     def test_gcd_divides_and_reduces_to_coprime(self, a, b, m):
@@ -261,18 +261,18 @@ class TestPoly:
             assert poly_gcd(f.divexact(d), g.divexact(d)) == ONE
 
     def test_gcd_of_typical_pairs(self):
-        for f, g in ((P * Q - ONE, P + Q), (P - Q, (P - ONE) * (Q + ONE)),
-                     (P * P - Q, C(G(0, 1)) * P + ONE)):
+        for f, g in ((P * Q + -ONE, P + Q), (P + -Q, (P + -ONE) * (Q + ONE)),
+                     (P * P + -Q, C(G(0, 1)) * P + ONE)):
             assert poly_gcd(f, g) == ONE and poly_gcd(g, f) == ONE
-        assert poly_gcd((P + Q) * (P - ONE), (P + Q) * Q) == P + Q
+        assert poly_gcd((P + Q) * (P + -ONE), (P + Q) * Q) == P + Q
         # a denominator that is a large prime
-        assert poly_gcd(P + Poly({(0, 0): F(1, 1000000009)}), P - ONE) == ONE
+        assert poly_gcd(P + Poly({(0, 0): F(1, 1000000009)}), P + -ONE) == ONE
         # a leading coefficient in p that vanishes at a point, and images
         # at q = 3 that share the root p = 0
-        assert poly_gcd((Q - C(3)) * P + ONE, P) == ONE
-        assert poly_gcd(P + Q - C(3), P * (Q + ONE)) == ONE
+        assert poly_gcd((Q + C(-3)) * P + ONE, P) == ONE
+        assert poly_gcd(P + Q + C(-3), P * (Q + ONE)) == ONE
         # images at every q = 1 share the root p = 1, for every prime
-        assert poly_gcd(P * Q - ONE, P - ONE) == ONE
+        assert poly_gcd(P * Q + -ONE, P + -ONE) == ONE
 
     def test_primes_are_proved_and_have_a_root_of_minus_one(self):
         sympy = pytest.importorskip("sympy")
@@ -285,7 +285,7 @@ class TestPoly:
         l, r = _prime(_BITS)
         # the first prime divides a leading coefficient, so every image
         # loses its degree in p
-        f, g = (C(l) * P + ONE) * (P + Q), (P + Q) * (P - ONE)
+        f, g = (C(l) * P + ONE) * (P + Q), (P + Q) * (P + -ONE)
         assert _modular_gcd(f, g, _BITS) is None
         assert poly_gcd(f, g) == P + Q
         # so does r + i under the second map, i -> -r
@@ -295,49 +295,50 @@ class TestPoly:
         # a coefficient outside the symmetric range of the first prime: the
         # lift is wrong and fails the trial division
         h = P + C(2 ** 40)
-        f, g = h * (P - Q), h * (P + Q)
+        f, g = h * (P + -Q), h * (P + Q)
         assert _modular_gcd(f, g, _BITS) is None
         assert poly_gcd(f, g) == h
         # at the first point, q = _BITS**2 = t, p - q + t - 1 is p - 1, so
         # the images there have a gcd of too high a degree in p
         t = _BITS ** 2
-        f = (P + Q) * (P - ONE) * (Q + C(2))
-        g = (P + Q) * (P - Q + C(t - 1)) * (Q + C(3))
+        f = (P + Q) * (P + -ONE) * (Q + C(2))
+        g = (P + Q) * (P + -Q + C(t - 1)) * (Q + C(3))
         first = next(_images(f, g, 0, l, r, _BITS))
         assert first[0] == t and len(first[2]) == 3
         assert _modular_gcd(f, g, _BITS) is None
         assert poly_gcd(f, g) == P + Q
         # there, without the factors in q, the image gcds have the degrees
         # of f, which does not divide g
-        f, g = (P + Q) * (P - ONE), (P + Q) * (P - Q + C(t - 1))
+        f, g = (P + Q) * (P + -ONE), (P + Q) * (P + -Q + C(t - 1))
         assert _modular_gcd(f, g, _BITS) is None
         assert poly_gcd(f, g) == P + Q
 
     def test_gcd_with_an_imaginary_coefficient(self):
         h = P + C(G(0, 1)) * Q
-        assert poly_gcd(h * (P - ONE), h * (Q + C(2))) == h
+        assert poly_gcd(h * (P + -ONE), h * (Q + C(2))) == h
         h = P * Q + C(G(3, -2))
-        assert poly_gcd(h * (P + Q) ** 2, h * (P - C(G(0, 1)))) == h
+        assert poly_gcd(h * (P + Q) * (P + Q), h * (P + C(G(0, -1)))) == h
 
     @given(polys, polys, nonzero_polys, st.integers(1, 6), st.integers(1, 6))
     def test_large_degree_gcd_leaves_coprime_cofactors(self, a, b, m, j, k):
         assume(not a.is_zero() and not b.is_zero())
-        f, g = a ** j * m ** k, b ** k * m ** j
+        f = power(a, j, ONE) * power(m, k, ONE)
+        g = power(b, k, ONE) * power(m, j, ONE)
         d = poly_gcd(f, g)
         assert d.leading()[1] == 1
-        d.divexact((m ** min(j, k)).monic())
+        d.divexact(power(m, min(j, k), ONE).monic())
         assert poly_gcd(f.divexact(d), g.divexact(d)) == ONE
 
     def test_gcd_coefficients_stay_small(self):
         # a pseudo-remainder sequence that keeps the numeric content makes
         # its rationals grow exponentially with the degree: at degree 30
         # this did not finish in minutes
-        assert poly_gcd((P + Q) ** 30, (P - Q) ** 30) == ONE
+        assert poly_gcd(power(P + Q, 30, ONE), power(P + -Q, 30, ONE)) == ONE
 
     def test_high_degree_gcd_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
-        m = (P * Q - ONE) ** 2
-        f, g = (P + Q) ** 30 * m, (P - Q) ** 30 * m
+        m = power(P * Q + -ONE, 2, ONE)
+        f, g = power(P + Q, 30, ONE) * m, power(P + -Q, 30, ONE) * m
         got = poly_gcd(f, g)
         assert got == m
         # the coefficients are rational, and a gcd does not change under a
@@ -374,7 +375,7 @@ def test_normal_forms_hold_canonical_scalars(catalog, name):
     pres = catalog_presentations(catalog)[name]
     letters = sorted(g.id for g in pres.gens.values()
                      if g.klass is not GenClass.INVERSE)
-    coeffs = [1, -2, F(1, 3), G(0, 1), Scalar(P), Scalar(ONE, Q - ONE)]
+    coeffs = [1, -2, F(1, 3), G(0, 1), Scalar(P), Scalar(ONE, Q + -ONE)]
     rng = random.Random(name)
     for _ in range(20):
         terms = {tuple(rng.choice(letters) for _ in range(rng.randint(0, 4))):
@@ -400,9 +401,9 @@ class TestScalar:
 
     def test_partial_fraction_sum(self):
         # oracle 1, computed first: cross-multiplication on raw polynomials
-        raw_num = ONE * (Q - ONE) + ONE * (P - ONE)
-        raw_den = (P - ONE) * (Q - ONE)
-        s = Scalar(ONE, P - ONE) + Scalar(ONE, Q - ONE)
+        raw_num = ONE * (Q + -ONE) + ONE * (P + -ONE)
+        raw_den = (P + -ONE) * (Q + -ONE)
+        s = Scalar(ONE, P + -ONE) + Scalar(ONE, Q + -ONE)
         assert s.num * raw_den == raw_num * s.den
         # oracle 2: plain Fraction arithmetic at a sample point
         assert s.eval(F(3), F(5, 2)) == G(F(1, 2) + F(2, 3))
@@ -412,51 +413,51 @@ class TestScalar:
         assert str(s) == "(p + q - 2)/(p*q - p - q + 1)"
 
     def test_no_spurious_cancellation(self):
-        num = P * Q - ONE
-        den = (P - ONE) * (Q - ONE)
+        num = P * Q + -ONE
+        den = (P + -ONE) * (Q + -ONE)
         assert poly_gcd(num, den) == ONE  # the parts share no factor
         r = Scalar(num, den)
         assert r.num == num and r.den == den
         assert r.eval(F(2), F(3)) == G(F(5, 2))
 
     def test_cancellation(self):
-        s = Scalar(P * P - ONE, P - ONE)
+        s = Scalar(P * P + -ONE, P + -ONE)
         assert s == Scalar(P + ONE)
         assert s.den == ONE
         # the gcd's cofactors go each to its own part, in the constructor
         # and in a product that cancels across
         h = P + Q
-        s = Scalar(h * (P - ONE), h * (Q + ONE))
-        assert (s.num, s.den) == (P - ONE, Q + ONE)
+        s = Scalar(h * (P + -ONE), h * (Q + ONE))
+        assert (s.num, s.den) == (P + -ONE, Q + ONE)
         d = Q + C(2)
-        s = Scalar(h * (P - ONE), Q + ONE) * Scalar(Q - ONE, h * d)
-        assert (s.num, s.den) == ((P - ONE) * (Q - ONE), (Q + ONE) * d)
+        s = Scalar(h * (P + -ONE), Q + ONE) * Scalar(Q + -ONE, h * d)
+        assert (s.num, s.den) == ((P + -ONE) * (Q + -ONE), (Q + ONE) * d)
 
     def test_monic_denominator(self):
-        s = Scalar(ONE, C(2) * P - C(2))
-        assert s.den == P - ONE
+        s = Scalar(ONE, C(2) * P + C(-2))
+        assert s.den == P + -ONE
         assert s.num == Poly({(0, 0): F(1, 2)})
         # 1/(i*(q - 1)) = -i/(q - 1)
         t = Scalar(ONE, Poly({(0, 1): G(0, 1), (0, 0): G(0, -1)}))
-        assert t.den == Q - ONE
+        assert t.den == Q + -ONE
         assert t.num == Poly({(0, 0): G(0, -1)})
 
     def test_pole_and_indeterminate(self):
         with pytest.raises(PoleAtPoint):
-            Scalar(ONE, P - ONE).eval(F(1), F(7))
+            Scalar(ONE, P + -ONE).eval(F(1), F(7))
         # reduced fractions can still hit 0/0 at a point
         with pytest.raises(IndeterminateAtPoint):
-            Scalar(P - ONE, Q - ONE).eval(F(1), F(1))
+            Scalar(P + -ONE, Q + -ONE).eval(F(1), F(1))
         with pytest.raises(IndeterminateAtPoint):
-            Scalar(P * Q - ONE, (P - ONE) * (Q - ONE)).eval(F(1), F(1))
+            Scalar(P * Q + -ONE, (P + -ONE) * (Q + -ONE)).eval(F(1), F(1))
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             Scalar(ONE, ZERO)
         with pytest.raises(DivisionByZero):
-            Scalar.one() / Scalar.zero()
+            Scalar.one() / Scalar(0)
         with pytest.raises(DivisionByZero):
-            Scalar.zero() ** (-1)
+            Scalar(0).inv()
 
     @pytest.mark.parametrize("other", ["1", 0.5])
     def test_foreign_operands(self, other):
@@ -468,27 +469,25 @@ class TestScalar:
                 op(other, Scalar.p())
         assert Scalar.one() != other
         with pytest.raises(TypeError):
-            Scalar.p() ** other
-        with pytest.raises(TypeError):
             Scalar(other)
 
     def test_reflected_operators(self):
         # a number on the left of - or / is taken into the field
-        assert 2 - Scalar.p() == Scalar(C(2) - P)
+        assert 2 - Scalar.p() == Scalar(C(2) + -P)
         assert 2 / Scalar.p() == Scalar(C(2), P)
-        assert F(1, 2) - Scalar.q() == Scalar(C(F(1, 2)) - Q)
+        assert F(1, 2) - Scalar.q() == Scalar(C(F(1, 2)) + -Q)
 
     def test_powers_and_factories(self):
-        assert Scalar.p() * Scalar.q() - Scalar.one() == Scalar(P * Q - ONE)
-        assert Scalar.i() ** 2 == Scalar(-1)
-        assert Scalar(P - ONE) ** (-1) == Scalar(ONE, P - ONE)
-        assert Scalar(P - ONE) ** 0 == Scalar.one()
+        assert Scalar.p() * Scalar.q() - Scalar.one() == Scalar(P * Q + -ONE)
+        assert power(Scalar.i(), 2, Scalar.one()) == Scalar(-1)
+        assert Scalar(P + -ONE).inv() == Scalar(ONE, P + -ONE)
+        assert power(Scalar(P + -ONE), 0, Scalar.one()) == Scalar.one()
 
     @given(scalars, scalars, scalars)
     def test_field_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
-        assert a - a == Scalar.zero()
+        assert a - a == Scalar(0)
         if not b.is_zero():
             assert (a / b) * b == a
 
@@ -515,7 +514,7 @@ class TestScalar:
         cases = [
             (a * b, Scalar(a.num * b.num, a.den * b.den)),
             (a + b, Scalar(a.num * b.den + b.num * a.den, a.den * b.den)),
-            (a - b, Scalar(a.num * b.den - b.num * a.den, a.den * b.den)),
+            (a - b, Scalar(a.num * b.den + -(b.num * a.den), a.den * b.den)),
             (a.conj(swap), Scalar(a.num.conj(swap), a.den.conj(swap))),
         ]
         if not a.is_zero():
@@ -556,8 +555,25 @@ class TestScalar:
             as_scalar(F(1, k))
         assert _interned.cache_info().currsize <= MEMO_SIZE
 
+    def test_memo_takes_only_small_operands(self):
+        # a sum or product whose operands hold more than MEMO_TERMS terms
+        # together is computed and not kept, so that the parse of a long sum
+        # leaves nothing in the memos; smaller ones are kept
+        big = Scalar(power(P + Q + ONE, 8, ONE))
+        small, other = Scalar(P, Q + ONE), Scalar(Q, P + ONE)
+        assert len(big.num) + len(big.den) + len(small.num) + len(small.den) > MEMO_TERMS
+        _sum.cache_clear()
+        _product.cache_clear()
+        assert big + small == Scalar(big.num * (Q + ONE) + P, Q + ONE)
+        assert big * small == Scalar(big.num * P, Q + ONE)
+        assert _sum.cache_info().currsize == _product.cache_info().currsize == 0
+        assert small + other == Scalar(P * (P + ONE) + Q * (Q + ONE),
+                                       (Q + ONE) * (P + ONE))
+        assert small * other == Scalar(P * Q, (Q + ONE) * (P + ONE))
+        assert _sum.cache_info().currsize == _product.cache_info().currsize == 1
+
     def test_swapped_operands_hit_the_memo(self):
-        a, b = Scalar(P, Q - ONE), Scalar(Q + ONE, P + ONE)
+        a, b = Scalar(P, Q + -ONE), Scalar(Q + ONE, P + ONE)
         _sum.cache_clear()
         _product.cache_clear()
         assert a + b == b + a and a * b == b * a
@@ -572,7 +588,7 @@ class TestScalar:
                 "P, Q = Poly({(1, 0): 1}), Poly({(0, 1): 1}); "
                 "C = lambda c: Poly({(0, 0): c}); "
                 "print([hash(s) for s in (Scalar(P, Q + C(1)), Scalar(Q, P * P), "
-                "Scalar(P * Q - C(3), 1), Scalar(2) / Scalar(7))])")
+                "Scalar(P * Q + C(-3), 1), Scalar(2) / Scalar(7))])")
         outs = set()
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -608,8 +624,8 @@ class TestScalar:
         # its constants apart, so the table stays with arithmetic; the texts
         # are those written when printing went through the table
         p, q, i = Scalar.p(), Scalar.q(), Scalar.i()
-        big = ((p + q + 1) ** 20).num
-        small = ((p / 2 + q * i / 3 + Fraction(2, 7)) ** 3).num
+        big = power(p + q + 1, 20, Scalar.one()).num
+        small = power(p / 2 + q * i / 3 + Fraction(2, 7), 3, Scalar.one()).num
         _interned.cache_clear()
         text = str(big)
         assert _interned.cache_info().currsize == 0
@@ -632,7 +648,7 @@ class TestScalar:
         def agrees(u, w, d, m, e):
             # over the shared den d*m, the numerators u*m + w and e*m - w
             # sum to (u + e)*m, which cancels against the den
-            a, b = Scalar(u * m + w, d * m), Scalar(e * m - w, d * m)
+            a, b = Scalar(u * m + w, d * m), Scalar(e * m + -w, d * m)
             assume(a.den == b.den and a.const is None)
             s = a + b
             num, den = to_sympy(sympy, s.num), to_sympy(sympy, s.den)
@@ -700,8 +716,8 @@ class TestScalar:
         assert re_im(got) == ((a * c + b * d) / n, (b * c - a * d) / n)
 
     def test_conj_swaps_and_conjugates(self):
-        s = Scalar(Poly({(1, 0): G(0, 1)}), Q - ONE)  # i*p/(q - 1)
-        assert s.conj(swap_pq=True) == Scalar(Poly({(0, 1): G(0, -1)}), P - ONE)
+        s = Scalar(Poly({(1, 0): G(0, 1)}), Q + -ONE)  # i*p/(q - 1)
+        assert s.conj(swap_pq=True) == Scalar(Poly({(0, 1): G(0, -1)}), P + -ONE)
 
     @given(scalars, scalars)
     def test_conj_is_a_field_involution(self, a, b):

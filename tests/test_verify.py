@@ -345,7 +345,9 @@ def test_cold_covariance_memo_stays_small():
     # pair 56 bytes, an empty dict 64, a one-term dict 224-232), so a
     # CPython that changes them needs it measured again this way.  What the
     # budget holds is measured rather than the traced peak, which counts
-    # whatever else the run allocates
+    # whatever else the run allocates.  The snapshots around the run live
+    # through both readings of held, so they cancel; when the bytes fail,
+    # their difference names the ten lines that allocated most
     from superplane.presentations import build_catalog
 
     cat = build_catalog.__wrapped__()
@@ -353,17 +355,22 @@ def test_cold_covariance_memo_stays_small():
     budget = Budget(DEFAULT_FUEL)
     tracemalloc.start()
     try:
+        before = tracemalloc.take_snapshot()
         run_covariance_suite(cat, budget)
         words = len(budget.memo(cat.covariance_tensor, "words"))
         gc.collect()
+        after = tracemalloc.take_snapshot()
         held = tracemalloc.get_traced_memory()[0]
         del budget
         gc.collect()
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert words == 3251
-    assert held < 220 * words
+    assert words == 3251, f"the covariance memo holds {words} words, not 3251"
+    assert held < 220 * words, (
+        f"the budget holds {held} bytes for {words} words, over 220 a word; "
+        "the largest growths of the run:\n" + "\n".join(
+            map(str, after.compare_to(before, "lineno")[:10])))
 
 
 def test_verdict_outcomes():
